@@ -1,10 +1,15 @@
 """What the traced run wraps, and the per-layer metrics computed from its spans.
 
 Per-layer times are averages over every traced phase of a run (the
-pre-phase that makes a checkpoint, the timed loop and the post-timing
-scoring), so each layer is measured on each workload. Counts are per timed
-operation (one workload command), so they repeat exactly for a given
-workload and change only when the program does different work.
+pre-phase that makes a checkpoint, the timed loop and the checks after each
+repetition), so each layer is timed on each workload. The LSTM and dense
+times and the GFLOP/s count only the calls at one batch size per workload:
+forward passes at its fwd_batch, backward passes at its training batch size,
+so that calls of other shapes in the same run do not dilute them. Counts are
+per timed operation (one workload command), so they repeat exactly for a
+given workload and change only when the program does different work; a
+layer the command does not call counts 0 (on forecast_k28: lstm.bwd_calls,
+training.steps and cli.variants).
 
 Operation counts ("flop") are computed from the shapes, not measured:
 a (m, k) @ (k, n) product counts 2mkn, every elementwise arithmetic
@@ -32,6 +37,14 @@ def _lstm_bwd_shape(args, kwargs, result):
     return _lstm_shape(args[0], args[1]["x"])
 
 
+def _batch_fwd(args, kwargs, result):
+    return {"B": len(args[1])}
+
+
+def _batch_bwd(args, kwargs, result):
+    return {"B": len(args[2])}
+
+
 def _anchors(args, kwargs, result):
     return {"anchors": len(result)}
 
@@ -45,9 +58,9 @@ def _bytes(args, kwargs, result):
 TARGETS = (
     ("eadforecast.lstm._lstm_forward_batch", ("lstm.lstm1_fwd", "lstm.lstm2_fwd"), _lstm_fwd_shape),
     ("eadforecast.lstm._lstm_backward_batch", ("lstm.lstm2_bwd", "lstm.lstm1_bwd"), _lstm_bwd_shape),
-    ("eadforecast.lstm.forward_batch", "lstm.forward_batch", None),
-    ("eadforecast.training.forward_batch", "lstm.forward_batch", None),
-    ("eadforecast.training.backward_batch", "lstm.backward_batch", None),
+    ("eadforecast.lstm.forward_batch", "lstm.forward_batch", _batch_fwd),
+    ("eadforecast.training.forward_batch", "lstm.forward_batch", _batch_fwd),
+    ("eadforecast.training.backward_batch", "lstm.backward_batch", _batch_bwd),
     ("eadforecast.training.batch_loss_and_grad", "losses.loss", None),
     ("eadforecast.training._adam_update_flat", "training.adam", None),
     ("eadforecast.training.model_to_vector", "training.flatten", None),
@@ -148,8 +161,10 @@ def _percentile_ms(values, q: float) -> float:
     return 1e3 * ordered[min(int(q * len(ordered)), len(ordered) - 1)]
 
 
-def layer_metrics(tracer) -> dict:
-    """Per-layer values (without trace_overhead_frac) from a traced run."""
+def layer_metrics(tracer, fwd_batch: int, bwd_batch: int) -> dict:
+    """Per-layer values (without trace_overhead_frac) from a traced run.
+    LSTM and dense times count forward calls at batch size fwd_batch and
+    backward calls at bwd_batch."""
     spans = tracer.spans
     self_t = tracer.self_times()
     in_op = tracer.within(OP)
@@ -161,8 +176,9 @@ def layer_metrics(tracer) -> dict:
     def idx(name):
         return by_name.get(name, [])
 
-    def self_ms(name):
-        return _mean_ms([self_t[i] for i in idx(name)])
+    def self_ms(name, batch=None):
+        return _mean_ms([self_t[i] for i in idx(name)
+                         if batch is None or spans[i].meta.get("B") == batch])
 
     def incl_ms(name):
         return _mean_ms([spans[i].duration for i in idx(name)])
@@ -170,12 +186,12 @@ def layer_metrics(tracer) -> dict:
     def per_op(names, weight=lambda s: 1):
         return sum(weight(spans[i]) for n in names for i in idx(n) if in_op[i]) / ops
 
-    def gflops(names, flop_fn):
+    def gflops(names, flop_fn, batch):
         flop = busy = 0.0
         for n in names:
             for i in idx(n):
                 m = spans[i].meta
-                if "T" in m:
+                if m.get("B") == batch:
                     flop += m["B"] * flop_fn(m["T"], m["I"], m["H"])
                     busy += self_t[i]
         return flop / busy / 1e9 if busy > 0 else 0.0
@@ -199,16 +215,16 @@ def layer_metrics(tracer) -> dict:
     scaler_s = sum(spans[i].duration for i in idx("training.scaler"))
 
     return {
-        "lstm.lstm1_fwd_ms": self_ms("lstm.lstm1_fwd"),
-        "lstm.lstm2_fwd_ms": self_ms("lstm.lstm2_fwd"),
-        "lstm.lstm1_bwd_ms": self_ms("lstm.lstm1_bwd"),
-        "lstm.lstm2_bwd_ms": self_ms("lstm.lstm2_bwd"),
+        "lstm.lstm1_fwd_ms": self_ms("lstm.lstm1_fwd", fwd_batch),
+        "lstm.lstm2_fwd_ms": self_ms("lstm.lstm2_fwd", fwd_batch),
+        "lstm.lstm1_bwd_ms": self_ms("lstm.lstm1_bwd", bwd_batch),
+        "lstm.lstm2_bwd_ms": self_ms("lstm.lstm2_bwd", bwd_batch),
         "lstm.fwd_calls": per_op(["lstm.lstm1_fwd", "lstm.lstm2_fwd"]),
         "lstm.bwd_calls": per_op(["lstm.lstm1_bwd", "lstm.lstm2_bwd"]),
-        "lstm.dense_fwd_ms": self_ms("lstm.forward_batch"),
-        "lstm.dense_bwd_ms": self_ms("lstm.backward_batch"),
-        "lstm.fwd_gflops": gflops(["lstm.lstm1_fwd", "lstm.lstm2_fwd"], lstm_fwd_flop),
-        "lstm.bwd_gflops": gflops(["lstm.lstm1_bwd", "lstm.lstm2_bwd"], lstm_bwd_flop),
+        "lstm.dense_fwd_ms": self_ms("lstm.forward_batch", fwd_batch),
+        "lstm.dense_bwd_ms": self_ms("lstm.backward_batch", bwd_batch),
+        "lstm.fwd_gflops": gflops(["lstm.lstm1_fwd", "lstm.lstm2_fwd"], lstm_fwd_flop, fwd_batch),
+        "lstm.bwd_gflops": gflops(["lstm.lstm1_bwd", "lstm.lstm2_bwd"], lstm_bwd_flop, bwd_batch),
         "training.steps": per_op(["training.adam"]),
         "training.step_ms_p50": _percentile_ms(steps_s, 0.50),
         "training.step_ms_p99": _percentile_ms(steps_s, 0.99),

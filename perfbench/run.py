@@ -52,8 +52,14 @@ class WorkerFailed(Exception):
     pass
 
 
-def ratio(num: float, den: float) -> float | None:
-    return num / den if den > 0 else None
+def mean(values: list[float]) -> float | None:
+    return statistics.fmean(values) if values else None
+
+
+def rate(samples: list[list[float]]) -> float | None:
+    """Work per second over all (work, seconds) samples of the run."""
+    seconds = sum(s for _, s in samples)
+    return sum(w for w, _ in samples) / seconds if seconds > 0 else None
 
 
 class Bench:
@@ -101,19 +107,20 @@ class Bench:
         else:
             q = res["quality"]
             metrics = {
-                "setup_s": statistics.median(res["setup_s"]) if res["setup_s"] else None,
-                "wall_s": statistics.median(res["wall_s"]),
-                # Rates over everything done in the run, as a long job sees them.
-                "train_windows_per_s": ratio(res["windows"] * len(res["epoch_s"]), sum(res["epoch_s"])),
-                "forecast_anchors_per_s": ratio(sum(a for a, _ in res["forecasts"]),
-                                                sum(s for _, s in res["forecasts"])),
+                # Means and totals over the whole run, not medians: the
+                # machine's speed switches between two levels about 1.7x
+                # apart in phases of seconds, and a median of samples taken
+                # across such phases jumps between the levels (README.md).
+                "setup_s": mean(res["setup_s"]),
+                "wall_s": mean(res["wall_s"]),
+                "train_windows_per_s": rate(res["trainings"]),
+                "forecast_anchors_per_s": rate(res["forecasts"]),
                 "peak_rss_mb": res["peak_rss_mb"],
                 "test_cc": q.get("cc"),
             }
             units = END_TO_END
             extra = {
-                "samples": {"wall_s": len(res["wall_s"]), "epochs": len(res["epoch_s"]),
-                            "forecasts": len(res["forecasts"]), "setups": len(res["setup_s"])},
+                "samples": {k: res[k] for k in ("setup_s", "wall_s", "trainings", "forecasts")},
                 # Printed, not a listed metric: across seeds its spread is too
                 # wide for any bound the benchmark may set (see README.md).
                 "test_mae_rel": q.get("mae_rel"),
@@ -161,7 +168,6 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--tiny", action="store_true", help="few-second smoke-test sizes")
-    p.add_argument("--keep", action="store_true", help="keep the working directory")
     args = p.parse_args(argv)
     # On SIGTERM, unwind so that subprocess.run kills and reaps the worker.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
@@ -176,12 +182,11 @@ def main(argv=None) -> int:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
     finally:
-        if not args.keep:
-            shutil.rmtree(bench.work, ignore_errors=True)
-            try:
-                bench.work.parent.rmdir()
-            except OSError:
-                pass
+        shutil.rmtree(bench.work, ignore_errors=True)
+        try:
+            bench.work.parent.rmdir()
+        except OSError:
+            pass
     describe(args, result)
     print(json.dumps({k: result[k] for k in ("correct", "attempted", "failed", "metrics")}))
     return 0

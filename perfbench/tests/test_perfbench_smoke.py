@@ -54,7 +54,7 @@ def test_missing_targets_are_reported_absent_not_raised():
     assert not tracer.wrap("eadforecast_no_such_module.fn", "x")
     assert not tracer.wrap("json.no_such_function", "y")
     assert tracer.absent == ["eadforecast_no_such_module.fn", "json.no_such_function"]
-    metrics = layers.layer_metrics(tracer)
+    metrics = layers.layer_metrics(tracer, fwd_batch=1, bwd_batch=8)
     assert set(metrics) == set(layers.PER_LAYER) - {"trace_overhead_frac"}
     assert metrics["training.adam_ms"] == 0.0
 

@@ -30,7 +30,6 @@ import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
-from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import checks  # noqa: E402
@@ -42,8 +41,8 @@ from tracer import Tracer  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ABLATION = ["all_features", "no_mobility", "no_temperature", "no_humidity", "no_day_label"]
-FORECASTS_PER_TRAIN = 2  # forecasts of 2020 after each of train_paper's trainings
-SETUP_PROBES = 5  # at least this many set-ups per untraced run
+FORECASTS_PER_REP = {"train_paper": 8, "ablate_wide": 16}  # extra forecasts of 2020 per repetition
+SETUP_PROBES = 15  # set-ups per untraced run, spread over the timed loop
 
 
 def import_program():
@@ -96,12 +95,10 @@ def probe(args) -> None:
 
 
 class Probes:
-    """Always-on timers around the two calls the end-to-end rates need.
-
-    cli.train: the training config's per-epoch progress callback is chained
-    to record when each epoch ends. cli.run_forecast: duration and anchors.
-    One timer per call, so the untraced run pays a few microseconds per
-    command.
+    """Always-on timers around the two calls the end-to-end rates need:
+    cli.train (duration, windows, epochs) and cli.run_forecast (duration,
+    anchors). One timer per call, so the untraced run pays a few
+    microseconds per command.
     """
 
     def __init__(self, cli):
@@ -112,23 +109,12 @@ class Probes:
         probes = self
 
         def timed_train(model, X, Y, config):
-            marks = [time.perf_counter()]
-            user = config.progress
-
-            def progress(epoch, loss):
-                marks.append(time.perf_counter())
-                if user is not None:
-                    user(epoch, loss)
-
-            out = train(model, X, Y, replace(config, progress=progress))
-            end = time.perf_counter()
-            if len(marks) != config.epochs + 1:  # progress not called every epoch
-                marks = [marks[0] + (end - marks[0]) * k / config.epochs
-                         for k in range(config.epochs + 1)]
+            start = time.perf_counter()
+            out = train(model, X, Y, config)
             if probes.recording:
                 probes.trainings.append({
-                    "windows": len(X), "model": out[0], "history": out[1],
-                    "epoch_s": [b - a for a, b in zip(marks, marks[1:])],
+                    "seconds": time.perf_counter() - start, "windows_trained": len(X) * config.epochs,
+                    "model": out[0], "history": out[1],
                 })
             return out
 
@@ -164,9 +150,8 @@ class Run:
         self.failures: list[str] = []
         self.wall_s: list[float] = []
         self.wall_traced_s: list[float] = []
-        self.epoch_s: list[float] = []
-        self.windows = 0
-        self.forecasts: list[tuple[int, float]] = []  # (anchors, seconds) per call
+        self.trainings: list[list[float]] = []  # [windows x epochs, seconds] per train call
+        self.forecasts: list[list[float]] = []  # [anchors, seconds] per run_forecast call
         self.setup_s: list[float] = []
         self.digests: dict[str, str] = {}
         self.quality: dict = {}
@@ -200,10 +185,8 @@ class Run:
         """The trainings and forecasts recorded since the last call."""
         trainings, self.probes.trainings = self.probes.trainings, []
         forecasts, self.probes.forecasts = self.probes.forecasts, []
-        for t in trainings:
-            self.epoch_s += t["epoch_s"]
-            self.windows = t["windows"]
-        self.forecasts += [(f["anchors"], f["seconds"]) for f in forecasts]
+        self.trainings += [[t["windows_trained"], t["seconds"]] for t in trainings]
+        self.forecasts += [[f["anchors"], f["seconds"]] for f in forecasts]
         return trainings, forecasts
 
     @staticmethod
@@ -262,16 +245,17 @@ class Run:
             trainings, forecasts = self.take()
             if ok:
                 check(trainings, forecasts)
-            self.probe_setup()
+            if not trace:
+                done = min((time.perf_counter() - start) / self.args.seconds, 1.0)
+                while len(self.setup_s) < SETUP_PROBES * done:
+                    self.probe_setup()
         self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        while not self.args.trace and len(self.setup_s) < SETUP_PROBES:
+        while not trace and len(self.setup_s) < SETUP_PROBES:
             self.probe_setup()
 
     def probe_setup(self) -> None:
-        """One set-up in a fresh process, between repetitions so that the
+        """One set-up in a fresh process, between repetitions, so that the
         set-ups sample the same stretch of time as the command."""
-        if self.args.trace:
-            return
         cmd = [sys.executable, __file__, "probe", "--work", str(self.work),
                "--workload", self.args.workload] + (["--tiny"] if self.args.tiny else [])
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
@@ -307,7 +291,7 @@ class Run:
                 return self.fail("train checks", exc)
             # Outside the command's time: forecast 2020 with the new
             # checkpoint, which gives this workload's forecast rate.
-            for _ in range(FORECASTS_PER_TRAIN):
+            for _ in range(FORECASTS_PER_REP[self.args.workload]):
                 self.attempted += 1
                 try:
                     self.main("forecast", *self.common(), "--checkpoint", str(ckpt))
@@ -325,6 +309,15 @@ class Run:
             self.fail("evaluate", exc)
 
     def run_ablate_wide(self) -> None:
+        # The all_features variant's inputs, built as the program builds
+        # them: its scaler is fitted on the training windows only.
+        cli, training, data = self.cli, self.ead.training, self.ead.data
+        with self.unobserved():
+            cfg = cli.build_run_config(cli.build_parser().parse_args(["ablate", *self.common()]))
+            records = cli.load_records(cfg)
+            scaler = training.fit_scaler(data.make_windows(
+                cli._slice_records(records, cfg.train_start, cfg.train_end),
+                cfg.lookback, cfg.horizon, cfg.mask(), cfg.group))
         last = {}
 
         def check(trainings, forecasts):
@@ -342,7 +335,20 @@ class Run:
                 last["model"], last["forecasts"] = trainings[0]["model"], forecasts[0]["result"]
                 self.same_digest(",".join(digests), "ablation models")
             except Exception as exc:
-                self.fail("ablation report", exc)
+                return self.fail("ablation report", exc)
+            # Outside the command's time: forecast 2020 again with the
+            # all_features model, which must reproduce the command's
+            # forecasts and gives more samples of the forecast rate.
+            expected = [(a, v.tobytes()) for a, v in last["forecasts"]]
+            for _ in range(FORECASTS_PER_REP[self.args.workload]):
+                self.attempted += 1
+                try:
+                    again = cli.run_forecast(last["model"], scaler, records, cfg, *self.spans["test"])
+                    self.take()
+                    if [(a, v.tobytes()) for a, v in again] != expected:
+                        raise RuntimeError("forecast differs from the ablate command's")
+                except Exception as exc:
+                    self.fail("forecast", exc)
 
         self.timed_loop(lambda: self.main("ablate", *self.common()), check, ops=len(ABLATION))
         # After timing, on the all_features variant: checkpoint and
@@ -352,12 +358,7 @@ class Run:
             model, forecasts = last["model"], last["forecasts"]
             if model.input_dim != len(workloads.FEATURES):
                 raise RuntimeError("the first ablation variant is not all_features")
-            import numpy as np
-
             ckpt = self.out / "all_features.bin"
-            scaler = self.ead.training.MinMaxScaler(
-                feature_min=np.zeros(model.input_dim), feature_max=np.ones(model.input_dim),
-                target_min=0.0, target_max=1.0)
             self.checkpoint.save_checkpoint(ckpt, model, scaler, {})
             self.check_reload(model, ckpt)
             pred = self.out / "all_features_predictions.csv"
@@ -430,8 +431,7 @@ class Run:
             "failures": self.failures,
             "wall_s": self.wall_s,
             "setup_s": self.setup_s,
-            "epoch_s": self.epoch_s,
-            "windows": self.windows,
+            "trainings": self.trainings,
             "forecasts": self.forecasts,
             "digest": self.digests,
             "quality": self.quality,
@@ -440,7 +440,8 @@ class Run:
         }
         if self.args.trace:
             result["wall_traced_s"] = self.wall_traced_s
-            result["layers"] = layers.layer_metrics(self.tracer)
+            result["layers"] = layers.layer_metrics(
+                self.tracer, self.wl["fwd_batch"], self.wl["batch_size"])
             result["absent"] = self.tracer.absent
         return result
 

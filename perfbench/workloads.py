@@ -28,10 +28,15 @@ LOOKBACK = 14
 
 # epochs/batch_size: the timed training (train_paper, ablate_wide) or the
 # training that makes the checkpoint before timing (forecast_k28).
+# fwd_batch: the batch size of the forward passes the per-layer forward
+# times report (the command's training batch, or B=1 for forecasting).
 WORKLOADS = {
-    "train_paper": {"command": "train", "epochs": 3, "batch_size": 8, "horizon": 1},
-    "ablate_wide": {"command": "ablate", "epochs": 6, "batch_size": 256, "horizon": 1},
-    "forecast_k28": {"command": "forecast", "epochs": 5, "batch_size": 8, "horizon": 28},
+    "train_paper": {"command": "train", "epochs": 1, "batch_size": 8, "horizon": 1,
+                    "fwd_batch": 8},
+    "ablate_wide": {"command": "ablate", "epochs": 3, "batch_size": 256, "horizon": 1,
+                    "fwd_batch": 256},
+    "forecast_k28": {"command": "forecast", "epochs": 5, "batch_size": 8, "horizon": 28,
+                     "fwd_batch": 1},
 }
 
 SPANS = {
