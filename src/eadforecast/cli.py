@@ -24,10 +24,11 @@ import yaml
 
 from . import checkpoint as ckpt_io
 from . import data as data_mod
+from . import lstm as lstm_mod  # called through the module, so wrappers on it (perfbench) apply
 from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import atomic_write_text
-from .lstm import ModelSpec, init_params, network_forward
+from .lstm import ModelSpec, init_params
 from .metrics import evaluate_series, horizon_aggregate
 from .training import TrainConfig, apply_scaler, fit_scaler, train
 
@@ -42,6 +43,17 @@ ABLATION_VARIANTS = (
     ("no_day_label", "day_label"),
 )
 DEFAULT_HORIZONS = (3, 7, 14, 28)
+# Anchors per forward pass in run_forecast. A chunk bounds the memory the
+# forward pass keeps for its backward cache (all 2,319 anchors of the default
+# dataset at once hold ~160 MB) and fixes the matrix shapes BLAS sees. At
+# L=14, 6 anchors keep the largest product, lstm2's input projection
+# (84 x 50 @ 50 x 120, 504k multiply-adds), below the size from which
+# OpenBLAS splits a product over two threads (524k). Split products made a
+# forecast's speed hinge on a second free CPU: on 2 vCPUs with one other
+# busy process, chunks of 16 ran at 3,100 anchors/s instead of 6,500-7,500;
+# chunks of 6 held 3,700-4,500 either way. Forecasts stay single-threaded,
+# so predictions.csv is the same under any BLAS thread count.
+FORECAST_CHUNK = 6
 
 
 @dataclass
@@ -248,13 +260,13 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
     """Per-anchor K-day predictions on the count scale.
 
     An anchor is the first predicted day; its window covers the L preceding
-    days, which must all be present in the records.
+    days, which must all be present in the records. Anchors go through the
+    network FORECAST_CHUNK at a time.
     """
     if start > end:
         raise ConfigError("forecast span is empty")
     by_date = {r.date: idx for idx, r in enumerate(records)}
-    features = data_mod.feature_matrix(records, cfg.mask())
-    forecasts = []
+    anchors, rows = [], []
     day = start
     while day <= end:
         idx = by_date.get(day)
@@ -263,11 +275,24 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
                 f"not enough history before {day.isoformat()}: "
                 f"need {cfg.lookback} prior days in the dataset"
             )
-        window = scaler.transform_features(features[idx - cfg.lookback : idx])
-        y, _ = network_forward(model, window)
-        forecasts.append((day, scaler.invert_target(y)))
+        anchors.append(day)
+        rows.append(idx)
         day += dt.timedelta(days=1)
-    return forecasts
+    # Min-max scaling is elementwise, so scaling every row once gives the
+    # same values as scaling each window.
+    features = scaler.transform_features(data_mod.feature_matrix(records, cfg.mask()))
+    window_rows = np.asarray(rows)[:, None] + np.arange(-cfg.lookback, 0)  # (N, L)
+    y = np.empty((len(anchors), model.horizon))
+    n_full = len(anchors) - len(anchors) % FORECAST_CHUNK
+    for lo in range(0, n_full, FORECAST_CHUNK):
+        y[lo : lo + FORECAST_CHUNK], _ = lstm_mod.forward_batch(
+            model, features[window_rows[lo : lo + FORECAST_CHUNK]]
+        )
+    # The tail goes one anchor at a time, so that whatever the span length
+    # only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
+    for n in range(n_full, len(anchors)):
+        y[n], _ = lstm_mod.network_forward(model, features[window_rows[n]])
+    return list(zip(anchors, scaler.invert_target(y)))
 
 
 def write_predictions_csv(path, forecasts) -> None:
@@ -280,10 +305,18 @@ def write_predictions_csv(path, forecasts) -> None:
 
 
 def read_predictions_csv(path):
+    """Forecasts as written by write_predictions_csv.
+
+    Every anchor must hold steps 1..K once each, with target date
+    anchor + step - 1, every anchor the same K, and the anchors must be
+    consecutive days; anything else is a DataError.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
-    forecasts: dict[dt.date, dict[int, float]] = {}
+    # Per anchor: its steps, target-date strings and values, in file order.
+    by_anchor: dict[dt.date, tuple[list[int], list[str], list[float]]] = {}
+    anchor_text = None
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -293,17 +326,48 @@ def read_predictions_csv(path):
             if len(row) != 4:
                 raise DataError(f"{path}:{line_no}: expected 4 fields")
             try:
-                anchor = dt.date.fromisoformat(row[0])
-                step = int(row[1])
-                value = float(row[3])
+                # An anchor's rows are adjacent, so its date is parsed once.
+                if row[0] != anchor_text:
+                    steps, targets, values = by_anchor.setdefault(
+                        dt.date.fromisoformat(row[0]), ([], [], [])
+                    )
+                    anchor_text = row[0]
+                steps.append(int(row[1]))
+                values.append(float(row[3]))
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from None
-            forecasts.setdefault(anchor, {})[step] = value
+            # Each target date recurs K times; interning keeps one copy.
+            targets.append(sys.intern(row[2]))
+    anchors = sorted(by_anchor)
+    if not anchors:
+        return []
+    first = anchors[0]
+    k = len(by_anchor[first][0])
+    want_steps = list(range(1, k + 1))
+    iso_days = [(first + dt.timedelta(days=d)).isoformat() for d in range(len(anchors) + k - 1)]
     out = []
-    for anchor in sorted(forecasts):
-        steps = forecasts[anchor]
-        vec = np.array([steps[s] for s in sorted(steps)], dtype=np.float64)
-        out.append((anchor, vec))
+    for n, anchor in enumerate(anchors):
+        if (anchor - first).days != n:
+            raise DataError(f"{path}: anchors must be consecutive; gap before {anchor}")
+        steps, targets, values = by_anchor[anchor]
+        if steps != want_steps:
+            rows = sorted(zip(steps, targets, values), key=lambda r: r[0])
+            steps, targets, values = (list(col) for col in zip(*rows))
+            if len(set(steps)) != len(steps):
+                raise DataError(f"{path}: anchor {anchor} has a duplicate step")
+            if steps != want_steps:
+                raise DataError(
+                    f"{path}: anchor {anchor} has steps {steps}; "
+                    f"anchor {first} has steps 1..{k}"
+                )
+        if targets != iso_days[n : n + k]:
+            step, target, want = next(
+                (s, t, w) for s, t, w in zip(steps, targets, iso_days[n : n + k]) if t != w
+            )
+            raise DataError(
+                f"{path}: anchor {anchor} step {step} has target date {target}, expected {want}"
+            )
+        out.append((anchor, np.array(values, dtype=np.float64)))
     return out
 
 
@@ -398,12 +462,7 @@ def cmd_train(args) -> None:
     records = load_records(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        model, scaler, history = run_training(cfg, records)
-    except NumericalError:
-        # Keep whatever history exists; the loop raises before returning it,
-        # so there is nothing to write here beyond the error itself.
-        raise
+    model, scaler, history = run_training(cfg, records)
     write_history_csv(out / "loss_history.csv", history)
     meta = {
         "features": list(cfg.features),
@@ -478,13 +537,11 @@ def run_ablation(cfg: RunConfig):
         vcfg = replace(cfg, features=_variant_features(cfg.features, excluded))
         model, scaler, _ = run_training(vcfg, records)
         forecasts = run_forecast(model, scaler, records, vcfg, cfg.test_start, cfg.test_end)
-        rep, _, actual_dates, act = run_evaluation(
+        rep, agg, actual_dates, act = run_evaluation(
             records, forecasts, cfg.group, name, Path(cfg.out) / "ablate" / name
         )
-        agg = horizon_aggregate(forecasts)
-        est = np.array(
-            [agg.mean[i] for i, d in enumerate(agg.dates) if d in set(actual_dates)]
-        )
+        date_set = set(actual_dates)
+        est = agg.mean[[i for i, d in enumerate(agg.dates) if d in date_set]]
         errors = np.abs(act[act != 0] - est[act != 0]) / act[act != 0]
         results.append((name, rep, errors))
         log.info("ablation %-16s cc=%.4f mae=%.4f", name, rep.cc, rep.mae)

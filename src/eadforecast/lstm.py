@@ -18,8 +18,9 @@ dense(100, relu) -> dense(K head). The last hidden state of the second LSTM
 feeds the dense stack. Two code paths exist: a per-window path
 (`lstm_cell_step` / `lstm_layer_forward` / `network_forward`) that is the
 readable reference, and a batched path (`forward_batch` / `backward_batch`)
-the training loop uses. The test suite pins both paths against each other
-and against central finite differences.
+that training and forecasting (`cli.run_forecast`, in chunks of anchors)
+use. The test suite pins both paths against each other and against central
+finite differences.
 """
 
 from __future__ import annotations

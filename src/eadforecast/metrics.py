@@ -146,7 +146,7 @@ def horizon_aggregate(forecasts: list[tuple[dt.date, np.ndarray]]) -> HorizonSer
     k = len(np.asarray(forecasts[0][1]).ravel())
     if k < 1:
         raise ConfigError("forecast vectors must be nonempty")
-    per_date: dict[dt.date, list[float]] = {}
+    rows = []
     prev: dt.date | None = None
     for anchor, values in forecasts:
         vec = np.asarray(values, dtype=np.float64).ravel()
@@ -155,16 +155,31 @@ def horizon_aggregate(forecasts: list[tuple[dt.date, np.ndarray]]) -> HorizonSer
         if prev is not None and (anchor - prev).days != 1:
             raise ConfigError(f"anchors must be consecutive; gap before {anchor}")
         prev = anchor
-        for step in range(k):
-            per_date.setdefault(anchor + dt.timedelta(days=step), []).append(float(vec[step]))
-    dates = sorted(per_date)
-    stacked = [per_date[d] for d in dates]
+        rows.append(vec)
+    F = np.stack(rows)  # (N, K): F[a, step]
+    n = len(rows)
+    # Date d is covered by anchor a = d-K+1+j at step K-1-j, j = 0..K-1, so
+    # row d of V lists its values in anchor order: V[d, j] = F[d-K+1+j, K-1-j].
+    j = np.arange(k)
+    a = np.arange(n + k - 1)[:, None] - (k - 1) + j
+    valid = (a >= 0) & (a < n)
+    V = F[np.clip(a, 0, n - 1), k - 1 - j]
+    count = valid.sum(axis=1)
+    # V.mean over C-contiguous rows sums each row pairwise, as np.mean does on
+    # a single row, so dates covered K times get the bits a per-date mean
+    # gives. The ragged first and last K-1 dates take their valid values one
+    # date at a time.
+    mean = np.empty(n + k - 1)
+    full = count == k
+    mean[full] = V[full].mean(axis=1)
+    for d in np.flatnonzero(~full):
+        mean[d] = np.mean(V[d, valid[d]])
     return HorizonSeries(
-        dates=dates,
-        mean=np.array([np.mean(v) for v in stacked]),
-        min=np.array([np.min(v) for v in stacked]),
-        max=np.array([np.max(v) for v in stacked]),
-        count=np.array([len(v) for v in stacked]),
+        dates=[forecasts[0][0] + dt.timedelta(days=d) for d in range(n + k - 1)],
+        mean=mean,
+        min=np.min(V, axis=1, where=valid, initial=np.inf),
+        max=np.max(V, axis=1, where=valid, initial=-np.inf),
+        count=count,
         horizon=k,
     )
 

@@ -3,14 +3,25 @@ exit codes, report formats, and the scenario commands."""
 
 import csv
 import datetime as dt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from eadforecast.cli import main
-from eadforecast.data import SynthConfig, load_dataset, synth_generate, write_dataset
+import eadforecast
+from eadforecast import checkpoint as ckpt_io
+from eadforecast.cli import RunConfig, load_records, main, run_forecast
+from eadforecast.data import (
+    SynthConfig, feature_matrix, load_dataset, make_windows, synth_generate, write_dataset,
+)
+from eadforecast.errors import DataError
+from eadforecast.lstm import ModelSpec, init_params, network_forward
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
+from eadforecast.training import fit_scaler
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +158,123 @@ class TestForecastCommand:
             "--start", "2018-01-03", "--end", "2018-01-05",
         ]) == 2
 
+    def test_span_past_the_data_is_data_error(self, trained):
+        cfg, out = trained
+        assert main([
+            "forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+            "--start", "2020-05-20", "--end", "2020-06-05",
+        ]) == 2
+
+
+def forecast_setup(dataset, horizon):
+    """An untrained K-step model with a scaler fitted on 2018, and the records."""
+    _, paths = dataset
+    cfg = RunConfig(weather=paths["weather"], ead=paths["ead"], mobility=paths["mobility"],
+                    holidays=paths["holidays"], lookback=7, horizon=horizon)
+    records = load_records(cfg)
+    scaler = fit_scaler(make_windows(records[:365], cfg.lookback, horizon, cfg.mask(), cfg.group))
+    model = init_params(ModelSpec(input_dim=len(cfg.features), horizon=horizon), seed=horizon)
+    return model, scaler, records, cfg
+
+
+def per_anchor_forecast(model, scaler, records, cfg, start, end):
+    """Reference: one network_forward per anchor over its own scaled window."""
+    by_date = {r.date: idx for idx, r in enumerate(records)}
+    features = feature_matrix(records, cfg.mask())
+    out = []
+    day = start
+    while day <= end:
+        idx = by_date[day]
+        y, _ = network_forward(model, scaler.transform_features(features[idx - cfg.lookback : idx]))
+        out.append((day, scaler.invert_target(y)))
+        day += dt.timedelta(days=1)
+    return out
+
+
+class TestRunForecast:
+    @pytest.mark.parametrize("horizon", [1, 28])
+    def test_batched_matches_per_anchor_loop(self, dataset, horizon):
+        model, scaler, records, cfg = forecast_setup(dataset, horizon)
+        # 45 anchors: seven chunks of 6 and a tail of 3 taken one at a time.
+        start, end = dt.date(2019, 1, 1), dt.date(2019, 2, 14)
+        got = run_forecast(model, scaler, records, cfg, start, end)
+        want = per_anchor_forecast(model, scaler, records, cfg, start, end)
+        assert [d for d, _ in got] == [d for d, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g.shape == (horizon,)
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    def test_missing_day_inside_span_names_it(self, dataset):
+        model, scaler, records, cfg = forecast_setup(dataset, 3)
+        gap = records[400].date
+        with pytest.raises(DataError, match=f"not enough history before {gap.isoformat()}"):
+            run_forecast(model, scaler, records[:400] + records[401:], cfg,
+                         records[380].date, records[420].date)
+
+    def test_predictions_identical_across_blas_threads(self, dataset, tmp_path):
+        model, scaler, records, _ = forecast_setup(dataset, 28)
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt_io.save_checkpoint(ckpt, model, scaler, {
+            "features": ["temperature", "humidity", "day_label", "mobility"],
+            "lookback": 7, "group": "all",
+        })
+        cfg = base_config(dataset, tmp_path / "run")
+        src = str(Path(eadforecast.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "eadforecast.cli", "forecast", "--config", str(cfg),
+                 "--checkpoint", str(ckpt), "--start", records[7].date.isoformat(),
+                 "--end", records[-1].date.isoformat(), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def prediction_lines(first: dt.date, anchors: int, k: int) -> list[str]:
+    lines = []
+    for a in range(anchors):
+        anchor = first + dt.timedelta(days=a)
+        for step in range(1, k + 1):
+            target = anchor + dt.timedelta(days=step - 1)
+            lines.append(f"{anchor.isoformat()},{step},{target.isoformat()},{100.0 + a + 3 * step!r}")
+    return lines
+
+
+def _drop(lines, *prefixes):
+    return [line for line in lines if not line.startswith(prefixes)]
+
+
+# Each case edits a valid K=3 file of ten anchors from 2019-03-01.
+MALFORMED_PREDICTIONS = {
+    "valid": (lambda ls: ls, 0),
+    "duplicate_row": (lambda ls: ls + ["2019-03-04,2,2019-03-05,1.0"], 2),
+    "only_step_3": (lambda ls: ["2019-03-01,3,2019-03-03,100.0"], 2),
+    "step_gap": (lambda ls: _drop(ls, "2019-03-05,2,"), 2),
+    "fewer_steps": (lambda ls: _drop(ls, "2019-03-05,3,"), 2),
+    "wrong_target_date": (
+        lambda ls: [l.replace("2019-03-04,2,2019-03-05", "2019-03-04,2,2019-03-06") for l in ls], 2
+    ),
+    "anchor_gap": (lambda ls: _drop(ls, "2019-03-06,"), 2),
+}
+
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("case", list(MALFORMED_PREDICTIONS))
+    def test_malformed_predictions_exit_2(self, dataset, tmp_path, case):
+        edit, code = MALFORMED_PREDICTIONS[case]
+        lines = edit(prediction_lines(dt.date(2019, 3, 1), 10, 3))
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(["anchor_date,step,target_date,value", *lines]) + "\n")
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "run")]) == code
+
     def test_report_format_and_scores(self, dataset, trained, tmp_path):
         cfg, out = trained
         assert main(["forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),

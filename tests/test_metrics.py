@@ -160,6 +160,24 @@ class TestHorizonAggregate:
         interior = [i for i, d in enumerate(agg.dates) if day(k - 1) <= d <= day(11)]
         assert np.all(agg.count[interior] == k)
 
+    @pytest.mark.parametrize("k", [1, 3, 28])
+    @pytest.mark.parametrize("anchors", [1, 2, 27, 28, 29, 100])
+    def test_matches_per_date_loop(self, k, anchors):
+        # Reference: collect every value covering a date in anchor order, then
+        # reduce per date. Spans shorter than K are all ragged edge.
+        rng = np.random.default_rng(1000 * k + anchors)
+        forecasts = [(day(n), rng.uniform(0, 300, size=k)) for n in range(anchors)]
+        per_date = {}
+        for anchor, vec in forecasts:
+            for step, value in enumerate(vec):
+                per_date.setdefault(anchor + dt.timedelta(days=step), []).append(float(value))
+        dates = sorted(per_date)
+        agg = horizon_aggregate(forecasts)
+        assert agg.dates == dates and agg.horizon == k
+        for got, reduce in ((agg.mean, np.mean), (agg.min, np.min), (agg.max, np.max), (agg.count, len)):
+            want = np.array([reduce(per_date[d]) for d in dates])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_gap_in_anchors_rejected(self):
         with pytest.raises(ConfigError):
             horizon_aggregate([(day(0), np.array([1.0])), (day(2), np.array([1.0]))])
