@@ -11,18 +11,12 @@ from .data import DailyRecord, FeatureMask, FeatureWindow, SynthConfig, synth_ge
 from .lstm import (
     DenseLayerParams,
     ForecastModel,
-    GateActivations,
     LstmCellParams,
-    LstmState,
     ModelSpec,
     init_params,
-    lstm_cell_step,
-    lstm_layer_forward,
-    network_backward,
-    network_forward,
 )
 from .metrics import EvalReport, StatsRow, corr_coeff, descriptive_stats, horizon_aggregate, mae
-from .training import AdamState, MinMaxScaler, TrainConfig, adam_step, fit_scaler, train
+from .training import AdamState, MinMaxScaler, TrainConfig, fit_scaler, train
 
 __version__ = "0.1.0"
 
@@ -34,25 +28,18 @@ __all__ = [
     "FeatureMask",
     "FeatureWindow",
     "ForecastModel",
-    "GateActivations",
     "LstmCellParams",
-    "LstmState",
     "MinMaxScaler",
     "ModelSpec",
     "StatsRow",
     "SynthConfig",
     "TrainConfig",
-    "adam_step",
     "corr_coeff",
     "descriptive_stats",
     "fit_scaler",
     "horizon_aggregate",
     "init_params",
-    "lstm_cell_step",
-    "lstm_layer_forward",
     "mae",
-    "network_backward",
-    "network_forward",
     "synth_generate",
     "train",
 ]

@@ -24,6 +24,8 @@ from .training import MinMaxScaler
 
 MAGIC = b"EADCAST1"
 FORMAT_VERSION = 1
+# Header entries load_checkpoint reads besides format_version and config_digest.
+HEADER_KEYS = ("arch", "scaler", "meta", "arrays", "payload_sha256")
 
 
 def config_digest(payload: dict) -> str:
@@ -92,11 +94,16 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"{path}: checkpoint format version {header.get('format_version')} "
             f"is not supported (expected {FORMAT_VERSION})"
         )
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"{path}: corrupt checkpoint header: no {', '.join(missing)}")
     expected = config_digest(
         {"arch": header["arch"], "scaler": header["scaler"], "meta": header["meta"]}
     )

@@ -29,7 +29,7 @@ from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import atomic_write_text
 from .lstm import ModelSpec, init_params
-from .metrics import evaluate_series, horizon_aggregate
+from .metrics import EvalReport, HorizonSeries, evaluate_series, horizon_aggregate
 from .training import TrainConfig, apply_scaler, fit_scaler, train
 
 log = logging.getLogger("eadforecast")
@@ -283,15 +283,12 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
     features = scaler.transform_features(data_mod.feature_matrix(records, cfg.mask()))
     window_rows = np.asarray(rows)[:, None] + np.arange(-cfg.lookback, 0)  # (N, L)
     y = np.empty((len(anchors), model.horizon))
+    # Full chunks, then the tail one anchor at a time, so that whatever the
+    # span length only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
     n_full = len(anchors) - len(anchors) % FORECAST_CHUNK
-    for lo in range(0, n_full, FORECAST_CHUNK):
-        y[lo : lo + FORECAST_CHUNK], _ = lstm_mod.forward_batch(
-            model, features[window_rows[lo : lo + FORECAST_CHUNK]]
-        )
-    # The tail goes one anchor at a time, so that whatever the span length
-    # only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
-    for n in range(n_full, len(anchors)):
-        y[n], _ = lstm_mod.network_forward(model, features[window_rows[n]])
+    starts = [*range(0, n_full, FORECAST_CHUNK), *range(n_full, len(anchors))]
+    for lo, hi in zip(starts, [*starts[1:], len(anchors)]):
+        y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]])
     return list(zip(anchors, scaler.invert_target(y)))
 
 
@@ -386,7 +383,21 @@ def write_history_csv(path, history) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def run_evaluation(records, forecasts, group: str, scenario: str, out_dir: Path):
+@dataclass
+class Evaluation:
+    """What run_evaluation scored: the per-date aggregate of the forecasts,
+    the positions in agg.dates of the dates that have actuals, and those
+    dates with their actual and estimated (aggregate mean) counts."""
+
+    report: EvalReport
+    agg: HorizonSeries
+    index: list[int]
+    dates: list[dt.date]
+    actual: np.ndarray
+    estimate: np.ndarray
+
+
+def run_evaluation(records, forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
     """Aggregate forecasts per date, compare with actuals, emit report + charts."""
     if not forecasts:
         raise DataError("no forecasts to evaluate")
@@ -426,7 +437,7 @@ def run_evaluation(records, forecasts, group: str, scenario: str, out_dir: Path)
         {"actual": act, "estimated": est},
         "Dispatch counts vs daily average humidity", "relative humidity (%)",
     )
-    return rep, agg, actual_dates, act
+    return Evaluation(rep, agg, idx, actual_dates, act, est)
 
 
 def copy_reference_metrics(dest: Path) -> None:
@@ -489,6 +500,8 @@ def cmd_forecast(args) -> None:
         ckpt_io.check_compatible(ckpt, lookback=cfg.lookback)
     if getattr(args, "horizon", None) is not None:
         ckpt_io.check_compatible(ckpt, horizon=cfg.horizon)
+    if getattr(args, "group", None) is not None:
+        ckpt_io.check_compatible(ckpt, group=cfg.group)
     cfg.features = tuple(ckpt.meta["features"])
     cfg.lookback = int(ckpt.meta["lookback"])
     cfg.horizon = ckpt.model.horizon
@@ -513,9 +526,7 @@ def cmd_evaluate(args) -> None:
     cfg.validate(need_spans=False)
     records = load_records(cfg)
     forecasts = read_predictions_csv(args.predictions)
-    rep, _, _, _ = run_evaluation(
-        records, forecasts, cfg.group, args.scenario or "", Path(cfg.out)
-    )
+    rep = run_evaluation(records, forecasts, cfg.group, args.scenario or "", Path(cfg.out)).report
     log.info("group=%s cc=%.4f mae=%.4f", rep.group, rep.cc, rep.mae)
 
 
@@ -527,6 +538,17 @@ def _variant_features(base_features, excluded):
     return tuple(f for f in base_features if f != excluded)
 
 
+def run_variant(cfg: RunConfig, records, scenario: str, out_dir: Path) -> Evaluation:
+    """Train on cfg's train span, forecast its test span and evaluate the
+    forecasts into out_dir: the step each ablation variant and each horizon
+    of the horizon study runs."""
+    model, scaler, _ = run_training(cfg, records)
+    forecasts = run_forecast(model, scaler, records, cfg, cfg.test_start, cfg.test_end)
+    ev = run_evaluation(records, forecasts, cfg.group, scenario, out_dir)
+    log.info("%-16s cc=%.4f mae=%.4f", scenario, ev.report.cc, ev.report.mae)
+    return ev
+
+
 def run_ablation(cfg: RunConfig):
     """Train one variant per excluded feature and score each on the test span."""
     if set(cfg.features) != set(DEFAULT_FEATURES):
@@ -535,16 +557,10 @@ def run_ablation(cfg: RunConfig):
     results = []
     for name, excluded in ABLATION_VARIANTS:
         vcfg = replace(cfg, features=_variant_features(cfg.features, excluded))
-        model, scaler, _ = run_training(vcfg, records)
-        forecasts = run_forecast(model, scaler, records, vcfg, cfg.test_start, cfg.test_end)
-        rep, agg, actual_dates, act = run_evaluation(
-            records, forecasts, cfg.group, name, Path(cfg.out) / "ablate" / name
-        )
-        date_set = set(actual_dates)
-        est = agg.mean[[i for i, d in enumerate(agg.dates) if d in date_set]]
-        errors = np.abs(act[act != 0] - est[act != 0]) / act[act != 0]
-        results.append((name, rep, errors))
-        log.info("ablation %-16s cc=%.4f mae=%.4f", name, rep.cc, rep.mae)
+        ev = run_variant(vcfg, records, name, Path(cfg.out) / "ablate" / name)
+        nonzero = ev.actual != 0
+        errors = np.abs(ev.actual[nonzero] - ev.estimate[nonzero]) / ev.actual[nonzero]
+        results.append((name, ev.report, errors))
     return results
 
 
@@ -565,18 +581,13 @@ def cmd_ablate(args) -> None:
 
 
 def run_horizon_study(cfg: RunConfig, horizons):
+    """Train and score one model per horizon K on the test span."""
     records = load_records(cfg)
-    results = []
-    for k in horizons:
-        kcfg = replace(cfg, horizon=int(k))
-        model, scaler, _ = run_training(kcfg, records)
-        forecasts = run_forecast(model, scaler, records, kcfg, cfg.test_start, cfg.test_end)
-        rep, agg, actual_dates, act = run_evaluation(
-            records, forecasts, cfg.group, f"horizon_{k}", Path(cfg.out) / f"horizon_{k}"
-        )
-        results.append((int(k), rep, agg, actual_dates, act))
-        log.info("horizon K=%-3d cc=%.4f mae=%.4f", k, rep.cc, rep.mae)
-    return results
+    return [
+        (int(k), run_variant(replace(cfg, horizon=int(k)), records, f"horizon_{k}",
+                             Path(cfg.out) / f"horizon_{k}"))
+        for k in horizons
+    ]
 
 
 def cmd_horizon(args) -> None:
@@ -589,14 +600,12 @@ def cmd_horizon(args) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["horizon,cc,mae"]
-    for k, rep, agg, actual_dates, act in results:
-        lines.append(f"{k},{rep.cc!r},{rep.mae!r}")
-        write_horizon_csv(out / f"horizon_K{k}.csv", agg)
-        date_set = set(actual_dates)
-        sel = [i for i, d in enumerate(agg.dates) if d in date_set]
+    for k, ev in results:
+        lines.append(f"{k},{ev.report.cc!r},{ev.report.mae!r}")
+        write_horizon_csv(out / f"horizon_K{k}.csv", ev.agg)
         report_mod.render_band_chart(
-            out / f"horizon_K{k}.svg", actual_dates, act,
-            agg.mean[sel], agg.min[sel], agg.max[sel],
+            out / f"horizon_K{k}.svg", ev.dates, ev.actual,
+            ev.estimate, ev.agg.min[ev.index], ev.agg.max[ev.index],
             f"{k}-day-ahead forecasts (mean with min/max band)",
         )
     atomic_write_text(out / "horizon_report.csv", "\n".join(lines) + "\n")

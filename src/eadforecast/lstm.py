@@ -15,24 +15,20 @@ that variant is exposed on the CLI as ``--eq5-lagged-m``.
 
 The full network is lstm(50) -> lstm(30) -> dense(300, relu) ->
 dense(100, relu) -> dense(K head). The last hidden state of the second LSTM
-feeds the dense stack. Two code paths exist: a per-window path
-(`lstm_cell_step` / `lstm_layer_forward` / `network_forward`) that is the
-readable reference, and a batched path (`forward_batch` / `backward_batch`)
-that training and forecasting (`cli.run_forecast`, in chunks of anchors)
-use. The test suite pins both paths against each other and against central
-finite differences.
+feeds the dense stack. One batched engine (`forward_batch` /
+`backward_batch`) serves training and forecasting; a single window is a
+batch of one. The test suite pins it against a straight-line transcription
+of the gate equations and against central finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import sigmoid
-from .losses import LOSS_KINDS, batch_loss_and_grad
 
 ACTIVATIONS = ("rectifier", "identity", "sigmoid")
 
@@ -74,28 +70,6 @@ class LstmCellParams:
         for name in ("b_i", "b_o", "b_f", "b_m"):
             if getattr(self, name).shape != (h,):
                 raise ConfigError(f"{name} must have shape ({h},)")
-
-
-@dataclass
-class LstmState:
-    """Cell memory c and node state s; m carries the previous candidate
-    vector and is only threaded by the lagged-m variant."""
-
-    c: np.ndarray
-    s: np.ndarray
-    m: np.ndarray | None = None
-
-    @classmethod
-    def zeros(cls, hidden_size: int) -> "LstmState":
-        return cls(c=np.zeros(hidden_size), s=np.zeros(hidden_size))
-
-
-@dataclass
-class GateActivations:
-    i: np.ndarray
-    o: np.ndarray
-    f: np.ndarray
-    m: np.ndarray
 
 
 @dataclass
@@ -232,10 +206,6 @@ def model_from_vector(
     return model_from_leaves(template, arrays)
 
 
-def param_count(model: ForecastModel) -> int:
-    return sum(a.size for _, a in model_leaves(model))
-
-
 def _uniform_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
@@ -287,61 +257,6 @@ def init_params(spec: ModelSpec, scheme: str = "uniform", seed: int = 0) -> Fore
     )
     model.validate()
     return model
-
-
-def zero_grads(model: ForecastModel) -> ModelGrads:
-    arrays = {name: np.zeros_like(a) for name, a in model_leaves(model)}
-    return model_from_leaves(model, arrays)
-
-
-# ---------------------------------------------------------------------------
-# Per-window reference path
-# ---------------------------------------------------------------------------
-
-
-def lstm_cell_step(
-    p: LstmCellParams, x_t, prev: LstmState, lagged_m: bool = False
-) -> tuple[LstmState, GateActivations]:
-    """One LSTM step; returns the new state and the gate activations."""
-    x = np.asarray(x_t, dtype=np.float64)
-    if x.shape != (p.input_size,):
-        raise ConfigError(
-            f"cell input has shape {x.shape}, expected ({p.input_size},)"
-        )
-    if prev.c.shape != (p.hidden_size,) or prev.s.shape != (p.hidden_size,):
-        raise ConfigError("previous state size does not match the cell")
-    i = sigmoid(p.W_ix @ x + p.W_is @ prev.s + p.b_i)
-    o = sigmoid(p.W_ox @ x + p.W_os @ prev.s + p.b_o)
-    f = sigmoid(p.W_fx @ x + p.W_fs @ prev.s + p.b_f)
-    m = np.tanh(p.W_mx @ x + p.W_ms @ prev.s + p.b_m)
-    if lagged_m:
-        candidate = prev.m if prev.m is not None else np.zeros_like(m)
-    else:
-        candidate = m
-    c = f * prev.c + i * candidate
-    s = o * np.tanh(c)
-    return LstmState(c=c, s=s, m=m if lagged_m else None), GateActivations(i=i, o=o, f=f, m=m)
-
-
-def lstm_layer_forward(
-    p: LstmCellParams,
-    sequence,
-    init: LstmState | None = None,
-    lagged_m: bool = False,
-) -> tuple[list[LstmState], list[GateActivations]]:
-    """Run the cell left-to-right over a sequence, threading state."""
-    seq = [np.asarray(v, dtype=np.float64) for v in sequence]
-    if not seq:
-        raise ValueError("lstm_layer_forward requires a nonempty sequence")
-    state = init if init is not None else LstmState.zeros(p.hidden_size)
-    if lagged_m and state.m is None:
-        state = replace(state, m=np.zeros(p.hidden_size))
-    states, gates = [], []
-    for x in seq:
-        state, g = lstm_cell_step(p, x, state, lagged_m=lagged_m)
-        states.append(state)
-        gates.append(g)
-    return states, gates
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +392,16 @@ def _lstm_backward_batch(
     return grads, dx
 
 
+def sigmoid(x) -> np.ndarray:
+    """Elementwise logistic function, overflow-safe for large |x|.
+
+    Pre-activations are clipped to +-500 before exponentiation, which keeps
+    exp finite while leaving every representable output unchanged.
+    """
+    z = np.clip(np.asarray(x, dtype=np.float64), -500.0, 500.0)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def _dense_forward(layer: DenseLayerParams, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = h @ layer.W.T + layer.b
     if layer.activation == "rectifier":
@@ -558,31 +483,3 @@ def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) ->
         lstm1=g_lstm1, lstm2=g_lstm2, fc1=g_fc1, fc2=g_fc2, head=g_head,
         input_dim=model.input_dim, horizon=model.horizon, lagged_m=model.lagged_m,
     )
-
-
-# ---------------------------------------------------------------------------
-# Per-window wrappers
-# ---------------------------------------------------------------------------
-
-
-def network_forward(model: ForecastModel, window) -> tuple[np.ndarray, NetworkCache]:
-    """Forward pass for one lookback window (L, F); returns (K,) output
-    on the normalized scale plus the cache needed for the backward pass."""
-    W = np.asarray(window, dtype=np.float64)
-    if W.ndim != 2:
-        raise ConfigError(f"window must be 2-d (lookback, features), got {W.shape}")
-    y, cache = forward_batch(model, W[None, :, :])
-    return y[0], cache
-
-
-def network_backward(
-    model: ForecastModel, cache: NetworkCache, target, loss: str = "mse"
-) -> tuple[float, ModelGrads]:
-    """Loss and analytic gradients for the window held in cache."""
-    if cache is None or cache.y is None:
-        raise ConfigError("network_backward requires the cache from network_forward")
-    if loss not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss!r}")
-    y = np.asarray(target, dtype=np.float64)[None, :]
-    loss_val, dY = batch_loss_and_grad(cache.y, y, loss)
-    return loss_val, backward_batch(model, cache, dY)

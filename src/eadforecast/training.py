@@ -2,74 +2,40 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .losses import LOSS_KINDS, batch_loss_and_grad, loss_and_grad  # noqa: F401  (re-export)
-from .lstm import (
-    ForecastModel,
-    ModelGrads,
-    backward_batch,
-    forward_batch,
-    model_from_vector,
-    model_leaves,
-    model_to_vector,
-)
+from .losses import LOSS_KINDS, batch_loss_and_grad
+from .lstm import ForecastModel, backward_batch, forward_batch, model_from_vector, model_to_vector
+
+
+# Adam's decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the model parameters.
-
-    Moments are stored as one flat vector each (in the model's canonical
-    leaf order) so the update is a handful of vector ops; the `m1`/`m2`
-    properties expose them leaf-by-leaf with the model's exact shapes.
-    """
+    """First/second moment accumulators, one flat vector each in the model's
+    canonical leaf order, so the update is a handful of vector ops."""
 
     m1_flat: np.ndarray
     m2_flat: np.ndarray
-    leaf_spec: tuple[tuple[str, tuple[int, ...]], ...]
     t: int = 0
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    _scratch: np.ndarray = field(default=None, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._scratch = np.empty_like(self.m1_flat)
 
     @classmethod
-    def for_model(cls, model: ForecastModel, alpha: float = 1e-3, **kwargs) -> "AdamState":
-        spec = tuple((name, a.shape) for name, a in model_leaves(model))
-        size = sum(int(np.prod(shape)) for _, shape in spec)
-        return cls(
-            m1_flat=np.zeros(size), m2_flat=np.zeros(size), leaf_spec=spec,
-            alpha=alpha, **kwargs,
-        )
-
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        pos = 0
-        for name, shape in self.leaf_spec:
-            size = int(np.prod(shape))
-            out[name] = flat[pos : pos + size].reshape(shape)
-            pos += size
-        return out
-
-    @property
-    def m1(self) -> dict[str, np.ndarray]:
-        return self._views(self.m1_flat)
-
-    @property
-    def m2(self) -> dict[str, np.ndarray]:
-        return self._views(self.m2_flat)
-
-    def validate(self) -> None:
-        if self.t < 0 or not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError("invalid Adam state: t >= 0 and betas in [0, 1) required")
-        if self.epsilon <= 0:
-            raise ConfigError("Adam epsilon must be positive")
+    def zeros(cls, size: int, alpha: float = 1e-3) -> "AdamState":
+        return cls(m1_flat=np.zeros(size), m2_flat=np.zeros(size), alpha=alpha)
 
 
 def _adam_update_flat(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
@@ -79,39 +45,19 @@ def _adam_update_flat(theta: np.ndarray, g: np.ndarray, state: AdamState) -> Non
     """
     state.t += 1
     m1, m2 = state.m1_flat, state.m2_flat
-    m1 *= state.beta1
-    m1 += (1.0 - state.beta1) * g
+    m1 *= ADAM_BETA1
+    m1 += (1.0 - ADAM_BETA1) * g
     g *= g
-    m2 *= state.beta2
-    m2 += (1.0 - state.beta2) * g
+    m2 *= ADAM_BETA2
+    m2 += (1.0 - ADAM_BETA2) * g
     # update = alpha * m1_hat / (sqrt(m2_hat) + eps), reusing g as scratch
-    if state._scratch is None or state._scratch.size != g.size:
-        state._scratch = np.empty_like(g)
-    np.divide(m2, 1.0 - state.beta2**state.t, out=g)
+    np.divide(m2, 1.0 - ADAM_BETA2**state.t, out=g)
     np.sqrt(g, out=g)
-    g += state.epsilon
-    np.divide(m1, 1.0 - state.beta1**state.t, out=state._scratch)
+    g += ADAM_EPSILON
+    np.divide(m1, 1.0 - ADAM_BETA1**state.t, out=state._scratch)
     state._scratch *= state.alpha
     state._scratch /= g
     theta -= state._scratch
-
-
-def adam_step(
-    model: ForecastModel, grads: ModelGrads, state: AdamState
-) -> tuple[ForecastModel, AdamState]:
-    """One bias-corrected Adam update.
-
-    Returns a fresh model; the moment buffers of the input state are updated
-    in place and the same state object is returned, so callers must treat
-    the passed-in state as consumed.
-    """
-    state.validate()
-    g = model_to_vector(grads)
-    theta = model_to_vector(model)
-    if g.size != theta.size or theta.size != state.m1_flat.size:
-        raise ConfigError("gradient/state size does not mirror the model")
-    _adam_update_flat(theta, g, state)
-    return model_from_vector(model, theta), state
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +146,9 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSS_KINDS}")
+        numeric = isinstance(self.lr, (int, float)) and not isinstance(self.lr, bool)
+        if not (numeric and math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be a finite number > 0, got {self.lr!r}")
 
 
 def train(
@@ -221,10 +170,10 @@ def train(
         raise ConfigError("training set is empty")
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
-    state = AdamState.for_model(model, alpha=config.lr)
     # Work on a flat parameter buffer; the model's leaves are views into it,
     # so the in-place Adam update is the only parameter write per batch.
     theta = model_to_vector(model)
+    state = AdamState.zeros(theta.size, alpha=config.lr)
     model = model_from_vector(model, theta, copy=False)
     history: list[float] = []
     for epoch in range(config.epochs):

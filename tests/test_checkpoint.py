@@ -1,16 +1,20 @@
 """Versioned binary checkpoint round-trips and refusal paths."""
 
+import json
+
 import numpy as np
 import pytest
 
 from eadforecast.checkpoint import (
+    HEADER_KEYS,
+    MAGIC,
     Checkpoint,
     check_compatible,
     load_checkpoint,
     save_checkpoint,
 )
 from eadforecast.errors import ConfigError, DataError
-from eadforecast.lstm import ModelSpec, network_forward
+from eadforecast.lstm import ModelSpec, forward_batch
 from eadforecast.training import MinMaxScaler
 from tests.test_lstm import random_model
 
@@ -37,9 +41,9 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            window = rng.normal(size=(7, 3))
-            y0, _ = network_forward(model, window)
-            y1, _ = network_forward(loaded.model, window)
+            window = rng.normal(size=(1, 7, 3))
+            y0, _ = forward_batch(model, window)
+            y1, _ = forward_batch(loaded.model, window)
             assert np.array_equal(y0, y1)
 
     def test_scaler_and_meta_survive(self, saved):
@@ -78,6 +82,23 @@ class TestRefusals:
         assert patched != blob
         path.write_bytes(patched)
         with pytest.raises(DataError, match="digest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["array", *(f"no_{key}" for key in HEADER_KEYS)])
+    def test_malformed_header(self, saved, edit):
+        # Rewrite the header (and its length) around an intact payload.
+        path, _, _, _ = saved
+        blob = path.read_bytes()
+        start = len(MAGIC) + 8
+        length = int(np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))[0])
+        header = json.loads(blob[start : start + length])
+        if edit == "array":
+            header = [header]
+        else:
+            del header[edit[len("no_"):]]
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(MAGIC + np.array([len(text)], dtype="<u8").tobytes() + text + blob[start + length :])
+        with pytest.raises(DataError, match="corrupt checkpoint header"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):

@@ -19,7 +19,7 @@ from eadforecast.data import (
     SynthConfig, feature_matrix, load_dataset, make_windows, synth_generate, write_dataset,
 )
 from eadforecast.errors import DataError
-from eadforecast.lstm import ModelSpec, init_params, network_forward
+from eadforecast.lstm import ModelSpec, forward_batch, init_params
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
 from eadforecast.training import fit_scaler
 
@@ -113,6 +113,12 @@ class TestTrainCommand:
         # A config error (nonexistent path) maps to exit code 1.
         assert main(["train", "--config", str(cfg), "--weather", str(tmp_path / "nope.csv")]) == 1
 
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_bad_learning_rate_exits_1(self, dataset, tmp_path, lr):
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["train", "--config", str(cfg), f"--lr={lr}"]) == 1
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_bad_flag_usage_exits_1(self):
         assert main(["train", "--loss", "huber"]) == 1
 
@@ -151,6 +157,18 @@ class TestForecastCommand:
             "--features", "temperature,humidity",
         ]) == 1
 
+    def test_group_mismatch_refused(self, trained, tmp_path):
+        cfg, out = trained
+        assert main([
+            "forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+            "--group", "elderly", "--out", str(tmp_path),
+        ]) == 1
+        assert not (tmp_path / "predictions.csv").exists()
+        assert main([
+            "forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+            "--group", "all", "--out", str(tmp_path),
+        ]) == 0
+
     def test_not_enough_history_is_data_error(self, trained):
         cfg, out = trained
         assert main([
@@ -178,15 +196,15 @@ def forecast_setup(dataset, horizon):
 
 
 def per_anchor_forecast(model, scaler, records, cfg, start, end):
-    """Reference: one network_forward per anchor over its own scaled window."""
+    """Reference: one forward pass per anchor over its own scaled window."""
     by_date = {r.date: idx for idx, r in enumerate(records)}
     features = feature_matrix(records, cfg.mask())
     out = []
     day = start
     while day <= end:
         idx = by_date[day]
-        y, _ = network_forward(model, scaler.transform_features(features[idx - cfg.lookback : idx]))
-        out.append((day, scaler.invert_target(y)))
+        y, _ = forward_batch(model, scaler.transform_features(features[None, idx - cfg.lookback : idx]))
+        out.append((day, scaler.invert_target(y[0])))
         day += dt.timedelta(days=1)
     return out
 

@@ -1,42 +1,13 @@
-"""Kernel ops: matvec, activations, and the finite-difference oracle."""
+"""Elementwise activations (the dense head's `sigmoid` and numpy's tanh,
+which the LSTM gates use) and the finite-difference gradient oracle."""
 
 import numpy as np
 import pytest
 
 from eadforecast.errors import ConfigError, NumericalError
-from eadforecast.linalg import finite_diff_gradient, matvec, sigmoid, tanh
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec(np.zeros((2, 2)), [3.0, 4.0]), [0.0, 0.0])
-
-    def test_hand_evaluation(self):
-        # [[1,2],[3,4]] @ (1,1) = (3, 7)
-        assert np.array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            matvec(np.eye(3), [1.0, 2.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigError):
-            matvec([[np.nan, 0.0]], [1.0, 2.0])
-
-    def test_linearity(self):
-        # matvec(A, a*x + b*y) == a*matvec(A,x) + b*matvec(A,y)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rows, cols = rng.integers(1, 8, size=2)
-            A = rng.normal(size=(rows, cols))
-            x, y = rng.normal(size=cols), rng.normal(size=cols)
-            a, b = rng.normal(size=2)
-            lhs = matvec(A, a * x + b * y)
-            rhs = a * matvec(A, x) + b * matvec(A, y)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+from eadforecast.lstm import sigmoid
+from tests.oracles import finite_diff_gradient
+from tests.test_lstm import layer_forward, zero_cell
 
 
 class TestActivations:
@@ -44,7 +15,10 @@ class TestActivations:
         assert sigmoid(np.zeros(1))[0] == 0.5
 
     def test_tanh_at_zero(self):
-        assert tanh(np.zeros(1))[0] == 0.0
+        # A layer with zero weights and biases puts 0 into both of its tanh
+        # nonlinearities (the memory gate and the cell output) at every step.
+        cache = layer_forward(zero_cell(2, 3), np.ones((4, 3)))
+        assert np.all(cache["m"] == 0.0) and np.all(cache["tanh_c"] == 0.0)
 
     def test_sigmoid_symmetry_at_1p7(self):
         x = np.array([1.7])
@@ -59,7 +33,7 @@ class TestActivations:
         # tanh(x) = 2*sigmoid(2x) - 1
         rng = np.random.default_rng(12)
         x = rng.uniform(-20, 20, size=5000)
-        np.testing.assert_allclose(tanh(x), 2.0 * sigmoid(2.0 * x) - 1.0, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.tanh(x), 2.0 * sigmoid(2.0 * x) - 1.0, rtol=1e-12, atol=1e-12)
 
     def test_saturation_is_quiet(self):
         big = np.array([-1e4, 1e4])
@@ -69,7 +43,7 @@ class TestActivations:
 
     def test_ranges_and_monotonicity(self):
         x = np.linspace(-30, 30, 2001)
-        s, t = sigmoid(x), tanh(x)
+        s, t = sigmoid(x), np.tanh(x)
         assert np.all((s >= 0) & (s <= 1)) and np.all((t >= -1) & (t <= 1))
         assert np.all(np.diff(s) >= 0) and np.all(np.diff(t) >= 0)
 

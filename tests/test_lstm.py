@@ -1,31 +1,29 @@
-"""Cell, stacked forward pass, and backpropagation through time.
+"""One LSTM layer, the stacked forward pass, and backpropagation through time.
 
-The cell is pinned against an independent straight-line transcription of the
-gate equations (both the standard and the lagged candidate-vector variants),
-and every gradient is pinned against central finite differences.
+The batched engine is pinned against an independent straight-line
+transcription of the gate equations (both the standard and the lagged
+candidate-vector variants), and every gradient is pinned against central
+finite differences. A single window is a batch of one.
 """
 
 import numpy as np
 import pytest
 
 from eadforecast.errors import ConfigError
-from eadforecast.linalg import finite_diff_gradient, sigmoid
+from eadforecast.losses import batch_loss_and_grad
 from eadforecast.lstm import (
     ForecastModel,
     LstmCellParams,
-    LstmState,
     ModelSpec,
+    _lstm_forward_batch,
+    backward_batch,
     forward_batch,
     init_params,
-    lstm_cell_step,
-    lstm_layer_forward,
     model_from_vector,
     model_leaves,
     model_to_vector,
-    network_backward,
-    network_forward,
-    param_count,
 )
+from tests.oracles import finite_diff_gradient
 
 
 def random_cell(rng, hidden, inp, scale=0.6) -> LstmCellParams:
@@ -42,10 +40,20 @@ def random_cell(rng, hidden, inp, scale=0.6) -> LstmCellParams:
     )
 
 
+def zero_cell(hidden, inp) -> LstmCellParams:
+    cell = random_cell(np.random.default_rng(0), hidden, inp)
+    return LstmCellParams(**{k: np.zeros_like(v) for k, v in vars(cell).items()})
+
+
 def random_model(rng, spec: ModelSpec) -> ForecastModel:
     model = init_params(spec, scheme="uniform", seed=int(rng.integers(1 << 31)))
     vec = model_to_vector(model)
     return model_from_vector(model, vec + rng.normal(0.0, 0.2, size=vec.size))
+
+
+def layer_forward(p, seq, lagged=False) -> dict:
+    """The engine's layer over one sequence (T, I), as a batch of one."""
+    return _lstm_forward_batch(p, np.asarray(seq, dtype=np.float64)[:, None, :], lagged)
 
 
 def straightline_cell(p, x, c_prev, s_prev, m_prev=None):
@@ -60,31 +68,39 @@ def straightline_cell(p, x, c_prev, s_prev, m_prev=None):
     return c, s, (i, o, f, m)
 
 
+def straightline_layer(p, seq, lagged=False, init=None):
+    """straightline_cell threaded over a sequence from init = (c, s, m), or
+    from the zero state; returns per-step (c, s, (i, o, f, m))."""
+    hidden = p.W_ix.shape[0]
+    c, s, m = init if init is not None else (np.zeros(hidden),) * 3
+    steps = []
+    for x in seq:
+        c, s, gates = straightline_cell(p, x, c, s, m_prev=m if lagged else None)
+        m = gates[3]
+        steps.append((c, s, gates))
+    return steps
+
+
 class TestCellStep:
     def test_all_zero_params(self):
         # sigma(0)=0.5 gates, m=0 candidate: state stays at zero.
-        p = random_cell(np.random.default_rng(0), 3, 2, scale=0.0)
-        p = LstmCellParams(**{k: np.zeros_like(v) for k, v in vars(p).items()})
-        state, gates = lstm_cell_step(p, [1.0, -2.0], LstmState.zeros(3))
-        assert np.array_equal(state.c, np.zeros(3))
-        assert np.array_equal(state.s, np.zeros(3))
-        np.testing.assert_allclose(gates.i, 0.5)
-        np.testing.assert_allclose(gates.m, 0.0)
+        cache = layer_forward(zero_cell(3, 2), [[1.0, -2.0]])
+        assert np.array_equal(cache["c"], np.zeros((1, 1, 3)))
+        assert np.array_equal(cache["s"], np.zeros((1, 1, 3)))
+        np.testing.assert_allclose(cache["i"], 0.5)
+        np.testing.assert_allclose(cache["m"], 0.0)
 
     def test_saturated_gates_carry_memory(self):
-        # H=1, zero weights, b_i=b_f=b_o=100 saturate the gates to 1 and
-        # b_m=0 makes the candidate 0, so c carries over: c=0.3,
-        # s = tanh(0.3) = 0.29131...
-        z = np.zeros((1, 1))
-        p = LstmCellParams(
-            W_ix=z, W_is=z.copy(), W_ox=z.copy(), W_os=z.copy(),
-            W_fx=z.copy(), W_fs=z.copy(), W_mx=z.copy(), W_ms=z.copy(),
-            b_i=np.array([100.0]), b_o=np.array([100.0]),
-            b_f=np.array([100.0]), b_m=np.array([0.0]),
-        )
-        state, _ = lstm_cell_step(p, [0.7], LstmState(c=np.array([0.3]), s=np.array([0.0])))
-        np.testing.assert_allclose(state.c, [0.3], atol=1e-12)
-        np.testing.assert_allclose(state.s, [np.tanh(0.3)], atol=1e-12)
+        # H=1, b_i=b_f=b_o=100 saturate the gates to 1, and the only nonzero
+        # weight, W_mx=1, makes the candidate tanh(x). Step 1 from the zero
+        # state stores c = tanh(atanh(0.3)) = 0.3; step 2 has x=0, so its
+        # candidate is 0 and c carries over: c=0.3, s = tanh(0.3) = 0.29131...
+        p = zero_cell(1, 1)
+        p.W_mx = np.ones((1, 1))
+        p.b_i, p.b_o, p.b_f = np.array([100.0]), np.array([100.0]), np.array([100.0])
+        cache = layer_forward(p, [[np.arctanh(0.3)], [0.0]])
+        np.testing.assert_allclose(cache["c"][:, 0], [[0.3], [0.3]], atol=1e-12)
+        np.testing.assert_allclose(cache["s"][1, 0], [np.tanh(0.3)], atol=1e-12)
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_matches_straightline_oracle(self, lagged):
@@ -92,47 +108,43 @@ class TestCellStep:
         for trial in range(100):
             hidden = 1 if trial % 2 == 0 else int(rng.integers(2, 6))
             inp = 1 if trial % 2 == 0 else int(rng.integers(1, 5))
+            steps, batch = int(rng.integers(1, 5)), int(rng.integers(1, 4))
             p = random_cell(rng, hidden, inp)
-            x = rng.normal(size=inp)
-            c_prev = rng.normal(size=hidden)
-            s_prev = rng.normal(size=hidden) * 0.9
-            m_prev = rng.normal(size=hidden) * 0.9 if lagged else None
-            prev = LstmState(c=c_prev, s=s_prev, m=m_prev)
-            state, gates = lstm_cell_step(p, x, prev, lagged_m=lagged)
-            c_ref, s_ref, (i_ref, o_ref, f_ref, m_ref) = straightline_cell(
-                p, x, c_prev, s_prev, m_prev=m_prev
-            )
-            np.testing.assert_allclose(state.c, c_ref, atol=1e-12)
-            np.testing.assert_allclose(state.s, s_ref, atol=1e-12)
-            np.testing.assert_allclose(gates.i, i_ref, atol=1e-12)
-            np.testing.assert_allclose(gates.m, m_ref, atol=1e-12)
+            x = rng.normal(size=(steps, batch, inp))
+            cache = _lstm_forward_batch(p, x, lagged)
+            for b in range(batch):
+                ref = straightline_layer(p, x[:, b], lagged)
+                for t, (c_ref, s_ref, (i_ref, o_ref, f_ref, m_ref)) in enumerate(ref):
+                    np.testing.assert_allclose(cache["c"][t, b], c_ref, atol=1e-12)
+                    np.testing.assert_allclose(cache["s"][t, b], s_ref, atol=1e-12)
+                    np.testing.assert_allclose(cache["i"][t, b], i_ref, atol=1e-12)
+                    np.testing.assert_allclose(cache["m"][t, b], m_ref, atol=1e-12)
 
     def test_lagged_first_step_uses_zero_candidate(self):
-        rng = np.random.default_rng(5)
-        p = random_cell(rng, 2, 2)
-        prev = LstmState.zeros(2)  # no m yet: candidate is the zero vector
-        state, gates = lstm_cell_step(p, [0.4, -0.2], prev, lagged_m=True)
-        np.testing.assert_allclose(state.c, np.zeros(2), atol=1e-15)
-        assert state.m is not None
-        np.testing.assert_allclose(state.m, gates.m)
+        # The first step's candidate is the zero vector, so c_1 = 0; the
+        # second step's is the first step's m: c_2 = f_2*0 + i_2*m_1.
+        p = random_cell(np.random.default_rng(5), 2, 2)
+        cache = layer_forward(p, [[0.4, -0.2], [0.1, 0.3]], lagged=True)
+        np.testing.assert_allclose(cache["c"][0, 0], np.zeros(2), atol=1e-15)
+        np.testing.assert_allclose(cache["c"][1, 0], cache["i"][1, 0] * cache["m"][0, 0], atol=1e-15)
 
     def test_dimension_mismatch(self):
+        # Every input matrix of a cell must have the shape of W_ix.
         p = random_cell(np.random.default_rng(1), 2, 3)
-        with pytest.raises(ConfigError):
-            lstm_cell_step(p, [1.0, 2.0], LstmState.zeros(2))
+        p.validate()
+        p.W_fx = np.zeros((2, 2))
+        with pytest.raises(ConfigError, match="W_fx"):
+            p.validate()
 
     def test_gate_ranges(self):
         # Open-interval bounds hold wherever float64 tanh/sigmoid have not
         # saturated; keep pre-activations inside that range.
         rng = np.random.default_rng(9)
-        p = random_cell(rng, 4, 3, scale=0.8)
-        state = LstmState.zeros(4)
-        for _ in range(20):
-            state, gates = lstm_cell_step(p, rng.normal(size=3), state)
-            for g in (gates.i, gates.o, gates.f):
-                assert np.all((g > 0.0) & (g < 1.0))
-            assert np.all((gates.m > -1.0) & (gates.m < 1.0))
-            assert np.all(np.abs(state.s) < 1.0)
+        cache = layer_forward(random_cell(rng, 4, 3, scale=0.8), rng.normal(size=(20, 3)))
+        for g in ("i", "o", "f"):
+            assert np.all((cache[g] > 0.0) & (cache[g] < 1.0))
+        assert np.all((cache["m"] > -1.0) & (cache["m"] < 1.0))
+        assert np.all(np.abs(cache["s"]) < 1.0)
 
 
 class TestLayerForward:
@@ -140,56 +152,61 @@ class TestLayerForward:
         rng = np.random.default_rng(3)
         p = random_cell(rng, 3, 2)
         x = rng.normal(size=2)
-        states, gates = lstm_layer_forward(p, [x])
-        ref_state, ref_gates = lstm_cell_step(p, x, LstmState.zeros(3))
-        np.testing.assert_array_equal(states[0].c, ref_state.c)
-        np.testing.assert_array_equal(gates[0].f, ref_gates.f)
+        cache = layer_forward(p, [x])
+        c_ref, _, (_, _, f_ref, _) = straightline_cell(p, x, np.zeros(3), np.zeros(3))
+        np.testing.assert_allclose(cache["c"][0, 0], c_ref, atol=1e-15)
+        np.testing.assert_allclose(cache["f"][0, 0], f_ref, atol=1e-15)
 
     def test_zero_params_fixed_point(self):
-        p = LstmCellParams(
-            **{k: np.zeros_like(v) for k, v in vars(random_cell(np.random.default_rng(0), 3, 2)).items()}
-        )
-        states, _ = lstm_layer_forward(p, [np.ones(2)] * 6)
-        for st in states:
-            assert np.array_equal(st.s, np.zeros(3))
+        cache = layer_forward(zero_cell(3, 2), np.ones((6, 2)))
+        assert np.array_equal(cache["s"], np.zeros((6, 1, 3)))
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_concatenation_property(self, lagged):
-        # forward(a ++ b) == forward(b, init=final state of forward(a))
+        # forward(a ++ b) starts with forward(a), bit for bit, and continues
+        # as the cell equations run over b from the final state of forward(a).
         rng = np.random.default_rng(17)
         p = random_cell(rng, 3, 2)
-        seq = [rng.normal(size=2) for _ in range(5)]
-        full, _ = lstm_layer_forward(p, seq, lagged_m=lagged)
-        head, _ = lstm_layer_forward(p, seq[:3], lagged_m=lagged)
-        tail, _ = lstm_layer_forward(p, seq[3:], init=head[-1], lagged_m=lagged)
-        np.testing.assert_allclose(tail[-1].c, full[-1].c, atol=1e-14)
-        np.testing.assert_allclose(tail[-1].s, full[-1].s, atol=1e-14)
+        seq = rng.normal(size=(5, 2))
+        full = layer_forward(p, seq, lagged)
+        head = layer_forward(p, seq[:3], lagged)
+        for key in ("c", "s", "gates"):
+            assert np.array_equal(full[key][:3], head[key])
+        init = (head["c"][-1, 0], head["s"][-1, 0], head["m"][-1, 0])
+        tail = straightline_layer(p, seq[3:], lagged, init=init)
+        np.testing.assert_allclose(full["c"][-1, 0], tail[-1][0], atol=1e-14)
+        np.testing.assert_allclose(full["s"][-1, 0], tail[-1][1], atol=1e-14)
 
     def test_empty_sequence_rejected(self):
-        p = random_cell(np.random.default_rng(2), 2, 2)
-        with pytest.raises(ValueError):
-            lstm_layer_forward(p, [])
+        with pytest.raises(ConfigError):
+            forward_batch(init_params(TINY), np.zeros((1, 0, 2)))
 
 
 TINY = ModelSpec(input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=1)
 
 
+def forward_one(model, window) -> np.ndarray:
+    """The network's (K,) output for one window (L, F)."""
+    y, _ = forward_batch(model, np.asarray(window)[None])
+    return y[0]
+
+
 class TestNetworkForward:
     def test_zero_model_outputs_zero(self):
         model = init_params(ModelSpec(input_dim=3, horizon=2), scheme="zeros")
-        y, _ = network_forward(model, np.random.default_rng(0).normal(size=(6, 3)))
+        y = forward_one(model, np.random.default_rng(0).normal(size=(6, 3)))
         assert np.array_equal(y, np.zeros(2))
 
     def test_matches_hand_composition(self):
-        # Compose the five layers through the per-step reference path.
+        # Compose the five layers through the straight-line cell equations.
         rng = np.random.default_rng(21)
         model = random_model(rng, TINY)
         window = rng.normal(size=(4, 2))
-        y, _ = network_forward(model, window)
+        y = forward_one(model, window)
 
-        states1, _ = lstm_layer_forward(model.lstm1, list(window))
-        states2, _ = lstm_layer_forward(model.lstm2, [st.s for st in states1])
-        h = states2[-1].s
+        steps1 = straightline_layer(model.lstm1, window)
+        steps2 = straightline_layer(model.lstm2, [s for _, s, _ in steps1])
+        h = steps2[-1][1]
         r1 = np.maximum(model.fc1.W @ h + model.fc1.b, 0.0)
         r2 = np.maximum(model.fc2.W @ r1 + model.fc2.b, 0.0)
         ref = model.head.W @ r2 + model.head.b
@@ -203,30 +220,34 @@ class TestNetworkForward:
             X = rng.normal(size=(6, 7, 3))
             Y, _ = forward_batch(model, X)
             for b in range(6):
-                y, _ = network_forward(model, X[b])
-                np.testing.assert_allclose(Y[b], y, atol=1e-12)
+                np.testing.assert_allclose(Y[b], forward_one(model, X[b]), atol=1e-12)
 
     def test_repeated_input_stays_bounded(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, TINY)
         window = rng.normal(size=(4, 2))
         doubled = np.vstack([window, np.repeat(window[-1:], 4, axis=0)])
-        y1, _ = network_forward(model, window)
-        y2, _ = network_forward(model, doubled)
+        y1, y2 = forward_one(model, window), forward_one(model, doubled)
         assert np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))
 
     def test_determinism(self):
         rng = np.random.default_rng(44)
         model = random_model(rng, TINY)
         window = rng.normal(size=(5, 2))
-        y1, _ = network_forward(model, window)
-        y2, _ = network_forward(model, window)
-        assert np.array_equal(y1, y2)
+        assert np.array_equal(forward_one(model, window), forward_one(model, window))
 
     def test_input_dim_mismatch(self):
         model = init_params(TINY)
         with pytest.raises(ConfigError):
-            network_forward(model, np.zeros((4, 3)))
+            forward_batch(model, np.zeros((1, 4, 3)))
+
+
+def loss_and_grads(model, X, Y, loss="mse"):
+    """Batch-mean loss and the analytic parameter gradients for windows X
+    (B, L, F) and targets Y (B, K)."""
+    y, cache = forward_batch(model, X)
+    loss_val, dY = batch_loss_and_grad(y, Y, loss)
+    return loss_val, backward_batch(model, cache, dY)
 
 
 def relative_error(a, n):
@@ -234,16 +255,12 @@ def relative_error(a, n):
     return np.abs(a - n) / denom
 
 
-def check_gradients(model, window, target, loss="mse", h=1e-5):
-    y, cache = network_forward(model, window)
-    _, grads = network_backward(model, cache, target, loss)
+def check_gradients(model, X, Y, loss="mse", h=1e-5):
+    _, grads = loss_and_grads(model, X, Y, loss)
     analytic = model_to_vector(grads)
 
     def f(p):
-        candidate = model_from_vector(model, p)
-        yy, cc = network_forward(candidate, window)
-        loss_val, _ = network_backward(candidate, cc, target, loss)
-        return loss_val
+        return loss_and_grads(model_from_vector(model, p), X, Y, loss)[0]
 
     numeric = finite_diff_gradient(f, model_to_vector(model), h)
     return relative_error(analytic, numeric).max()
@@ -253,9 +270,9 @@ class TestNetworkBackward:
     def test_zero_residual_means_zero_gradient(self):
         rng = np.random.default_rng(50)
         model = random_model(rng, TINY)
-        window = rng.normal(size=(4, 2))
-        y, cache = network_forward(model, window)
-        _, grads = network_backward(model, cache, y, "mse")
+        X = rng.normal(size=(1, 4, 2))
+        y, _ = forward_batch(model, X)
+        _, grads = loss_and_grads(model, X, y)
         for _, leaf in model_leaves(grads):
             assert np.allclose(leaf, 0.0, atol=1e-15)
 
@@ -264,11 +281,11 @@ class TestNetworkBackward:
         rng = np.random.default_rng(51)
         spec = ModelSpec(input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=3)
         model = random_model(rng, spec)
-        window = rng.normal(size=(4, 2))
-        target = rng.normal(size=3)
-        y, cache = network_forward(model, window)
-        _, grads = network_backward(model, cache, target, "mse")
-        np.testing.assert_allclose(grads.head.b, 2.0 * (y - target) / 3.0, atol=1e-12)
+        X = rng.normal(size=(1, 4, 2))
+        target = rng.normal(size=(1, 3))
+        y, _ = forward_batch(model, X)
+        _, grads = loss_and_grads(model, X, target)
+        np.testing.assert_allclose(grads.head.b, 2.0 * (y[0] - target[0]) / 3.0, atol=1e-12)
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_matches_finite_differences(self, lagged):
@@ -278,10 +295,20 @@ class TestNetworkBackward:
         )
         for _ in range(4):
             model = random_model(rng, spec)
-            assert param_count(model) <= 200
-            window = rng.normal(size=(5, 2))
-            target = rng.normal(size=1)
-            assert check_gradients(model, window, target) < 1e-5
+            assert model_to_vector(model).size <= 200
+            X = rng.normal(size=(1, 5, 2))
+            Y = rng.normal(size=(1, 1))
+            assert check_gradients(model, X, Y) < 1e-5
+
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_batch_gradient_is_mean_of_window_gradients(self, lagged):
+        rng = np.random.default_rng(65 + lagged)
+        spec = ModelSpec(input_dim=3, hidden1=4, hidden2=3, fc1=5, fc2=4, horizon=2, lagged_m=lagged)
+        model = random_model(rng, spec)
+        X, Y = rng.normal(size=(5, 6, 3)), rng.normal(size=(5, 2))
+        _, grads = loss_and_grads(model, X, Y)
+        per_window = [model_to_vector(loss_and_grads(model, X[b : b + 1], Y[b : b + 1])[1]) for b in range(5)]
+        np.testing.assert_allclose(model_to_vector(grads), np.mean(per_window, axis=0), rtol=1e-10, atol=1e-14)
 
     def test_cross_entropy_gradients(self):
         rng = np.random.default_rng(70)
@@ -290,21 +317,21 @@ class TestNetworkBackward:
             head_activation="sigmoid",
         )
         model = random_model(rng, spec)
-        window = rng.normal(size=(4, 2))
-        target = rng.uniform(0.1, 0.9, size=2)
-        assert check_gradients(model, window, target, loss="xent") < 1e-5
+        X = rng.normal(size=(1, 4, 2))
+        Y = rng.uniform(0.1, 0.9, size=(1, 2))
+        assert check_gradients(model, X, Y, loss="xent") < 1e-5
 
     def test_missing_cache_rejected(self):
         model = init_params(TINY)
         with pytest.raises(ConfigError):
-            network_backward(model, None, np.zeros(1))
+            backward_batch(model, None, np.zeros((1, 1)))
 
 
 class TestInitParams:
     def test_zero_scheme_gives_zero_output(self):
         model = init_params(ModelSpec(input_dim=4), scheme="zeros")
-        y, _ = network_forward(model, np.random.default_rng(1).normal(size=(10, 4)))
-        assert np.array_equal(y, np.zeros(1))
+        y, _ = forward_batch(model, np.random.default_rng(1).normal(size=(1, 10, 4)))
+        assert np.array_equal(y, np.zeros((1, 1)))
 
     def test_seed_determinism(self):
         a = init_params(ModelSpec(input_dim=3), scheme="uniform", seed=99)
@@ -333,8 +360,7 @@ class TestInitParams:
         # upstream is blocked by zero activations and zero weights).
         model = init_params(ModelSpec(input_dim=2, hidden1=3, hidden2=2, fc1=3, fc2=2), scheme="zeros")
         window = np.random.default_rng(4).normal(size=(5, 2))
-        y, cache = network_forward(model, window)
-        _, grads = network_backward(model, cache, np.array([2.0]), "mse")
+        _, grads = loss_and_grads(model, window[None], np.array([[2.0]]))
         assert not np.allclose(grads.head.b, 0.0)
         for name, leaf in model_leaves(grads):
             if name != "head.b":

@@ -8,44 +8,37 @@ import pytest
 
 from eadforecast.data import FeatureWindow
 from eadforecast.errors import ConfigError, NumericalError
-from eadforecast.linalg import finite_diff_gradient
-from eadforecast.lstm import ModelSpec, init_params, model_leaves
-from eadforecast.training import (
-    AdamState,
-    TrainConfig,
-    adam_step,
-    apply_scaler,
-    fit_scaler,
-    loss_and_grad,
-    train,
-)
-from tests.test_lstm import random_model
+from eadforecast.losses import batch_loss_and_grad
+from eadforecast.lstm import ModelSpec, init_params
+from eadforecast.training import AdamState, TrainConfig, _adam_update_flat, apply_scaler, fit_scaler, train
+from tests.oracles import finite_diff_gradient
 
 
 class TestLossAndGrad:
+    # A single prediction vector is a batch of one: (1, K) arrays.
     def test_perfect_prediction(self):
-        loss, grad = loss_and_grad([1.0, 2.0], [1.0, 2.0], "mse")
+        loss, grad = batch_loss_and_grad([[1.0, 2.0]], [[1.0, 2.0]], "mse")
         assert loss == 0.0
-        assert np.array_equal(grad, np.zeros(2))
+        assert np.array_equal(grad, np.zeros((1, 2)))
 
     def test_cross_entropy_at_half(self):
         # K=1, p=y=0.5: L = ln 2
-        loss, _ = loss_and_grad([0.5], [0.5], "xent")
+        loss, _ = batch_loss_and_grad([[0.5]], [[0.5]], "xent")
         np.testing.assert_allclose(loss, math.log(2.0), atol=1e-12)
 
     def test_mse_hand_values(self):
         # K=2, p=(1,3), y=(0,0): L=(1+9)/2=5, grad=2(p-y)/K=(1,3)
-        loss, grad = loss_and_grad([1.0, 3.0], [0.0, 0.0], "mse")
+        loss, grad = batch_loss_and_grad([[1.0, 3.0]], [[0.0, 0.0]], "mse")
         assert loss == 5.0
-        np.testing.assert_allclose(grad, [1.0, 3.0], atol=1e-15)
+        np.testing.assert_allclose(grad, [[1.0, 3.0]], atol=1e-15)
 
     def test_xent_rejects_bad_targets(self):
         with pytest.raises(ConfigError):
-            loss_and_grad([0.5], [1.5], "xent")
+            batch_loss_and_grad([[0.5]], [[1.5]], "xent")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            loss_and_grad([0.5], [0.5], "huber")
+            batch_loss_and_grad([[0.5]], [[0.5]], "huber")
 
     @pytest.mark.parametrize("kind", ["mse", "xent"])
     def test_gradient_matches_finite_differences(self, kind):
@@ -58,82 +51,61 @@ class TestLossAndGrad:
             else:
                 p = rng.normal(size=k)
                 y = rng.normal(size=k)
-            _, grad = loss_and_grad(p, y, kind)
-            num = finite_diff_gradient(lambda q: loss_and_grad(q, y, kind)[0], p, 1e-6)
-            denom = np.maximum.reduce([np.abs(grad), np.abs(num), np.full_like(num, 1e-8)])
-            assert np.max(np.abs(grad - num) / denom) < 1e-6
+            _, grad = batch_loss_and_grad(p[None], y[None], kind)
+            num = finite_diff_gradient(lambda q: batch_loss_and_grad(q[None], y[None], kind)[0], p, 1e-6)
+            denom = np.maximum.reduce([np.abs(grad[0]), np.abs(num), np.full_like(num, 1e-8)])
+            assert np.max(np.abs(grad[0] - num) / denom) < 1e-6
 
 
-def scalar_model():
-    # One-parameter stand-in: reuse the smallest real model but touch only
-    # the head bias, which Adam treats like any other leaf.
-    return init_params(ModelSpec(input_dim=1, hidden1=1, hidden2=1, fc1=1, fc2=1), scheme="zeros")
-
-
-def with_head_bias(model, value):
-    model.head.b = np.array([value])
-    return model
-
-
-def grads_like(model, value):
-    import copy
-
-    g = copy.deepcopy(model)
-    for _, leaf in model_leaves(g):
-        leaf[...] = 0.0
-    g.head.b = np.array([value])
-    return g
+def adam_steps(theta, grads, alpha=1e-3):
+    """Run _adam_update_flat once per gradient from fresh moments; returns
+    the parameter vector after each step and the state."""
+    theta = np.array(theta, dtype=np.float64)
+    state = AdamState.zeros(theta.size, alpha=alpha)
+    after = []
+    for g in grads:
+        _adam_update_flat(theta, np.array(g, dtype=np.float64), state)
+        after.append(theta.copy())
+    return after, state
 
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        model = with_head_bias(scalar_model(), 0.5)
-        state = AdamState.for_model(model)
-        before = {name: leaf.copy() for name, leaf in model_leaves(model)}
-        for _ in range(5):
-            model, state = adam_step(model, grads_like(model, 0.0), state)
-        for name, leaf in model_leaves(model):
-            assert np.array_equal(leaf, before[name]), name
+        after, _ = adam_steps([0.5, -1.0], [[0.0, 0.0]] * 5)
+        for theta in after:
+            assert np.array_equal(theta, [0.5, -1.0])
 
     def test_first_step_closed_form(self):
         # theta=0.5, g=2, alpha=1e-3: bias-corrected m1=g and sqrt(m2)=|g|,
         # so theta' = 0.5 - 0.001 * 2/(2 + 1e-8) ~ 0.499
-        model = with_head_bias(scalar_model(), 0.5)
-        state = AdamState.for_model(model, alpha=1e-3)
-        model, state = adam_step(model, grads_like(model, 2.0), state)
+        after, state = adam_steps([0.5], [[2.0]], alpha=1e-3)
         expected = 0.5 - 1e-3 * (2.0 / (2.0 + 1e-8))
-        np.testing.assert_allclose(model.head.b, [expected], atol=1e-15)
+        np.testing.assert_allclose(after[0], [expected], atol=1e-15)
         assert state.t == 1
 
     def test_constant_gradient_step_sizes(self):
         # For constant g the per-step move stays ~alpha and never grows.
-        model = with_head_bias(scalar_model(), 0.5)
-        state = AdamState.for_model(model, alpha=1e-3)
-        prev = float(model.head.b[0])
-        model, state = adam_step(model, grads_like(model, 2.0), state)
-        step1 = abs(float(model.head.b[0]) - prev)
-        prev = float(model.head.b[0])
-        model, state = adam_step(model, grads_like(model, 2.0), state)
-        step2 = abs(float(model.head.b[0]) - prev)
+        (first, second), _ = adam_steps([0.5], [[2.0], [2.0]], alpha=1e-3)
+        step1 = abs(first[0] - 0.5)
+        step2 = abs(second[0] - first[0])
         assert step2 <= step1 * (1.0 + 1e-6)
 
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(10)
-        model = random_model(rng, ModelSpec(input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2))
-        state = AdamState.for_model(model, alpha=0.0)
-        before = {name: leaf.copy() for name, leaf in model_leaves(model)}
-        grads = random_model(rng, ModelSpec(input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2))
-        for _ in range(3):
-            model, state = adam_step(model, grads, state)
-        for name, leaf in model_leaves(model):
-            assert np.array_equal(leaf, before[name]), name
+        theta = rng.normal(size=40)
+        after, _ = adam_steps(theta, rng.normal(size=(3, 40)), alpha=0.0)
+        for step in after:
+            assert np.array_equal(step, theta)
 
     def test_invalid_state_rejected(self):
-        model = scalar_model()
-        state = AdamState.for_model(model)
-        state.beta1 = 1.0
-        with pytest.raises(ConfigError):
-            adam_step(model, grads_like(model, 1.0), state)
+        # The decay rates and epsilon are constants; the step size is the
+        # one setting from outside, and train refuses a bad one up front.
+        X, Y = np.zeros((4, 3, 1)), np.zeros((4, 1))
+        model = init_params(ModelSpec(input_dim=1, hidden1=1, hidden2=1, fc1=1, fc2=1), scheme="zeros")
+        for lr in (-1.0, 0.0, math.nan, math.inf, -math.inf, True, "0.001"):
+            with pytest.raises(ConfigError, match="learning rate"):
+                train(model, X, Y, TrainConfig(epochs=1, lr=lr))
+        train(model, X, Y, TrainConfig(epochs=1, lr=1))
 
 
 def make_window(inputs, target, day=dt.date(2020, 1, 1)):
