@@ -124,7 +124,14 @@ def load_checkpoint(path) -> Checkpoint:
     arrays = {}
     offset = 0
     flat = np.frombuffer(payload, dtype="<f8")
-    for entry, (name, ref) in zip(header["arrays"], model_leaves(template)):
+    leaves = model_leaves(template)
+    manifest = header["arrays"]
+    if not isinstance(manifest, list) or len(manifest) != len(leaves):
+        raise DataError(
+            f"{path}: corrupt checkpoint header: the array manifest does not list "
+            f"the architecture's {len(leaves)} arrays"
+        )
+    for entry, (name, ref) in zip(manifest, leaves):
         if entry["name"] != name or tuple(entry["shape"]) != ref.shape:
             raise DataError(f"{path}: checkpoint array manifest does not match the architecture")
         size = ref.size

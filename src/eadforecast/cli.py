@@ -45,15 +45,14 @@ ABLATION_VARIANTS = (
 DEFAULT_HORIZONS = (3, 7, 14, 28)
 # Anchors per forward pass in run_forecast. A chunk bounds the memory the
 # forward pass keeps for its backward cache (all 2,319 anchors of the default
-# dataset at once hold ~160 MB) and fixes the matrix shapes BLAS sees. At
-# L=14, 6 anchors keep the largest product, lstm2's input projection
-# (84 x 50 @ 50 x 120, 504k multiply-adds), below the size from which
-# OpenBLAS splits a product over two threads (524k). Split products made a
-# forecast's speed hinge on a second free CPU: on 2 vCPUs with one other
-# busy process, chunks of 16 ran at 3,100 anchors/s instead of 6,500-7,500;
-# chunks of 6 held 3,700-4,500 either way. Forecasts stay single-threaded,
-# so predictions.csv is the same under any BLAS thread count.
-FORECAST_CHUNK = 6
+# dataset at once hold ~160 MB) and fixes the matrix shapes BLAS sees. The
+# passes run on one pinned BLAS thread (lstm.single_blas_thread), so no chunk
+# size splits a product over two threads, a forecast's speed does not hinge
+# on a second free CPU, and predictions.csv is the same under any installed
+# thread count. On the default dataset, 32 anchors ran ~2x the anchors/s of 6
+# at the same peak RSS (57.0 vs 56.8 MB in a forecast+evaluate process); 64
+# were ~10% faster again but peaked at 59.6 MB.
+FORECAST_CHUNK = 32
 
 
 @dataclass
@@ -150,8 +149,27 @@ def load_config_file(path) -> dict:
     return doc
 
 
-def build_run_config(args) -> RunConfig:
-    cfg = RunConfig()
+# Config-file keys that must hold one YAML type; type() rather than
+# isinstance, because a YAML true is a bool and bool is a subclass of int.
+_KEY_TYPES = {
+    "epochs": (int, "an integer"), "batch_size": (int, "an integer"),
+    "seed": (int, "an integer"), "lookback": (int, "an integer"),
+    "horizon": (int, "an integer"), "shuffle": (bool, "true or false"),
+}
+
+
+def _typed(key: str, value):
+    if key in _KEY_TYPES:
+        want, what = _KEY_TYPES[key]
+        if type(value) is not want:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
+    """Merge the YAML config file and the flags into cfg (a default RunConfig
+    if None); flags win over file values."""
+    cfg = RunConfig() if cfg is None else cfg
     if getattr(args, "config", None):
         doc = load_config_file(args.config)
         base = Path(args.config).parent
@@ -176,10 +194,10 @@ def build_run_config(args) -> RunConfig:
         training = doc.get("training", {})
         for key in ("epochs", "batch_size", "loss", "lr", "seed", "shuffle"):
             if key in training:
-                setattr(cfg, key, training[key])
+                setattr(cfg, key, _typed(key, training[key]))
         for key in ("group", "lookback", "horizon", "init", "baseline_month"):
             if key in doc:
-                setattr(cfg, key, doc[key])
+                setattr(cfg, key, _typed(key, doc[key]))
         if "features" in doc:
             cfg.features = tuple(doc["features"])
         if "eq5_lagged_m" in doc:
@@ -261,7 +279,7 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
 
     An anchor is the first predicted day; its window covers the L preceding
     days, which must all be present in the records. Anchors go through the
-    network FORECAST_CHUNK at a time.
+    network FORECAST_CHUNK at a time on one BLAS thread.
     """
     if start > end:
         raise ConfigError("forecast span is empty")
@@ -287,17 +305,24 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
     # span length only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
     n_full = len(anchors) - len(anchors) % FORECAST_CHUNK
     starts = [*range(0, n_full, FORECAST_CHUNK), *range(n_full, len(anchors))]
-    for lo, hi in zip(starts, [*starts[1:], len(anchors)]):
-        y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]])
+    with lstm_mod.single_blas_thread():
+        for lo, hi in zip(starts, [*starts[1:], len(anchors)]):
+            y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]])
     return list(zip(anchors, scaler.invert_target(y)))
 
 
 def write_predictions_csv(path, forecasts) -> None:
     lines = ["anchor_date,step,target_date,value"]
-    for anchor, vec in forecasts:
-        for step, value in enumerate(np.asarray(vec, dtype=np.float64)):
-            target_day = anchor + dt.timedelta(days=step)
-            lines.append(f"{anchor.isoformat()},{step + 1},{target_day.isoformat()},{float(value)!r}")
+    if forecasts:
+        # Each date is an anchor once and a target up to K times; format it once.
+        first = min(anchor for anchor, _ in forecasts)
+        last = max(anchor for anchor, _ in forecasts)
+        k = max(len(vec) for _, vec in forecasts)
+        iso = [(first + dt.timedelta(days=d)).isoformat() for d in range((last - first).days + k)]
+        for anchor, vec in forecasts:
+            n = (anchor - first).days
+            for step, value in enumerate(np.asarray(vec, dtype=np.float64).tolist()):
+                lines.append(f"{iso[n]},{step + 1},{iso[n + step]},{value!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -491,21 +516,19 @@ def cmd_train(args) -> None:
 
 
 def cmd_forecast(args) -> None:
-    cfg = build_run_config(args)
+    # The checkpoint drives the network configuration. These four start as
+    # None, so that a value given in the config file or by a flag is checked
+    # against the checkpoint (exit 1 if they disagree) and a missing one is
+    # taken from it.
+    cfg = build_run_config(args, RunConfig(group=None, lookback=None, horizon=None, features=None))
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    # The checkpoint drives the network configuration; explicit flags must agree.
-    if getattr(args, "features", None):
-        ckpt_io.check_compatible(ckpt, features=cfg.features)
-    if getattr(args, "lookback", None) is not None:
-        ckpt_io.check_compatible(ckpt, lookback=cfg.lookback)
-    if getattr(args, "horizon", None) is not None:
-        ckpt_io.check_compatible(ckpt, horizon=cfg.horizon)
-    if getattr(args, "group", None) is not None:
-        ckpt_io.check_compatible(ckpt, group=cfg.group)
+    ckpt_io.check_compatible(
+        ckpt, features=cfg.features, lookback=cfg.lookback, horizon=cfg.horizon, group=cfg.group
+    )
     cfg.features = tuple(ckpt.meta["features"])
     cfg.lookback = int(ckpt.meta["lookback"])
     cfg.horizon = ckpt.model.horizon
-    cfg.group = ckpt.meta.get("group", cfg.group)
+    cfg.group = ckpt.meta.get("group", "all")
     cfg.baseline_month = ckpt.meta.get("baseline_month", cfg.baseline_month)
     cfg.validate(need_spans=False)
     start = _coerce_date(args.start, "start") if args.start else cfg.test_start

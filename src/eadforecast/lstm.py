@@ -19,10 +19,14 @@ feeds the dense stack. One batched engine (`forward_batch` /
 `backward_batch`) serves training and forecasting; a single window is a
 batch of one. The test suite pins it against a straight-line transcription
 of the gate equations and against central finite differences.
+`single_blas_thread` runs a block, such as a forecast, on one BLAS thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -483,3 +487,50 @@ def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) ->
         lstm1=g_lstm1, lstm2=g_lstm2, fc1=g_fc1, fc2=g_fc2, head=g_head,
         input_dim=model.input_dim, horizon=model.horizon, lagged_m=model.lagged_m,
     )
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _openblas_threads_api():
+    """The get/set thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    They are looked up through numpy's own extension module, whose handle
+    also reaches the OpenBLAS it links; the library is already loaded, so
+    nothing new is opened.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the thread count.
+
+    The count is process-wide, so the block must not overlap BLAS work in
+    another Python thread. Without numpy's bundled OpenBLAS this does
+    nothing.
+    """
+    api = _openblas_threads_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

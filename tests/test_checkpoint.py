@@ -1,5 +1,6 @@
 """Versioned binary checkpoint round-trips and refusal paths."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -84,20 +85,30 @@ class TestRefusals:
         with pytest.raises(DataError, match="digest"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", ["array", *(f"no_{key}" for key in HEADER_KEYS)])
+    @pytest.mark.parametrize(
+        "edit", ["array", *(f"no_{key}" for key in HEADER_KEYS), "short_manifest", "long_manifest"]
+    )
     def test_malformed_header(self, saved, edit):
-        # Rewrite the header (and its length) around an intact payload.
+        # Rewrite the header (and its length) around the payload.
         path, _, _, _ = saved
         blob = path.read_bytes()
         start = len(MAGIC) + 8
         length = int(np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))[0])
         header = json.loads(blob[start : start + length])
+        payload = blob[start + length :]
         if edit == "array":
             header = [header]
+        elif edit == "short_manifest":
+            # Drop head.b from the manifest and the payload, with a matching hash.
+            dropped = header["arrays"].pop()
+            payload = payload[: -8 * int(np.prod(dropped["shape"]))]
+            header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        elif edit == "long_manifest":
+            header["arrays"].append(header["arrays"][-1])
         else:
             del header[edit[len("no_"):]]
         text = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(MAGIC + np.array([len(text)], dtype="<u8").tobytes() + text + blob[start + length :])
+        path.write_bytes(MAGIC + np.array([len(text)], dtype="<u8").tobytes() + text + payload)
         with pytest.raises(DataError, match="corrupt checkpoint header"):
             load_checkpoint(path)
 

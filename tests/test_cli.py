@@ -14,11 +14,14 @@ import yaml
 
 import eadforecast
 from eadforecast import checkpoint as ckpt_io
-from eadforecast.cli import RunConfig, load_records, main, run_forecast
+from eadforecast import lstm as lstm_mod
+from eadforecast.cli import (
+    FORECAST_CHUNK, RunConfig, load_records, main, run_forecast, write_predictions_csv,
+)
 from eadforecast.data import (
     SynthConfig, feature_matrix, load_dataset, make_windows, synth_generate, write_dataset,
 )
-from eadforecast.errors import DataError
+from eadforecast.errors import ConfigError, DataError
 from eadforecast.lstm import ModelSpec, forward_batch, init_params
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
 from eadforecast.training import fit_scaler
@@ -119,6 +122,24 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), f"--lr={lr}"]) == 1
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"training": {"epochs": "2", "batch_size": 8, "seed": 0}},
+        {"training": {"epochs": True, "batch_size": 8, "seed": 0}},
+        {"training": {"epochs": 3, "batch_size": 8.0, "seed": 0}},
+        {"training": {"epochs": 3, "batch_size": 8, "seed": "0"}},
+        {"training": {"epochs": 3, "batch_size": 8, "seed": 0, "shuffle": "yes"}},
+        {"training": {"epochs": 3, "batch_size": 8, "seed": 0, "shuffle": 1}},
+        {"lookback": "7"},
+        {"lookback": None},
+        {"horizon": 1.5},
+        {"horizon": True},
+    ], ids=["epochs_str", "epochs_bool", "batch_size_float", "seed_str", "shuffle_str",
+            "shuffle_int", "lookback_str", "lookback_null", "horizon_float", "horizon_bool"])
+    def test_untyped_config_value_exits_1(self, dataset, tmp_path, extra):
+        cfg = base_config(dataset, tmp_path / "run", **extra)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_bad_flag_usage_exits_1(self):
         assert main(["train", "--loss", "huber"]) == 1
 
@@ -169,6 +190,22 @@ class TestForecastCommand:
             "--group", "all", "--out", str(tmp_path),
         ]) == 0
 
+    @pytest.mark.parametrize("extra", [
+        {"group": "elderly"},
+        {"features": ["temperature", "humidity", "day_label"]},
+        {"lookback": 9},
+        {"horizon": 3},
+    ], ids=["group", "features", "lookback", "horizon"])
+    def test_config_file_mismatch_refused(self, trained, tmp_path, extra):
+        # The trained checkpoint is K=1, L=7, all four features, group "all".
+        cfg, out = trained
+        doc = {**yaml.safe_load(cfg.read_text()), **extra, "out": str(tmp_path)}
+        mismatched = tmp_path / "config.yaml"
+        mismatched.write_text(yaml.safe_dump(doc))
+        assert main(["forecast", "--config", str(mismatched),
+                     "--checkpoint", str(out / "checkpoint.bin")]) == 1
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_not_enough_history_is_data_error(self, trained):
         cfg, out = trained
         assert main([
@@ -213,9 +250,10 @@ class TestRunForecast:
     @pytest.mark.parametrize("horizon", [1, 28])
     def test_batched_matches_per_anchor_loop(self, dataset, horizon):
         model, scaler, records, cfg = forecast_setup(dataset, horizon)
-        # 45 anchors: seven chunks of 6 and a tail of 3 taken one at a time.
-        start, end = dt.date(2019, 1, 1), dt.date(2019, 2, 14)
+        # 74 anchors: two full chunks and a tail taken one anchor at a time.
+        start, end = dt.date(2019, 1, 1), dt.date(2019, 3, 15)
         got = run_forecast(model, scaler, records, cfg, start, end)
+        assert len(got) > 2 * FORECAST_CHUNK and len(got) % FORECAST_CHUNK > 1
         want = per_anchor_forecast(model, scaler, records, cfg, start, end)
         assert [d for d, _ in got] == [d for d, _ in want]
         for (_, g), (_, w) in zip(got, want):
@@ -229,29 +267,127 @@ class TestRunForecast:
             run_forecast(model, scaler, records[:400] + records[401:], cfg,
                          records[380].date, records[420].date)
 
+    def test_forward_passes_run_on_one_blas_thread_and_count_is_restored(self, dataset, monkeypatch):
+        api = lstm_mod._openblas_threads_api()
+        if api is None:
+            pytest.skip("numpy's bundled OpenBLAS thread-count functions are absent")
+        get, set_ = api
+        model, scaler, records, cfg = forecast_setup(dataset, 3)
+        seen = []
+        forward_batch = lstm_mod.forward_batch
+
+        def recording(*args):
+            seen.append(get())
+            return forward_batch(*args)
+
+        monkeypatch.setattr(lstm_mod, "forward_batch", recording)
+        installed = get()
+        try:
+            set_(2)
+            before = get()
+            run_forecast(model, scaler, records, cfg, records[30].date, records[100].date)
+            assert seen and set(seen) == {1}
+            assert get() == before
+            with pytest.raises(DataError):
+                run_forecast(model, scaler, records[:400] + records[401:], cfg,
+                             records[380].date, records[420].date)
+            assert get() == before
+            # An error inside the pinned block: the model expects 3 features, not 4.
+            narrow = init_params(ModelSpec(input_dim=3, horizon=3))
+            with pytest.raises(ConfigError):
+                run_forecast(narrow, scaler, records, cfg, records[30].date, records[100].date)
+            assert get() == before
+        finally:
+            set_(installed)
+
     def test_predictions_identical_across_blas_threads(self, dataset, tmp_path):
-        model, scaler, records, _ = forecast_setup(dataset, 28)
-        ckpt = tmp_path / "checkpoint.bin"
-        ckpt_io.save_checkpoint(ckpt, model, scaler, {
-            "features": ["temperature", "humidity", "day_label", "mobility"],
-            "lookback": 7, "group": "all",
-        })
-        cfg = base_config(dataset, tmp_path / "run")
-        src = str(Path(eadforecast.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run(
-                [sys.executable, "-m", "eadforecast.cli", "forecast", "--config", str(cfg),
-                 "--checkpoint", str(ckpt), "--start", records[7].date.isoformat(),
-                 "--end", records[-1].date.isoformat(), "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append((out / "predictions.csv").read_bytes())
+        outputs = [
+            (forecast_subprocess(dataset, tmp_path, threads)[0] / "predictions.csv").read_bytes()
+            for threads in ("1", "2")
+        ]
         assert outputs[0] == outputs[1]
+
+    def test_forecast_uses_one_cpu_under_two_blas_threads(self, dataset, tmp_path):
+        # Contention from other processes only lowers CPU time per wall
+        # second, so a busy machine cannot make this fail.
+        _, (cpu, wall) = forecast_subprocess(dataset, tmp_path, "2")
+        assert cpu / wall <= 1.2, (cpu, wall)
+
+
+# Runs the forecast command and prints the CPU and wall seconds of run_forecast.
+TIMED_FORECAST = """
+import sys, time
+from eadforecast import cli
+run_forecast = cli.run_forecast
+
+def timed(*args):
+    cpu, wall = time.process_time(), time.perf_counter()
+    out = run_forecast(*args)
+    print(time.process_time() - cpu, time.perf_counter() - wall)
+    return out
+
+cli.run_forecast = timed
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def forecast_subprocess(dataset, tmp_path, threads):
+    """Forecast 875 anchors with an untrained K=28 model in a fresh process
+    under OPENBLAS_NUM_THREADS=threads; returns the output directory and the
+    CPU and wall seconds of run_forecast."""
+    model, scaler, records, _ = forecast_setup(dataset, 28)
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt_io.save_checkpoint(ckpt, model, scaler, {
+        "features": ["temperature", "humidity", "day_label", "mobility"],
+        "lookback": 7, "group": "all",
+    })
+    cfg = base_config(dataset, tmp_path / "run", horizon=28)
+    src = str(Path(eadforecast.__file__).resolve().parents[1])
+    out = tmp_path / f"threads{threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_FORECAST, "forecast", "--config", str(cfg),
+         "--checkpoint", str(ckpt), "--start", records[7].date.isoformat(),
+         "--end", records[-1].date.isoformat(), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cpu, wall = map(float, proc.stdout.split())
+    return out, (cpu, wall)
+
+
+def old_write_predictions_csv(path, forecasts) -> None:
+    """Reference: the per-row writer, one isoformat per anchor and target."""
+    lines = ["anchor_date,step,target_date,value"]
+    for anchor, vec in forecasts:
+        for step, value in enumerate(np.asarray(vec, dtype=np.float64)):
+            target_day = anchor + dt.timedelta(days=step)
+            lines.append(f"{anchor.isoformat()},{step + 1},{target_day.isoformat()},{float(value)!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+class TestWritePredictions:
+    @pytest.mark.parametrize("k", [1, 28])
+    @pytest.mark.parametrize("first, anchors", [
+        (dt.date(2019, 12, 20), 80),  # a month end, the year end and 2020-02-29
+        (dt.date(2020, 2, 28), 1),
+        (dt.date(2020, 2, 29), 3),
+    ])
+    def test_matches_per_row_writer(self, tmp_path, k, first, anchors):
+        rng = np.random.default_rng(k + anchors)
+        values = rng.normal(200.0, 80.0, size=(anchors, k))
+        values[0, 0] = 100.0
+        values[-1, -1] = 5e-324
+        values[anchors // 2, k // 2] = -1.0 / 3.0
+        forecasts = [(first + dt.timedelta(days=n), values[n]) for n in range(anchors)]
+        write_predictions_csv(tmp_path / "new.csv", forecasts)
+        old_write_predictions_csv(tmp_path / "old.csv", forecasts)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_no_forecasts_writes_the_header(self, tmp_path):
+        write_predictions_csv(tmp_path / "p.csv", [])
+        assert (tmp_path / "p.csv").read_text() == "anchor_date,step,target_date,value\n"
 
 
 def prediction_lines(first: dt.date, anchors: int, k: int) -> list[str]:
