@@ -152,8 +152,11 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(model=model, scaler=scaler, meta=header["meta"])
 
 
-def check_compatible(ckpt: Checkpoint, *, features=None, lookback=None, horizon=None, group=None) -> None:
-    """Refuse cross-config use of a checkpoint."""
+def check_compatible(
+    ckpt: Checkpoint, *, features=None, lookback=None, horizon=None, group=None, baseline_month=None
+) -> None:
+    """Refuse cross-config use of a checkpoint. A value left None is not
+    checked; so is a baseline month the checkpoint does not record."""
     meta = ckpt.meta
     if features is not None and list(features) != list(meta.get("features", [])):
         raise ConfigError(
@@ -167,3 +170,7 @@ def check_compatible(ckpt: Checkpoint, *, features=None, lookback=None, horizon=
         raise ConfigError(f"checkpoint horizon is {ckpt.model.horizon}, got {horizon}")
     if group is not None and group != meta.get("group"):
         raise ConfigError(f"checkpoint group is {meta.get('group')!r}, got {group!r}")
+    if baseline_month is not None and baseline_month != meta.get("baseline_month", baseline_month):
+        raise ConfigError(
+            f"checkpoint baseline month is {meta['baseline_month']!r}, got {baseline_month!r}"
+        )

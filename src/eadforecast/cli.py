@@ -155,6 +155,7 @@ _KEY_TYPES = {
     "epochs": (int, "an integer"), "batch_size": (int, "an integer"),
     "seed": (int, "an integer"), "lookback": (int, "an integer"),
     "horizon": (int, "an integer"), "shuffle": (bool, "true or false"),
+    "eq5_lagged_m": (bool, "true or false"), "baseline_month": (str, "a YYYY-MM string"),
 }
 
 
@@ -166,6 +167,20 @@ def _typed(key: str, value):
     return value
 
 
+def _section(doc: dict, key: str) -> dict:
+    """A config-file section that must be a mapping; absent is empty."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _path(key: str, value) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return Path(value)
+
+
 def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
     """Merge the YAML config file and the flags into cfg (a default RunConfig
     if None); flags win over file values."""
@@ -173,25 +188,25 @@ def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
     if getattr(args, "config", None):
         doc = load_config_file(args.config)
         base = Path(args.config).parent
-        paths = doc.get("data", {})
+        paths = _section(doc, "data")
 
-        def rel(p):
-            p = Path(p)
+        def rel(key, p):
+            p = _path(key, p)
             return p if p.is_absolute() else base / p
 
         for key in ("weather", "ead", "mobility", "holidays"):
             if key in paths:
-                setattr(cfg, key, rel(paths[key]))
+                setattr(cfg, key, rel(f"data.{key}", paths[key]))
         for span_key, (a, b) in {
             "train": ("train_start", "train_end"),
             "test": ("test_start", "test_end"),
         }.items():
-            span = doc.get(span_key, {})
+            span = _section(doc, span_key)
             if "start" in span:
                 setattr(cfg, a, _coerce_date(span["start"], f"{span_key}.start"))
             if "end" in span:
                 setattr(cfg, b, _coerce_date(span["end"], f"{span_key}.end"))
-        training = doc.get("training", {})
+        training = _section(doc, "training")
         for key in ("epochs", "batch_size", "loss", "lr", "seed", "shuffle"):
             if key in training:
                 setattr(cfg, key, _typed(key, training[key]))
@@ -199,11 +214,14 @@ def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
             if key in doc:
                 setattr(cfg, key, _typed(key, doc[key]))
         if "features" in doc:
-            cfg.features = tuple(doc["features"])
+            features = doc["features"]
+            if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
+                raise ConfigError(f"features must be a list of names, got {features!r}")
+            cfg.features = tuple(features)
         if "eq5_lagged_m" in doc:
-            cfg.lagged_m = bool(doc["eq5_lagged_m"])
+            cfg.lagged_m = _typed("eq5_lagged_m", doc["eq5_lagged_m"])
         if "out" in doc:
-            cfg.out = rel(doc["out"])
+            cfg.out = rel("out", doc["out"])
 
     # Flag overrides win over file values.
     overrides = {
@@ -516,20 +534,23 @@ def cmd_train(args) -> None:
 
 
 def cmd_forecast(args) -> None:
-    # The checkpoint drives the network configuration. These four start as
-    # None, so that a value given in the config file or by a flag is checked
-    # against the checkpoint (exit 1 if they disagree) and a missing one is
-    # taken from it.
-    cfg = build_run_config(args, RunConfig(group=None, lookback=None, horizon=None, features=None))
+    # The checkpoint drives the network configuration and the mobility
+    # baseline. These five start as None, so that a value given in the config
+    # file or by a flag is checked against the checkpoint (exit 1 if they
+    # disagree) and a missing one is taken from it.
+    cfg = build_run_config(args, RunConfig(
+        group=None, lookback=None, horizon=None, features=None, baseline_month=None))
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     ckpt_io.check_compatible(
-        ckpt, features=cfg.features, lookback=cfg.lookback, horizon=cfg.horizon, group=cfg.group
+        ckpt, features=cfg.features, lookback=cfg.lookback, horizon=cfg.horizon, group=cfg.group,
+        baseline_month=cfg.baseline_month,
     )
     cfg.features = tuple(ckpt.meta["features"])
     cfg.lookback = int(ckpt.meta["lookback"])
     cfg.horizon = ckpt.model.horizon
     cfg.group = ckpt.meta.get("group", "all")
-    cfg.baseline_month = ckpt.meta.get("baseline_month", cfg.baseline_month)
+    cfg.baseline_month = ckpt.meta.get(
+        "baseline_month", cfg.baseline_month or RunConfig.baseline_month)
     cfg.validate(need_spans=False)
     start = _coerce_date(args.start, "start") if args.start else cfg.test_start
     end = _coerce_date(args.end, "end") if args.end else cfg.test_end

@@ -133,8 +133,19 @@ class TestTrainCommand:
         {"lookback": None},
         {"horizon": 1.5},
         {"horizon": True},
+        {"eq5_lagged_m": "false"},
+        {"eq5_lagged_m": 1},
+        {"baseline_month": 202001},
+        {"training": 5},
+        {"features": 5},
+        {"data": 5},
+        {"data": {"weather": 5}},
+        {"train": 5},
+        {"out": 5},
     ], ids=["epochs_str", "epochs_bool", "batch_size_float", "seed_str", "shuffle_str",
-            "shuffle_int", "lookback_str", "lookback_null", "horizon_float", "horizon_bool"])
+            "shuffle_int", "lookback_str", "lookback_null", "horizon_float", "horizon_bool",
+            "lagged_str", "lagged_int", "baseline_month_int", "training_int", "features_int",
+            "data_int", "data_path_int", "train_int", "out_int"])
     def test_untyped_config_value_exits_1(self, dataset, tmp_path, extra):
         cfg = base_config(dataset, tmp_path / "run", **extra)
         assert main(["train", "--config", str(cfg)]) == 1
@@ -195,9 +206,11 @@ class TestForecastCommand:
         {"features": ["temperature", "humidity", "day_label"]},
         {"lookback": 9},
         {"horizon": 3},
-    ], ids=["group", "features", "lookback", "horizon"])
+        {"baseline_month": "2019-11"},
+    ], ids=["group", "features", "lookback", "horizon", "baseline_month"])
     def test_config_file_mismatch_refused(self, trained, tmp_path, extra):
-        # The trained checkpoint is K=1, L=7, all four features, group "all".
+        # The trained checkpoint is K=1, L=7, all four features, group "all",
+        # mobility baseline month 2020-01.
         cfg, out = trained
         doc = {**yaml.safe_load(cfg.read_text()), **extra, "out": str(tmp_path)}
         mismatched = tmp_path / "config.yaml"
@@ -205,6 +218,15 @@ class TestForecastCommand:
         assert main(["forecast", "--config", str(mismatched),
                      "--checkpoint", str(out / "checkpoint.bin")]) == 1
         assert not (tmp_path / "predictions.csv").exists()
+
+    def test_config_file_match_accepted(self, trained, tmp_path):
+        cfg, out = trained
+        doc = {**yaml.safe_load(cfg.read_text()), "baseline_month": "2020-01", "group": "all",
+               "out": str(tmp_path)}
+        matching = tmp_path / "config.yaml"
+        matching.write_text(yaml.safe_dump(doc))
+        assert main(["forecast", "--config", str(matching),
+                     "--checkpoint", str(out / "checkpoint.bin")]) == 0
 
     def test_not_enough_history_is_data_error(self, trained):
         cfg, out = trained
