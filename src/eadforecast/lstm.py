@@ -267,133 +267,261 @@ def init_params(spec: ModelSpec, scheme: str = "uniform", seed: int = 0) -> Fore
 # Batched engine
 # ---------------------------------------------------------------------------
 
+# Bytes of one block of backward factors. The backward pass computes the
+# factors that depend on the forward cache alone for as many steps at a time
+# as fit in this many bytes, so that they are still in cache when the step
+# loop reads them: all 14 steps of lstm1 at the training batch of 8, two at
+# 64, one at 256.
+BACKWARD_BLOCK_BYTES = 1 << 18
 
-def _stacked(p: LstmCellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    Wx = np.concatenate([p.W_ix, p.W_ox, p.W_fx, p.W_mx], axis=0)  # (4H, I)
-    Ws = np.concatenate([p.W_is, p.W_os, p.W_fs, p.W_ms], axis=0)  # (4H, H)
-    b = np.concatenate([p.b_i, p.b_o, p.b_f, p.b_m])  # (4H,)
-    return Wx, Ws, b
+
+def _fused(vec: np.ndarray, hidden: int, inp: int):
+    """One layer's leaves at the front of a flat vector in the canonical
+    order, as views: Wx (4H, I), Ws (4H, H) and b (4H), gate order i, o, f, m."""
+    h4 = 4 * hidden
+    nx, ns = h4 * inp, h4 * hidden
+    return (vec[:nx].reshape(h4, inp), vec[nx : nx + ns].reshape(h4, hidden),
+            vec[nx + ns : nx + ns + h4])
 
 
-def _lstm_forward_batch(p: LstmCellParams, x: np.ndarray, lagged_m: bool) -> dict:
-    """x: (T, B, I). Returns a cache with gates, cell states, and outputs."""
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+class _LayerBuffers:
+    """Work arrays of one LSTM layer for up to `batch` windows of `steps` steps.
+
+    Per-step arrays are feature-major, (rows, B), so that every gate's block
+    of a step is one contiguous (H, B) array: numpy runs an elementwise op on
+    a strided view several times slower than on a contiguous one. The arrays
+    are flat and viewed per call as (T, rows, B), so a smaller batch gets
+    contiguous views of the same memory. The backward arrays are allocated on
+    the first backward pass.
+    """
+
+    def __init__(self, hidden: int, inp: int, batch: int, steps: int):
+        h4, k = 4 * hidden, inp + hidden + 1
+        self.hidden, self.inp, self.batch, self.steps = hidden, inp, batch, steps
+        # [Wx | Ws | b] in gate order [i|o|f|m], the i/o/f rows halved (load);
+        # step t multiplies the column block xs[t] = [x_t; s_{t-1}; 1].
+        self.W = np.empty((h4, k))
+        self.xs = np.empty((steps + 1) * k * batch)
+        self.gates = np.empty(steps * h4 * batch)
+        self.c, self.tanh_c = np.empty((2, steps * hidden * batch))
+        self.cand = np.empty(hidden * batch)
+
+    def load(self, p: LstmCellParams) -> None:
+        """Stack p's weights into W, halving the i/o/f rows: sigmoid(z) is
+        computed as (1 + tanh(z/2)) / 2, and halving a float is exact."""
+        I, H = self.inp, self.hidden
+        W = self.W
+        np.concatenate((p.W_ix, p.W_ox, p.W_fx, p.W_mx), out=W[:, :I])
+        np.concatenate((p.W_is, p.W_os, p.W_fs, p.W_ms), out=W[:, I : I + H])
+        np.concatenate((p.b_i, p.b_o, p.b_f, p.b_m), out=W[:, I + H])
+        W[: 3 * H] *= 0.5
+
+    @functools.cached_property
+    def block(self) -> int:
+        """Steps per block of backward factors."""
+        step_bytes = 8 * 4 * self.hidden * self.batch
+        return max(1, min(self.steps, BACKWARD_BLOCK_BYTES // step_bytes))
+
+    @functools.cached_property
+    def backward(self) -> dict:
+        H, I, B, T = self.hidden, self.inp, self.batch, self.steps
+        h4, k = 4 * H, I + H + 1
+        unhalve = np.ones(h4)
+        unhalve[: 3 * H] = 2.0
+        return {
+            "WT": np.empty((I + H, h4)),  # [Wx | Ws] transposed, at full scale
+            "unhalve": unhalve,
+            "dpre": np.empty(T * h4 * B),  # per step: d loss / d pre-activations
+            "dxs": np.empty(T * (I + H) * B),  # per step: d loss / d [x_t; s_{t-1}]
+            "factors": np.empty(self.block * h4 * B),
+            "p": np.empty(self.block * H * B),
+            "state": np.empty((4, H * B)),  # ds, dc, the other step's dc, dc_next
+            # gate-major copies for the weight-gradient product
+            "dpre_rows": np.empty(T * h4 * B),
+            "xs_rows": np.empty(T * k * B),
+            "dW": np.empty((h4, k)),
+        }
+
+
+def _lstm_forward_batch(
+    p: LstmCellParams, x: np.ndarray, lagged_m: bool, buf: _LayerBuffers | None = None
+) -> dict:
+    """x: (T, B, I). Returns a cache with gates, cell states, and outputs,
+    each as a (T, B, ...) view.
+
+    The cache lives in buf (fresh buffers if None): it is valid until the
+    next forward pass through the same buffers.
+    """
     T, B, I = x.shape
     H = p.hidden_size
-    Wx, Ws, b = _stacked(p)
-    pre_x = x.reshape(T * B, I) @ Wx.T
-    pre_x = pre_x.reshape(T, B, 4 * H) + b
-    WsT = Ws.T
+    if buf is None:
+        buf = _LayerBuffers(H, I, B, T)
+    buf.load(p)
+    xs = _view(buf.xs, T + 1, I + H + 1, B)
+    np.copyto(xs[:T, :I], x.transpose(0, 2, 1))
+    xs[:T, -1] = 1.0
+    xs[0, I : I + H] = 0.0
+    G = _view(buf.gates, T, 4 * H, B)  # post-activation [i | o | f | m]
+    C, TC = _view(buf.c, T, H, B), _view(buf.tanh_c, T, H, B)
+    S = xs[1:, I : I + H]  # s_t is the state input of step t+1
+    cand = _view(buf.cand, H, B)
+    for t in range(T):
+        g = G[t]
+        np.matmul(buf.W, xs[t], out=g)
+        # One tanh for all four gates; the i/o/f pre-activations are halved,
+        # so sigmoid(z) = 0.5 + 0.5 * tanh(z/2) is two in-place steps away.
+        np.tanh(g, out=g)
+        sig = g[: 3 * H]
+        sig *= 0.5
+        sig += 0.5
+        c = C[t]
+        if t == 0:
+            if lagged_m:  # c = i * m_prev with m_prev = 0
+                c.fill(0.0)
+            else:
+                np.multiply(g[:H], g[3 * H :], out=c)
+        else:
+            np.multiply(g[2 * H : 3 * H], C[t - 1], out=c)
+            np.multiply(g[:H], G[t - 1, 3 * H :] if lagged_m else g[3 * H :], out=cand)
+            c += cand
+        np.tanh(c, out=TC[t])
+        np.multiply(g[H : 2 * H], TC[t], out=S[t])
 
-    gates_all = np.empty((T, B, 4 * H))  # post-activation: [i | o | f | m]
-    c_all = np.empty((T, B, H))
-    tanh_c_all = np.empty((T, B, H))
-    s_all = np.empty((T, B, H))
+    def rows(a):  # (T, rows, B) -> (T, B, rows)
+        return a.transpose(0, 2, 1)
 
-    c = np.zeros((B, H))
-    s = np.zeros((B, H))
-    m_prev = np.zeros((B, H))
-    # exp overflow saturates the sigmoid to exactly 0, which is the wanted
-    # limit; silence the warning instead of paying for a clip per step.
-    with np.errstate(over="ignore"):
-        for t in range(T):
-            pre = pre_x[t] + s @ WsT
-            gb = gates_all[t]
-            # The three sigmoid gates share one activation call over [i|o|f].
-            np.exp(-pre[:, : 3 * H], out=gb[:, : 3 * H])
-            gb[:, : 3 * H] += 1.0
-            np.divide(1.0, gb[:, : 3 * H], out=gb[:, : 3 * H])
-            gb[:, 3 * H :] = np.tanh(pre[:, 3 * H :])
-            i = gb[:, :H]
-            f = gb[:, 2 * H : 3 * H]
-            m = gb[:, 3 * H :]
-            c = f * c + i * (m_prev if lagged_m else m)
-            tc = np.tanh(c)
-            s = gb[:, H : 2 * H] * tc
-            c_all[t], tanh_c_all[t], s_all[t] = c, tc, s
-            if lagged_m:
-                m_prev = m
     return {
-        "x": x, "gates": gates_all,
-        "i": gates_all[:, :, :H], "o": gates_all[:, :, H : 2 * H],
-        "f": gates_all[:, :, 2 * H : 3 * H], "m": gates_all[:, :, 3 * H :],
-        "c": c_all, "tanh_c": tanh_c_all, "s": s_all,
+        "x": x, "gates": rows(G),
+        "i": rows(G[:, :H]), "o": rows(G[:, H : 2 * H]),
+        "f": rows(G[:, 2 * H : 3 * H]), "m": rows(G[:, 3 * H :]),
+        "c": rows(C), "tanh_c": rows(TC), "s": rows(S), "buffers": buf,
     }
 
 
+def _times_previous(dst: np.ndarray, seq: np.ndarray, t0: int, t1: int) -> None:
+    """dst[k] *= seq[t0 + k - 1] for the steps t0..t1-1, seq[-1] being zero."""
+    if t0 == 0:
+        dst[1:] *= seq[: t1 - 1]
+        dst[0] = 0.0
+    else:
+        dst *= seq[t0 - 1 : t1 - 1]
+
+
+def _backward_factors(G, C, TC, t0: int, t1: int, lagged_m: bool, F: np.ndarray, P: np.ndarray):
+    """The factors of steps t0..t1-1 that depend on the forward pass alone,
+    written into F (n, 4H, B) and P (n, H, B), n = t1 - t0.
+
+    With a the loss gradient w.r.t. the pre-activations, ds the gradient
+    into s_t and dc the one into c_t, one step is
+        a_o = ds * F_o,  dc = ds * P + dc_next,  a_i, a_f, a_m = dc * F_i, F_f, F_m
+    where sigma' = sigma (1 - sigma) and
+        F_i = m sigma'_i,  F_o = tanh(c) sigma'_o,  F_f = c_prev sigma'_f,
+        F_m = i (1 - m^2),  P = o (1 - tanh(c)^2).
+    With lagged_m, c_t = f c_prev + i m_prev: F_i = m_prev sigma'_i, and
+    a_m at step t is the next step's dc times F_m = i_{t+1} (1 - m_t^2).
+    """
+    T, h4, _ = G.shape
+    H = h4 // 4
+    n = t1 - t0
+    F, P = F[:n], P[:n]
+    g = G[t0:t1]
+    sig, f3 = g[:, : 3 * H], F[:, : 3 * H]
+    np.multiply(sig, sig, out=f3)
+    np.subtract(sig, f3, out=f3)
+    m, fm = g[:, 3 * H :], F[:, 3 * H :]
+    np.multiply(m, m, out=fm)
+    np.subtract(1.0, fm, out=fm)
+    tc = TC[t0:t1]
+    np.multiply(tc, tc, out=P)
+    np.subtract(1.0, P, out=P)
+    P *= g[:, H : 2 * H]
+    F[:, H : 2 * H] *= tc
+    _times_previous(F[:, 2 * H : 3 * H], C, t0, t1)
+    if lagged_m:
+        _times_previous(F[:, :H], G[:, 3 * H :], t0, t1)
+        if t1 == T:
+            fm[:-1] *= G[t0 + 1 : T, :H]
+            fm[-1] = 0.0
+        else:
+            fm *= G[t0 + 1 : t1 + 1, :H]
+    else:
+        F[:, :H] *= m
+        fm *= g[:, :H]
+    return F, P
+
+
 def _lstm_backward_batch(
-    p: LstmCellParams, cache: dict, ds_ext: np.ndarray, lagged_m: bool
-) -> tuple[LstmCellParams, np.ndarray]:
+    p: LstmCellParams, cache: dict, ds_ext: np.ndarray, lagged_m: bool, grad, need_dx: bool = True
+) -> np.ndarray | None:
     """Backward through one layer.
 
     ds_ext: (T, B, H) gradient flowing into each step's output s_t from the
-    layer's consumer. Returns (parameter gradients, dL/dx as (T, B, I)).
-    The loop writes into preallocated buffers; weight gradients fall out of
-    two whole-sequence matmuls at the end.
+    layer's consumer. Writes the weight gradients into grad = (dWx, dWs, db),
+    stacked like _fused's views, and returns dL/dx as a (T, B, I) view, or
+    None without need_dx. The step loop runs over blocks of steps, last block
+    first, each after its cache-only factors (_backward_factors); the weight
+    gradients are one matmul over the whole sequence at the end.
     """
-    x = cache["x"]
+    x, buf = cache["x"], cache["buffers"]
     T, B, I = x.shape
     H = p.hidden_size
-    Wx, Ws, _ = _stacked(p)
-    i_all, o_all, f_all, m_all = cache["i"], cache["o"], cache["f"], cache["m"]
-    c_all, tanh_c_all, s_all = cache["c"], cache["tanh_c"], cache["s"]
+    h4, k = 4 * H, I + H + 1
+    G = _view(buf.gates, T, h4, B)
+    C, TC = _view(buf.c, T, H, B), _view(buf.tanh_c, T, H, B)
+    xs = _view(buf.xs, T + 1, k, B)
+    arrays = buf.backward
+    WT = arrays["WT"]
+    np.multiply(buf.W[:, : I + H].T, arrays["unhalve"], out=WT)
+    dsT = ds_ext.transpose(0, 2, 1)
+    dpre = _view(arrays["dpre"], T, h4, B)
+    dxs = _view(arrays["dxs"], T, I + H, B)
+    ds, dc, dc_other, dc_next = (_view(a, H, B) for a in arrays["state"])
+    dc_next.fill(0.0)
+    dc_other.fill(0.0)
+    lo = 0 if need_dx else I  # dx rows of dxs are computed only when needed
+    block = buf.block
+    for t1 in range(T, 0, -block):
+        t0 = max(t1 - block, 0)
+        F, P = _backward_factors(
+            G, C, TC, t0, t1, lagged_m,
+            _view(arrays["factors"], block, h4, B), _view(arrays["p"], block, H, B),
+        )
+        F4 = F.reshape(t1 - t0, 4, H, B)
+        for t in range(t1 - 1, t0 - 1, -1):
+            j = t - t0
+            if t == T - 1:
+                np.copyto(ds, dsT[t])
+            else:
+                np.add(dsT[t], dxs[t + 1, I:], out=ds)
+            np.multiply(ds, P[j], out=dc)
+            dc += dc_next
+            da = dpre[t]
+            np.multiply(dc, F4[j], out=da.reshape(4, H, B))  # a_i, a_f, a_m
+            np.multiply(ds, F[j, H : 2 * H], out=da[H : 2 * H])  # a_o replaces dc * F_o
+            np.multiply(dc, G[t, 2 * H : 3 * H], out=dc_next)
+            if lagged_m:
+                np.multiply(dc_other, F[j, 3 * H :], out=da[3 * H :])
+                dc, dc_other = dc_other, dc
+            if t or need_dx:
+                np.matmul(WT[lo:], da, out=dxs[t, lo:])
 
-    dpre = np.empty((T, B, 4 * H))
-    dc_next = np.zeros((B, H))
-    ds_next = np.zeros((B, H))
-    dm_carry = np.zeros((B, H))
-    zeros_bh = np.zeros((B, H))
-    scratch_h = np.empty((B, H))
-    scratch_3h = np.empty((B, 3 * H))
-
-    for t in range(T - 1, -1, -1):
-        i, o, f, m = i_all[t], o_all[t], f_all[t], m_all[t]
-        tc = tanh_c_all[t]
-        c_prev = c_all[t - 1] if t > 0 else zeros_bh
-
-        da = dpre[t]
-        ds = ds_ext[t] + ds_next
-        np.multiply(ds, tc, out=da[:, H : 2 * H])  # d output gate
-        np.multiply(tc, tc, out=scratch_h)
-        np.subtract(1.0, scratch_h, out=scratch_h)
-        dc = ds * o
-        dc *= scratch_h
-        dc += dc_next
-        np.multiply(dc, c_prev, out=da[:, 2 * H : 3 * H])  # d forget gate
-        if lagged_m:
-            np.multiply(dc, m_all[t - 1] if t > 0 else zeros_bh, out=da[:, :H])
-            da[:, 3 * H :] = dm_carry
-            np.multiply(dc, i, out=dm_carry)
-        else:
-            np.multiply(dc, m, out=da[:, :H])  # d input gate
-            np.multiply(dc, i, out=da[:, 3 * H :])  # d memory gate
-        # Sigmoid derivative for the [i|o|f] block, tanh derivative for m.
-        sig3 = cache["gates"][t][:, : 3 * H]
-        np.multiply(sig3, sig3, out=scratch_3h)
-        np.subtract(sig3, scratch_3h, out=scratch_3h)
-        da[:, : 3 * H] *= scratch_3h
-        np.multiply(m, m, out=scratch_h)
-        np.subtract(1.0, scratch_h, out=scratch_h)
-        da[:, 3 * H :] *= scratch_h
-
-        ds_next = da @ Ws
-        np.multiply(dc, f, out=dc_next)
-
-    flat = dpre.reshape(T * B, 4 * H)
-    dWx = flat.T @ x.reshape(T * B, I)
-    db = flat.sum(axis=0)
-    dx = (flat @ Wx).reshape(T, B, I)
-    # s_prev over the whole sequence: zeros at t=0, then s shifted by one.
-    s_prev_all = np.empty((T, B, H))
-    s_prev_all[0] = 0.0
-    s_prev_all[1:] = s_all[:-1]
-    dWs = flat.T @ s_prev_all.reshape(T * B, H)
-
-    grads = LstmCellParams(
-        W_ix=dWx[:H], W_ox=dWx[H : 2 * H], W_fx=dWx[2 * H : 3 * H], W_mx=dWx[3 * H :],
-        W_is=dWs[:H], W_os=dWs[H : 2 * H], W_fs=dWs[2 * H : 3 * H], W_ms=dWs[3 * H :],
-        b_i=db[:H], b_o=db[H : 2 * H], b_f=db[2 * H : 3 * H], b_m=db[3 * H :],
-    )
-    return grads, dx
+    # d loss / d [Wx | Ws | b] = sum over steps of a_t [x_t; s_{t-1}; 1]^T:
+    # one matmul over gate-major copies with the (step, window) pairs as columns.
+    rows_a = _view(arrays["dpre_rows"], h4, T, B)
+    rows_x = _view(arrays["xs_rows"], k, T, B)
+    np.copyto(rows_a, dpre.transpose(1, 0, 2))
+    np.copyto(rows_x, xs[:T].transpose(1, 0, 2))
+    dW = arrays["dW"]
+    np.matmul(rows_a.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=dW)
+    dWx, dWs, db = grad
+    np.copyto(dWx, dW[:, :I])
+    np.copyto(dWs, dW[:, I : I + H])
+    np.copyto(db, dW[:, I + H])
+    return dxs[:, :I].transpose(0, 2, 1) if need_dx else None
 
 
 def sigmoid(x) -> np.ndarray:
@@ -416,18 +544,56 @@ def _dense_forward(layer: DenseLayerParams, h: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _dense_backward(
-    layer: DenseLayerParams, h_in: np.ndarray, z: np.ndarray, out: np.ndarray, dout: np.ndarray
-) -> tuple[DenseLayerParams, np.ndarray]:
+    layer: DenseLayerParams, h_in: np.ndarray, z: np.ndarray, out: np.ndarray, dout: np.ndarray,
+    grad: DenseLayerParams,
+) -> np.ndarray:
+    """Writes dW and db into grad; returns the gradient w.r.t. h_in."""
     if layer.activation == "rectifier":
         dz = dout * (z > 0.0)
     elif layer.activation == "sigmoid":
         dz = dout * out * (1.0 - out)
     else:
         dz = dout
-    dW = dz.T @ h_in
-    db = dz.sum(axis=0)
-    dh = dz @ layer.W
-    return DenseLayerParams(W=dW, b=db, activation=layer.activation), dh
+    np.matmul(dz.T, h_in, out=grad.W)
+    np.sum(dz, axis=0, out=grad.b)
+    return dz @ layer.W
+
+
+class Workspace:
+    """The arrays of forward_batch and backward_batch for one model's shapes
+    and up to `batch` windows of `steps` steps, made once per training run
+    or forecast so that no step allocates them.
+
+    The cache forward_batch returns lives here, so it is valid until the
+    next forward_batch with the same workspace. backward_batch writes the
+    gradient into `grad`, one flat vector in the canonical leaf order, and
+    returns `grads`, a model whose leaves are views of it.
+    """
+
+    def __init__(self, model: ForecastModel, batch: int, steps: int):
+        self.model, self.batch, self.steps = model, batch, steps
+        self.lstm1 = _LayerBuffers(model.lstm1.hidden_size, model.lstm1.input_size, batch, steps)
+        self.lstm2 = _LayerBuffers(model.lstm2.hidden_size, model.lstm2.input_size, batch, steps)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return np.empty(sum(a.size for _, a in model_leaves(self.model)))
+
+    @functools.cached_property
+    def grads(self) -> ForecastModel:
+        return model_from_vector(self.model, self.grad, copy=False)
+
+    @functools.cached_property
+    def lstm_grads(self):
+        """_fused views of the two LSTM layers' gradients in `grad`."""
+        l1, l2 = self.lstm1, self.lstm2
+        n1 = 4 * l1.hidden * (l1.inp + l1.hidden + 1)
+        return _fused(self.grad, l1.hidden, l1.inp), _fused(self.grad[n1:], l2.hidden, l2.inp)
+
+    @functools.cached_property
+    def ds2(self) -> np.ndarray:
+        """The gradient into lstm2's outputs, feature-major like its buffers."""
+        return np.empty(self.steps * self.lstm2.hidden * self.batch)
 
 
 @dataclass
@@ -439,10 +605,15 @@ class NetworkCache:
     lstm2: dict = field(repr=False, default=None)
     fc: dict = field(repr=False, default=None)
     y: np.ndarray = None
+    ws: Workspace = field(repr=False, default=None)
 
 
-def forward_batch(model: ForecastModel, X) -> tuple[np.ndarray, NetworkCache]:
-    """Forward pass for a batch of windows. X: (B, L, F) -> (B, K)."""
+def forward_batch(
+    model: ForecastModel, X, ws: Workspace | None = None
+) -> tuple[np.ndarray, NetworkCache]:
+    """Forward pass for a batch of windows. X: (B, L, F) -> (B, K).
+
+    The cache is held in ws (a fresh workspace if None)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[1] < 1:
         raise ConfigError(f"expected a (batch, lookback, features) array, got {X.shape}")
@@ -450,9 +621,16 @@ def forward_batch(model: ForecastModel, X) -> tuple[np.ndarray, NetworkCache]:
         raise ConfigError(
             f"window feature dim {X.shape[2]} != model input dim {model.input_dim}"
         )
-    x = np.ascontiguousarray(X.transpose(1, 0, 2))  # (T, B, F)
-    c1 = _lstm_forward_batch(model.lstm1, x, model.lagged_m)
-    c2 = _lstm_forward_batch(model.lstm2, c1["s"], model.lagged_m)
+    if ws is None:
+        ws = Workspace(model, X.shape[0], X.shape[1])
+    elif X.shape[0] > ws.batch or X.shape[1] > ws.steps:
+        raise ConfigError(
+            f"batch of {X.shape[0]} windows of {X.shape[1]} steps exceeds the workspace's "
+            f"{ws.batch} of {ws.steps}"
+        )
+    x = X.transpose(1, 0, 2)  # (T, B, F)
+    c1 = _lstm_forward_batch(model.lstm1, x, model.lagged_m, ws.lstm1)
+    c2 = _lstm_forward_batch(model.lstm2, c1["s"], model.lagged_m, ws.lstm2)
     h = c2["s"][-1]  # (B, H2)
     z1, r1 = _dense_forward(model.fc1, h)
     z2, r2 = _dense_forward(model.fc2, r1)
@@ -463,30 +641,31 @@ def forward_batch(model: ForecastModel, X) -> tuple[np.ndarray, NetworkCache]:
         lstm2=c2,
         fc={"h": h, "z1": z1, "r1": r1, "z2": z2, "r2": r2, "z3": z3},
         y=y,
+        ws=ws,
     )
     return y, cache
 
 
 def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) -> ModelGrads:
     """Backward pass: dY is the gradient of the scalar loss w.r.t. the batch
-    outputs (B, K). Returns summed parameter gradients."""
+    outputs (B, K). Returns the summed parameter gradients as the cache's
+    workspace's `grads`, views of its flat `grad`."""
     if cache is None or cache.fc is None:
         raise ConfigError("backward_batch needs the cache from forward_batch")
-    fc = cache.fc
-    g_head, dr2 = _dense_backward(model.head, fc["r2"], fc["z3"], cache.y, dY)
-    g_fc2, dr1 = _dense_backward(model.fc2, fc["r1"], fc["z2"], fc["r2"], dr2)
-    g_fc1, dh = _dense_backward(model.fc1, fc["h"], fc["z1"], fc["r1"], dr1)
+    ws, fc = cache.ws, cache.fc
+    g = ws.grads
+    dr2 = _dense_backward(model.head, fc["r2"], fc["z3"], cache.y, dY, g.head)
+    dr1 = _dense_backward(model.fc2, fc["r1"], fc["z2"], fc["r2"], dr2, g.fc2)
+    dh = _dense_backward(model.fc1, fc["h"], fc["z1"], fc["r1"], dr1, g.fc1)
 
     T, B, _ = cache.lstm2["x"].shape
-    ds2 = np.zeros((T, B, model.lstm2.hidden_size))
-    ds2[-1] = dh
-    g_lstm2, dx2 = _lstm_backward_batch(model.lstm2, cache.lstm2, ds2, model.lagged_m)
-    g_lstm1, _ = _lstm_backward_batch(model.lstm1, cache.lstm1, dx2, model.lagged_m)
-
-    return ForecastModel(
-        lstm1=g_lstm1, lstm2=g_lstm2, fc1=g_fc1, fc2=g_fc2, head=g_head,
-        input_dim=model.input_dim, horizon=model.horizon, lagged_m=model.lagged_m,
-    )
+    ds2 = _view(ws.ds2, T, model.lstm2.hidden_size, B)
+    ds2[:-1] = 0.0
+    ds2[-1] = dh.T
+    g1, g2 = ws.lstm_grads
+    dx2 = _lstm_backward_batch(model.lstm2, cache.lstm2, ds2.transpose(0, 2, 1), model.lagged_m, g2)
+    _lstm_backward_batch(model.lstm1, cache.lstm1, dx2, model.lagged_m, g1, need_dx=False)
+    return g
 
 
 # ---------------------------------------------------------------------------

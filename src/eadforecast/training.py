@@ -10,7 +10,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .losses import LOSS_KINDS, batch_loss_and_grad
-from .lstm import ForecastModel, backward_batch, forward_batch, model_from_vector, model_to_vector
+from .lstm import (
+    ForecastModel, Workspace, backward_batch, forward_batch, model_from_vector, model_to_vector,
+)
 
 
 # Adam's decay rates and denominator guard (Kingma & Ba's defaults).
@@ -42,22 +44,28 @@ def _adam_update_flat(theta: np.ndarray, g: np.ndarray, state: AdamState) -> Non
     """Apply one bias-corrected Adam update in place.
 
     theta, the moment buffers, and g are all mutated (g is used as scratch).
+    The update is in the form of Kingma & Ba (2015, end of section 2): both
+    bias corrections fold into one step size, alpha_t = alpha *
+    sqrt(1 - beta2^t) / (1 - beta1^t), and the guard becomes
+    eps_hat = eps * sqrt(1 - beta2^t), which is the textbook
+    alpha * m1_hat / (sqrt(m2_hat) + eps) in exact arithmetic. No pass
+    allocates.
     """
     state.t += 1
-    m1, m2 = state.m1_flat, state.m2_flat
+    m1, m2, scratch = state.m1_flat, state.m2_flat, state._scratch
     m1 *= ADAM_BETA1
-    m1 += (1.0 - ADAM_BETA1) * g
+    np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+    m1 += scratch
     g *= g
+    g *= 1.0 - ADAM_BETA2
     m2 *= ADAM_BETA2
-    m2 += (1.0 - ADAM_BETA2) * g
-    # update = alpha * m1_hat / (sqrt(m2_hat) + eps), reusing g as scratch
-    np.divide(m2, 1.0 - ADAM_BETA2**state.t, out=g)
-    np.sqrt(g, out=g)
-    g += ADAM_EPSILON
-    np.divide(m1, 1.0 - ADAM_BETA1**state.t, out=state._scratch)
-    state._scratch *= state.alpha
-    state._scratch /= g
-    theta -= state._scratch
+    m2 += g
+    root = math.sqrt(1.0 - ADAM_BETA2**state.t)
+    np.sqrt(m2, out=g)
+    g += ADAM_EPSILON * root
+    np.divide(m1, g, out=scratch)
+    scratch *= state.alpha * root / (1.0 - ADAM_BETA1**state.t)
+    theta -= scratch
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +180,25 @@ def train(
     rng = np.random.default_rng(config.seed)
     # Work on a flat parameter buffer; the model's leaves are views into it,
     # so the in-place Adam update is the only parameter write per batch.
+    # backward_batch writes the gradient into the workspace's flat buffer.
     theta = model_to_vector(model)
     state = AdamState.zeros(theta.size, alpha=config.lr)
     model = model_from_vector(model, theta, copy=False)
+    ws = Workspace(model, min(config.batch_size, n), X.shape[1])
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            y_hat, cache = forward_batch(model, X[batch])
+            y_hat, cache = forward_batch(model, X[batch], ws)
             loss, dY = batch_loss_and_grad(y_hat, Y[batch], config.loss)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            grads = backward_batch(model, cache, dY)
-            _adam_update_flat(theta, model_to_vector(grads), state)
+            backward_batch(model, cache, dY)
+            _adam_update_flat(theta, ws.grad, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
         if config.log_every and config.progress and (epoch + 1) % config.log_every == 0:
