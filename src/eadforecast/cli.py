@@ -297,7 +297,8 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
 
     An anchor is the first predicted day; its window covers the L preceding
     days, which must all be present in the records. Anchors go through the
-    network FORECAST_CHUNK at a time on one BLAS thread.
+    network FORECAST_CHUNK at a time on one BLAS thread, through one
+    workspace.
     """
     if start > end:
         raise ConfigError("forecast span is empty")
@@ -323,9 +324,10 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
     # span length only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
     n_full = len(anchors) - len(anchors) % FORECAST_CHUNK
     starts = [*range(0, n_full, FORECAST_CHUNK), *range(n_full, len(anchors))]
+    ws = lstm_mod.Workspace(model, FORECAST_CHUNK, cfg.lookback)
     with lstm_mod.single_blas_thread():
         for lo, hi in zip(starts, [*starts[1:], len(anchors)]):
-            y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]])
+            y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]], ws)
     return list(zip(anchors, scaler.invert_target(y)))
 
 

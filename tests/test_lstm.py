@@ -9,12 +9,14 @@ finite differences. A single window is a batch of one.
 import numpy as np
 import pytest
 
+from eadforecast import lstm
 from eadforecast.errors import ConfigError
 from eadforecast.losses import batch_loss_and_grad
 from eadforecast.lstm import (
     ForecastModel,
     LstmCellParams,
     ModelSpec,
+    Workspace,
     _lstm_forward_batch,
     backward_batch,
     forward_batch,
@@ -135,6 +137,28 @@ class TestCellStep:
         p.W_fx = np.zeros((2, 2))
         with pytest.raises(ConfigError, match="W_fx"):
             p.validate()
+
+    def test_saturated_gates_are_exactly_zero_or_one_without_warnings(self):
+        # |z| > 40 puts tanh(z/2) at exactly +-1, so sigmoid(z) = (1 +
+        # tanh(z/2)) / 2 is exactly 1 or 0 and tanh(z) exactly +-1, with no
+        # overflow on the way; the backward pass stays finite and gives the
+        # saturated gates zero gradient.
+        p = zero_cell(2, 1)
+        p.b_i, p.b_o, p.b_f = np.array([41.0, -41.0]), np.array([300.0, -45.0]), np.array([-60.0, 42.0])
+        p.W_mx = np.array([[50.0], [-50.0]])
+        with np.errstate(all="raise"):
+            cache = layer_forward(p, [[1.0], [2.0], [-1.0]])
+            assert np.array_equal(cache["i"][:, 0], np.tile([1.0, 0.0], (3, 1)))
+            assert np.array_equal(cache["o"][:, 0], np.tile([1.0, 0.0], (3, 1)))
+            assert np.array_equal(cache["f"][:, 0], np.tile([0.0, 1.0], (3, 1)))
+            assert np.array_equal(cache["m"][:, 0], [[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+            spec = ModelSpec(input_dim=1, hidden1=2, hidden2=2, fc1=3, fc2=2)
+            model = init_params(spec, seed=3)
+            model.lstm1 = p
+            _, grads = loss_and_grads(model, np.array([[[1.0], [2.0], [-1.0]]]), np.array([[0.5]]))
+        assert np.all(np.isfinite(grads.lstm1.W_is))
+        assert np.array_equal(grads.lstm1.b_i, np.zeros(2))
+        assert np.array_equal(grads.lstm1.b_f, np.zeros(2))
 
     def test_gate_ranges(self):
         # Open-interval bounds hold wherever float64 tanh/sigmoid have not
@@ -309,6 +333,58 @@ class TestNetworkBackward:
         _, grads = loss_and_grads(model, X, Y)
         per_window = [model_to_vector(loss_and_grads(model, X[b : b + 1], Y[b : b + 1])[1]) for b in range(5)]
         np.testing.assert_allclose(model_to_vector(grads), np.mean(per_window, axis=0), rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_multi_block_backward_matches_finite_differences(self, lagged, monkeypatch):
+        # One step of lstm1 is 4H x B = 8 doubles here, so 128 bytes make
+        # blocks of two steps: the 5-step backward runs blocks [3,5), [1,3),
+        # [0,1), and its factors cross block boundaries (c_prev, m_prev and,
+        # lagged, the next step's i).
+        monkeypatch.setattr(lstm, "BACKWARD_BLOCK_BYTES", 128)
+        rng = np.random.default_rng(80 + lagged)
+        spec = ModelSpec(
+            input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=1, lagged_m=lagged
+        )
+        for _ in range(3):
+            model = random_model(rng, spec)
+            X, Y = rng.normal(size=(1, 5, 2)), rng.normal(size=(1, 1))
+            assert Workspace(model, 1, 5).lstm1.block == 2
+            assert check_gradients(model, X, Y) < 1e-5
+
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_gradient_bits_do_not_depend_on_the_block_length(self, lagged, monkeypatch):
+        # The factors are elementwise, so grouping steps into blocks moves no bit.
+        rng = np.random.default_rng(90 + lagged)
+        spec = ModelSpec(input_dim=3, hidden1=4, hidden2=3, fc1=5, fc2=4, horizon=2, lagged_m=lagged)
+        model = random_model(rng, spec)
+        X, Y = rng.normal(size=(3, 7, 3)), rng.normal(size=(3, 2))
+        grads = []
+        for block_bytes in (1, 8 * 16 * 3 * 3, 1 << 30):  # blocks of 1, 3 and 7 steps
+            monkeypatch.setattr(lstm, "BACKWARD_BLOCK_BYTES", block_bytes)
+            grads.append(model_to_vector(loss_and_grads(model, X, Y)[1]))
+        assert np.array_equal(grads[0], grads[1]) and np.array_equal(grads[0], grads[2])
+
+    def test_workspace_gradient_is_flat_and_fully_rewritten(self):
+        # backward_batch writes every entry of the workspace's flat gradient,
+        # and returns views of it; a reused workspace, also at a smaller
+        # batch, gives the bits of a fresh one.
+        rng = np.random.default_rng(95)
+        spec = ModelSpec(input_dim=3, hidden1=4, hidden2=3, fc1=5, fc2=4, horizon=2)
+        model = random_model(rng, spec)
+        ws = Workspace(model, 4, 6)
+        for batch in (4, 3, 4):
+            X, Y = rng.normal(size=(batch, 6, 3)), rng.normal(size=(batch, 2))
+            y, cache = forward_batch(model, X, ws)
+            ws.grad.fill(np.nan)
+            grads = backward_batch(model, cache, batch_loss_and_grad(y, Y)[1])
+            assert grads is ws.grads
+            assert np.array_equal(ws.grad, model_to_vector(grads))
+            assert np.array_equal(ws.grad, model_to_vector(loss_and_grads(model, X, Y)[1]))
+
+    def test_workspace_refuses_a_larger_batch(self):
+        model = init_params(TINY)
+        with pytest.raises(ConfigError, match="workspace"):
+            forward_batch(model, np.zeros((3, 4, 2)), Workspace(model, 2, 4))
 
     def test_cross_entropy_gradients(self):
         rng = np.random.default_rng(70)

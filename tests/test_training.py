@@ -97,6 +97,28 @@ class TestAdam:
         for step in after:
             assert np.array_equal(step, theta)
 
+    def test_matches_textbook_update(self):
+        # The eps-hat form is Algorithm 1 of Kingma & Ba with the bias
+        # corrections folded into the step size; over 1,000 steps of
+        # gradients spanning six decades it stays within 1e-12 of it. The
+        # parameters start in [5, 10] and move at most 1e-3 per step, so no
+        # relative error is measured at a zero crossing.
+        rng = np.random.default_rng(11)
+        theta = rng.uniform(5.0, 10.0, size=64)
+        ref, m, v = theta.copy(), np.zeros(64), np.zeros(64)
+        state = AdamState.zeros(64, alpha=1e-3)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 1001):
+            g = rng.normal(size=64) * 10.0 ** rng.uniform(-3, 3, size=64)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            ref -= 1e-3 * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            _adam_update_flat(theta, g.copy(), state)
+            np.testing.assert_allclose(theta, ref, rtol=1e-12, atol=0)
+        # The moments themselves are computed in the textbook's order.
+        assert np.array_equal(state.m1_flat, m) and np.array_equal(state.m2_flat, v)
+        assert state.t == 1000
+
     def test_invalid_state_rejected(self):
         # The decay rates and epsilon are constants; the step size is the
         # one setting from outside, and train refuses a bad one up front.
