@@ -20,6 +20,33 @@ feeds the dense stack. One batched engine (`forward_batch` /
 batch of one. The test suite pins it against a straight-line transcription
 of the gate equations and against central finite differences.
 `single_blas_thread` runs a block, such as a forecast, on one BLAS thread.
+
+How the engine computes it (the fused-gate, loop-hoisted layout of
+Appleyard et al. 2016, arXiv:1604.01946):
+
+- Layout. Per step, every array is feature-major, (rows, B): the four gate
+  blocks [i|o|f|m] of a step are each one contiguous (H, B) array, so each
+  elementwise op runs on contiguous memory. A layer's weights are stacked as
+  W = [Wx | Ws | b] (4H, I+H+1), and step t is one matmul of W with the
+  column block [x_t; s_{t-1}; 1]; s_t is written straight into the next
+  step's block.
+- One tanh per step. sigmoid(z) = 1/2 + 1/2 tanh(z/2), and the 1/2 inside is
+  folded into the i/o/f rows of W (halving a float is exact), so a single
+  tanh over all 4H rows and two in-place steps give the three sigmoid gates
+  and the candidate. Saturation is exact and silent: |z| >= 38 gives
+  sigmoid(z) of exactly 0 or 1, and no exp can overflow.
+- Blocked backward. The factors of the backward step that depend only on the
+  forward pass (sigma' = sigma (1 - sigma), 1 - m^2, 1 - tanh(c)^2 and their
+  products with m, c_prev, i, o and tanh(c); see `_backward_factors`) are
+  computed outside the step loop, for blocks of steps sized by
+  `BACKWARD_BLOCK_BYTES` from B * 4H so that a block is still in cache when
+  the loop reads it: the whole 14-step window at B=8, a step or two at
+  B=256. The loop keeps seven numpy calls per step (eight for the lagged
+  variant). The weight gradients are one matmul over all steps at the end,
+  written into a flat gradient vector in the canonical leaf order.
+- Buffers. `Workspace` holds every per-step array for one model and a
+  largest batch; `train` and `run_forecast` make one and reuse it, so no
+  step allocates.
 """
 
 from __future__ import annotations
