@@ -1,8 +1,8 @@
 """Per-layer cost of one training step, parent against change, and the
 benchmark runs behind a speed claim.
 
-    python bench/layer_step.py --parent PATH [--change PATH] [--repeats 5]
-                               [--pairs 10] [--seconds 36] [--out BENCH_6.json]
+    python bench/layer_step.py --parent PATH --out FILE [--change PATH]
+                               [--repeats 5] [--pairs 10] [--seconds 36]
 
 PATH is the root of a checkout (it holds src/eadforecast and perfbench/);
 --change defaults to this checkout. For B = 8, 64 and 256 a worker process
@@ -201,16 +201,15 @@ def main() -> None:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--pairs", type=int, default=0)
     p.add_argument("--seconds", type=float, default=36.0)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    p.add_argument("--out", type=Path, help="the JSON file to write")
     args = p.parse_args()
     if args.mode == "measure":
         print(json.dumps(measure(args.src, args.batch)))
         return
-    if args.parent is None:
-        p.error("--parent is required")
+    if args.parent is None or args.out is None:
+        p.error("--parent and --out are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
-        "command": " ".join(sys.argv),
         "environment": environment(),
         "layers_ms_median_of_repeats": layer_table(sides, args.repeats),
         "repeats": args.repeats,
