@@ -7,7 +7,7 @@ with known ground truth, training with Adam, evaluation metrics, and a CLI
 for the training / ablation / multi-horizon study scenarios.
 """
 
-from .data import DailyRecord, FeatureMask, FeatureWindow, SynthConfig, synth_generate
+from .data import DailyRecord, FeatureMask, SynthConfig, synth_generate
 from .lstm import (
     DenseLayerParams,
     ForecastModel,
@@ -26,7 +26,6 @@ __all__ = [
     "DenseLayerParams",
     "EvalReport",
     "FeatureMask",
-    "FeatureWindow",
     "ForecastModel",
     "LstmCellParams",
     "MinMaxScaler",

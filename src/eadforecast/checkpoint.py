@@ -19,13 +19,18 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import atomic_write_bytes
-from .lstm import ForecastModel, ModelSpec, init_params, model_from_leaves, model_leaves
+from .lstm import ForecastModel, ModelSpec, init_params, model_from_vector, model_leaves
 from .training import MinMaxScaler
 
 MAGIC = b"EADCAST1"
 FORMAT_VERSION = 1
 # Header entries load_checkpoint reads besides format_version and config_digest.
 HEADER_KEYS = ("arch", "scaler", "meta", "arrays", "payload_sha256")
+# The header's arch entry: every ModelSpec field, each of one JSON type.
+ARCH_TYPES = {
+    "input_dim": int, "hidden1": int, "hidden2": int, "fc1": int, "fc2": int,
+    "horizon": int, "head_activation": str, "lagged_m": bool,
+}
 
 
 def config_digest(payload: dict) -> str:
@@ -80,7 +85,12 @@ def save_checkpoint(path, model: ForecastModel, scaler: MinMaxScaler, meta: dict
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; anything malformed, truncated or corrupt is a DataError."""
     path = Path(path)
+
+    def corrupt(what: str) -> DataError:
+        return DataError(f"{path}: corrupt checkpoint header: {what}")
+
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     blob = path.read_bytes()
@@ -93,9 +103,9 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+        raise corrupt(str(exc)) from None
     if not isinstance(header, dict):
-        raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")
+        raise corrupt("not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"{path}: checkpoint format version {header.get('format_version')} "
@@ -103,7 +113,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     missing = [key for key in HEADER_KEYS if key not in header]
     if missing:
-        raise DataError(f"{path}: corrupt checkpoint header: no {', '.join(missing)}")
+        raise corrupt(f"no {', '.join(missing)}")
     expected = config_digest(
         {"arch": header["arch"], "scaler": header["scaler"], "meta": header["meta"]}
     )
@@ -114,42 +124,42 @@ def load_checkpoint(path) -> Checkpoint:
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise DataError(f"{path}: checkpoint payload is truncated or corrupt")
 
-    arch = header["arch"]
-    spec = ModelSpec(
-        input_dim=arch["input_dim"], hidden1=arch["hidden1"], hidden2=arch["hidden2"],
-        fc1=arch["fc1"], fc2=arch["fc2"], horizon=arch["horizon"],
-        head_activation=arch["head_activation"], lagged_m=arch["lagged_m"],
-    )
-    template = init_params(spec, scheme="zeros")
-    arrays = {}
-    offset = 0
-    flat = np.frombuffer(payload, dtype="<f8")
+    arch, sc, meta = header["arch"], header["scaler"], header["meta"]
+    if not (isinstance(arch, dict) and {k: type(v) for k, v in arch.items()} == ARCH_TYPES
+            and all(v >= 1 for v in arch.values() if type(v) is int)):
+        raise corrupt(f"arch must hold {', '.join(ARCH_TYPES)} as written by save_checkpoint")
+    try:
+        template = init_params(ModelSpec(**arch), scheme="zeros")
+    except (ConfigError, MemoryError) as exc:
+        raise corrupt(f"arch: {exc}") from None
     leaves = model_leaves(template)
-    manifest = header["arrays"]
-    if not isinstance(manifest, list) or len(manifest) != len(leaves):
-        raise DataError(
-            f"{path}: corrupt checkpoint header: the array manifest does not list "
-            f"the architecture's {len(leaves)} arrays"
-        )
-    for entry, (name, ref) in zip(manifest, leaves):
-        if entry["name"] != name or tuple(entry["shape"]) != ref.shape:
-            raise DataError(f"{path}: checkpoint array manifest does not match the architecture")
-        size = ref.size
-        arrays[name] = flat[offset : offset + size].reshape(ref.shape).astype(np.float64)
-        offset += size
-    if offset != flat.size:
+    if header["arrays"] != [{"name": name, "shape": list(a.shape)} for name, a in leaves]:
+        raise corrupt(f"the array manifest does not list the architecture's {len(leaves)} arrays")
+    if len(payload) != 8 * sum(a.size for _, a in leaves):
         raise DataError(f"{path}: payload size does not match the manifest")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    model = model_from_vector(template, flat, copy=False)
 
-    model = model_from_leaves(template, arrays)
-    model.validate()
-    sc = header["scaler"]
+    if not (isinstance(sc, dict) and isinstance(meta, dict)):
+        raise corrupt("scaler and meta must be JSON objects")
     scaler = MinMaxScaler(
-        feature_min=np.asarray(sc["feature_min"], dtype=np.float64),
-        feature_max=np.asarray(sc["feature_max"], dtype=np.float64),
-        target_min=float(sc["target_min"]),
-        target_max=float(sc["target_max"]),
+        feature_min=_numbers(sc.get("feature_min"), (model.input_dim,), corrupt),
+        feature_max=_numbers(sc.get("feature_max"), (model.input_dim,), corrupt),
+        target_min=float(_numbers(sc.get("target_min"), (), corrupt)),
+        target_max=float(_numbers(sc.get("target_max"), (), corrupt)),
     )
-    return Checkpoint(model=model, scaler=scaler, meta=header["meta"])
+    return Checkpoint(model=model, scaler=scaler, meta=meta)
+
+
+def _numbers(value, shape: tuple, corrupt) -> np.ndarray:
+    """A scaler entry as float64 of the given shape: a finite JSON number, or
+    a list of them."""
+    items = value if isinstance(value, list) else [value]
+    if all(type(v) in (int, float) for v in items):
+        arr = np.array(value, dtype=np.float64)
+        if arr.shape == shape and np.isfinite(arr).all():
+            return arr
+    raise corrupt(f"scaler values must be {shape or 'one'} finite number(s), got {value!r}")
 
 
 def check_compatible(

@@ -29,7 +29,7 @@ from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import atomic_write_text
 from .lstm import ModelSpec, init_params
-from .metrics import EvalReport, HorizonSeries, evaluate_series, horizon_aggregate
+from .metrics import EvalReport, HorizonSeries, evaluate_series, horizon_aggregate, relative_errors
 from .training import TrainConfig, apply_scaler, fit_scaler, train
 
 log = logging.getLogger("eadforecast")
@@ -315,10 +315,9 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
         anchors.append(day)
         rows.append(idx)
         day += dt.timedelta(days=1)
-    # Min-max scaling is elementwise, so scaling every row once gives the
-    # same values as scaling each window.
+    # Scaled once and gathered by row, as training's apply_scaler does.
     features = scaler.transform_features(data_mod.feature_matrix(records, cfg.mask()))
-    window_rows = np.asarray(rows)[:, None] + np.arange(-cfg.lookback, 0)  # (N, L)
+    window_rows = data_mod.window_rows(rows, cfg.lookback)
     y = np.empty((len(anchors), model.horizon))
     # Full chunks, then the tail one anchor at a time, so that whatever the
     # span length only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
@@ -543,15 +542,24 @@ def cmd_forecast(args) -> None:
     cfg = build_run_config(args, RunConfig(
         group=None, lookback=None, horizon=None, features=None, baseline_month=None))
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
+    meta = ckpt.meta
+    features, lookback = meta.get("features"), meta.get("lookback")
+    if not (isinstance(features, list) and len(features) == ckpt.model.input_dim
+            and all(f in data_mod.FEATURE_ORDER for f in features)
+            and type(lookback) is int and lookback >= 1
+            and meta.get("group", "all") in data_mod.GROUPS
+            and isinstance(meta.get("baseline_month", ""), str)):
+        raise DataError(f"{args.checkpoint}: the checkpoint meta must record its features (one "
+                        "known name per input) and lookback (an integer >= 1); a group must be "
+                        "a known one and a baseline month a string")
     ckpt_io.check_compatible(
         ckpt, features=cfg.features, lookback=cfg.lookback, horizon=cfg.horizon, group=cfg.group,
         baseline_month=cfg.baseline_month,
     )
-    cfg.features = tuple(ckpt.meta["features"])
-    cfg.lookback = int(ckpt.meta["lookback"])
+    cfg.features, cfg.lookback = tuple(features), lookback
     cfg.horizon = ckpt.model.horizon
-    cfg.group = ckpt.meta.get("group", "all")
-    cfg.baseline_month = ckpt.meta.get(
+    cfg.group = meta.get("group", "all")
+    cfg.baseline_month = meta.get(
         "baseline_month", cfg.baseline_month or RunConfig.baseline_month)
     cfg.validate(need_spans=False)
     start = _coerce_date(args.start, "start") if args.start else cfg.test_start
@@ -604,9 +612,7 @@ def run_ablation(cfg: RunConfig):
     for name, excluded in ABLATION_VARIANTS:
         vcfg = replace(cfg, features=_variant_features(cfg.features, excluded))
         ev = run_variant(vcfg, records, name, Path(cfg.out) / "ablate" / name)
-        nonzero = ev.actual != 0
-        errors = np.abs(ev.actual[nonzero] - ev.estimate[nonzero]) / ev.actual[nonzero]
-        results.append((name, ev.report, errors))
+        results.append((name, ev.report, relative_errors(ev.actual, ev.estimate)[0]))
     return results
 
 

@@ -59,15 +59,6 @@ class FeatureMask:
         return cls(**{name: name in names for name in FEATURE_ORDER})
 
 
-@dataclass
-class FeatureWindow:
-    """L lookback days of features paired with the following K-day targets."""
-
-    inputs: np.ndarray  # (L, F)
-    target: np.ndarray  # (K,)
-    anchor_date: dt.date  # first target day
-
-
 # ---------------------------------------------------------------------------
 # CSV loaders
 # ---------------------------------------------------------------------------
@@ -327,11 +318,18 @@ def feature_matrix(records: list[DailyRecord], mask: FeatureMask) -> np.ndarray:
     return rows
 
 
+def window_rows(anchor_rows, L: int) -> np.ndarray:
+    """(N, L) indices of the L days before each anchor row: indexing a
+    (days, F) feature matrix with them gathers the (N, L, F) windows."""
+    return np.asarray(anchor_rows)[:, None] + np.arange(-L, 0)
+
+
 def make_windows(
     records: list[DailyRecord], L: int, K: int, mask: FeatureMask, group: str = "all"
-) -> list[FeatureWindow]:
-    """Stride-1 lookback windows: inputs cover days [a-L, a-1], the target
-    vector holds the group's counts for days [a, a+K-1]."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stride-1 lookback windows as (features, rows, targets): the (days, F)
+    feature matrix, the (N, L) rows of each window's inputs (days [a-L, a-1]
+    for anchor a) and the (N, K) group counts of days [a, a+K-1]."""
     if group not in GROUPS:
         raise ConfigError(f"unknown group {group!r}; valid: {list(GROUPS)}")
     if L < 1 or K < 1:
@@ -339,18 +337,9 @@ def make_windows(
     n = len(records)
     if n < L + K:
         raise DataError(f"span of {n} days is too short for lookback {L} + horizon {K}")
-    features = feature_matrix(records, mask)
     counts = np.array([r.ead[group] for r in records], dtype=np.float64)
-    windows = []
-    for a in range(L, n - K + 1):
-        windows.append(
-            FeatureWindow(
-                inputs=features[a - L : a].copy(),
-                target=counts[a : a + K].copy(),
-                anchor_date=records[a].date,
-            )
-        )
-    return windows
+    targets = np.lib.stride_tricks.sliding_window_view(counts[L:], K)
+    return feature_matrix(records, mask), window_rows(np.arange(L, n - K + 1), L), targets
 
 
 # ---------------------------------------------------------------------------

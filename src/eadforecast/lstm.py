@@ -196,24 +196,6 @@ def model_leaves(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def model_from_leaves(template: ForecastModel, arrays: dict[str, np.ndarray]) -> ForecastModel:
-    """Rebuild a model from named leaf arrays, copying metadata from template."""
-    parts: dict[str, dict[str, np.ndarray]] = {"lstm1": {}, "lstm2": {}, "fc1": {}, "fc2": {}, "head": {}}
-    for name in LEAF_ORDER:
-        part, attr = name.split(".")
-        parts[part][attr] = arrays[name]
-    return ForecastModel(
-        lstm1=LstmCellParams(**parts["lstm1"]),
-        lstm2=LstmCellParams(**parts["lstm2"]),
-        fc1=DenseLayerParams(activation=template.fc1.activation, **parts["fc1"]),
-        fc2=DenseLayerParams(activation=template.fc2.activation, **parts["fc2"]),
-        head=DenseLayerParams(activation=template.head.activation, **parts["head"]),
-        input_dim=template.input_dim,
-        horizon=template.horizon,
-        lagged_m=template.lagged_m,
-    )
-
-
 def model_to_vector(model: ForecastModel) -> np.ndarray:
     return np.concatenate([a.ravel() for _, a in model_leaves(model)])
 
@@ -226,15 +208,25 @@ def model_from_vector(
     With copy=False the leaves are views into vec, so later in-place edits
     of vec show through the model (the training loop relies on this).
     """
-    arrays = {}
+    parts: dict[str, dict[str, np.ndarray]] = {"lstm1": {}, "lstm2": {}, "fc1": {}, "fc2": {}, "head": {}}
     pos = 0
     for name, a in model_leaves(template):
+        part, attr = name.split(".")
         leaf = vec[pos : pos + a.size].reshape(a.shape)
-        arrays[name] = leaf.copy() if copy else leaf
+        parts[part][attr] = leaf.copy() if copy else leaf
         pos += a.size
     if pos != vec.size:
         raise ConfigError(f"parameter vector has {vec.size} entries, expected {pos}")
-    return model_from_leaves(template, arrays)
+    return ForecastModel(
+        lstm1=LstmCellParams(**parts["lstm1"]),
+        lstm2=LstmCellParams(**parts["lstm2"]),
+        fc1=DenseLayerParams(activation=template.fc1.activation, **parts["fc1"]),
+        fc2=DenseLayerParams(activation=template.fc2.activation, **parts["fc2"]),
+        head=DenseLayerParams(activation=template.head.activation, **parts["head"]),
+        input_dim=template.input_dim,
+        horizon=template.horizon,
+        lagged_m=template.lagged_m,
+    )
 
 
 def _uniform_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

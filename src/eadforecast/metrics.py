@@ -36,17 +36,22 @@ def corr_coeff(u, v) -> float:
     return float((n * (a @ b) - su * sv) / np.sqrt(duu * dvv))
 
 
-def mae_with_skip_count(u, v) -> tuple[float, int]:
-    """Relative mean absolute error and the number of zero-actual terms skipped."""
+def relative_errors(u, v) -> tuple[np.ndarray, int]:
+    """The per-day terms |u_i - v_i| / u_i of the relative MAE over the
+    nonzero actuals, and the number of zero-actual days skipped."""
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise ConfigError(f"mae needs two equal 1-d series, got {a.shape} and {b.shape}")
     keep = a != 0.0
-    skipped = int((~keep).sum())
-    if skipped == a.size:
+    return np.abs(a[keep] - b[keep]) / a[keep], int((~keep).sum())
+
+
+def mae_with_skip_count(u, v) -> tuple[float, int]:
+    """Relative mean absolute error and the number of zero-actual terms skipped."""
+    terms, skipped = relative_errors(u, v)
+    if terms.size == 0:
         raise NumericalError("relative MAE undefined: every actual value is zero")
-    terms = np.abs(a[keep] - b[keep]) / a[keep]
     return float(terms.mean()), skipped
 
 

@@ -88,13 +88,9 @@ class MinMaxScaler:
 
     def transform_features(self, x: np.ndarray) -> np.ndarray:
         rng = self.feature_max - self.feature_min
-        out = np.empty_like(x, dtype=np.float64)
-        for j in range(x.shape[-1]):
-            if rng[j] > 0:
-                out[..., j] = (x[..., j] - self.feature_min[j]) / rng[j]
-            else:
-                out[..., j] = 0.5
-        return out
+        live = rng > 0
+        return np.where(live, (np.asarray(x, dtype=np.float64) - self.feature_min)
+                        / np.where(live, rng, 1.0), 0.5)
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
         rng = self.target_max - self.target_min
@@ -108,11 +104,13 @@ class MinMaxScaler:
 
 
 def fit_scaler(windows) -> MinMaxScaler:
-    """Learn feature/target ranges from training windows."""
-    if not windows:
+    """Learn feature/target ranges from make_windows' (features, rows,
+    targets). The inputs are gathered window after window, so the bounds
+    are those of the concatenated windows bit for bit, even a zero's sign."""
+    features, rows, targets = windows
+    if rows.size == 0:
         raise ConfigError("cannot fit a scaler on an empty training set")
-    inputs = np.concatenate([np.asarray(w.inputs, dtype=np.float64) for w in windows], axis=0)
-    targets = np.concatenate([np.asarray(w.target, dtype=np.float64).ravel() for w in windows])
+    inputs = features[rows.ravel()]
     fmin = inputs.min(axis=0)
     fmax = inputs.max(axis=0)
     constant = np.nonzero(fmax == fmin)[0]
@@ -120,6 +118,7 @@ def fit_scaler(windows) -> MinMaxScaler:
         warnings.warn(
             f"constant feature column(s) {constant.tolist()} map to 0.5", stacklevel=2
         )
+    targets = np.ravel(targets)
     tmin, tmax = float(targets.min()), float(targets.max())
     if tmax == tmin:
         warnings.warn("constant target maps to 0.5", stacklevel=2)
@@ -127,10 +126,11 @@ def fit_scaler(windows) -> MinMaxScaler:
 
 
 def apply_scaler(scaler: MinMaxScaler, windows) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into normalized arrays X (N, L, F) and Y (N, K)."""
-    X = np.stack([scaler.transform_features(np.asarray(w.inputs, dtype=np.float64)) for w in windows])
-    Y = np.stack([scaler.transform_target(np.asarray(w.target, dtype=np.float64)) for w in windows])
-    return X, Y
+    """Normalized arrays X (N, L, F) and Y (N, K) of make_windows' windows.
+    Min-max scaling is elementwise, so the feature matrix is scaled once and
+    the windows gathered from it by row."""
+    features, rows, targets = windows
+    return scaler.transform_features(features)[rows], scaler.transform_target(targets)
 
 
 # ---------------------------------------------------------------------------

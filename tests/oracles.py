@@ -1,4 +1,6 @@
-"""The central-difference gradient oracle the analytic gradients are checked against."""
+"""Oracles the package is checked against: central-difference gradients
+for the analytic gradients, and the per-window scaling path for the
+windows training gathers by index."""
 
 from __future__ import annotations
 
@@ -37,3 +39,35 @@ def finite_diff_gradient(
             )
         grad[idx] = (f_hi - f_lo) / (2.0 * h)
     return grad
+
+
+# Feature name -> DailyRecord attribute.
+_FEATURE_ATTR = {"temperature": "tmax", "humidity": "humidity", "day_label": "day_label",
+                 "mobility": "mobility"}
+
+
+def per_window_scaled(records, L: int, K: int, columns, group: str):
+    """Scaled training windows built one window at a time.
+
+    Each stride-1 window gets its own copy of its L input days and K target
+    days; the min-max bounds come from the concatenation of those copies; each
+    window is scaled column by column, a constant column to 0.5. Returns
+    X (N, L, F), Y (N, K) and the bounds (feature_min, feature_max,
+    target_min, target_max).
+    """
+    days = np.array([[getattr(r, _FEATURE_ATTR[c]) for c in columns] for r in records], dtype=np.float64)
+    counts = np.array([r.ead[group] for r in records], dtype=np.float64)
+    windows = [
+        (days[a - L : a].copy(), counts[a : a + K].copy()) for a in range(L, len(records) - K + 1)
+    ]
+    inputs = np.concatenate([x for x, _ in windows], axis=0)
+    targets = np.concatenate([y for _, y in windows])
+    fmin, fmax = inputs.min(axis=0), inputs.max(axis=0)
+    tmin, tmax = float(targets.min()), float(targets.max())
+    X = np.empty((len(windows), L, len(columns)))
+    Y = np.empty((len(windows), K))
+    for n, (x, y) in enumerate(windows):
+        for j in range(len(columns)):
+            X[n, :, j] = (x[:, j] - fmin[j]) / (fmax[j] - fmin[j]) if fmax[j] > fmin[j] else 0.5
+        Y[n] = (y - tmin) / (tmax - tmin) if tmax > tmin else 0.5
+    return X, Y, (fmin, fmax, tmin, tmax)

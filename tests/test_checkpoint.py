@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eadforecast.checkpoint import (
     HEADER_KEYS,
@@ -15,7 +17,7 @@ from eadforecast.checkpoint import (
     save_checkpoint,
 )
 from eadforecast.errors import ConfigError, DataError
-from eadforecast.lstm import ModelSpec, forward_batch
+from eadforecast.lstm import ModelSpec, forward_batch, model_to_vector
 from eadforecast.training import MinMaxScaler
 from tests.test_lstm import random_model
 
@@ -53,6 +55,11 @@ class TestRoundTrip:
         assert np.array_equal(loaded.scaler.feature_min, scaler.feature_min)
         assert loaded.scaler.target_max == scaler.target_max
         assert loaded.meta == meta
+
+    def test_empty_meta_loads(self, saved, tmp_path):
+        _, model, scaler, _ = saved
+        save_checkpoint(tmp_path / "bare.bin", model, scaler, {})
+        assert load_checkpoint(tmp_path / "bare.bin").meta == {}
 
     def test_save_is_deterministic(self, saved, tmp_path):
         path, model, scaler, meta = saved
@@ -129,3 +136,49 @@ class TestRefusals:
         check_compatible(
             ckpt, features=["temperature", "humidity", "day_label"], lookback=7, horizon=2, group="all"
         )
+
+
+@pytest.fixture(scope="module")
+def damage(tmp_path_factory):
+    """A saved checkpoint's bytes, and a loader of damaged copies of them."""
+    rng = np.random.default_rng(3)
+    model = random_model(rng, ModelSpec(input_dim=2, hidden1=3, hidden2=2, fc1=3, fc2=2, horizon=2))
+    scaler = MinMaxScaler(np.array([0.0, -1.5]), np.array([1.0, 2.5]), 3.0, 40.0)
+    path = tmp_path_factory.mktemp("damage") / "checkpoint.bin"
+    save_checkpoint(path, model, scaler, {"features": ["temperature", "mobility"], "lookback": 3})
+    blob = path.read_bytes()
+    original = load_checkpoint(path)
+
+    def load(damaged: bytes):
+        path.write_bytes(damaged)
+        return load_checkpoint(path)
+
+    return blob, original, load
+
+
+class TestDamagedFiles:
+    """Any damage is refused with a DataError, and with nothing else."""
+
+    @given(st.data())
+    def test_truncation_is_refused(self, damage, data):
+        blob, _, load = damage
+        cut = data.draw(st.integers(0, len(blob) - 1), "length")
+        with pytest.raises(DataError):
+            load(blob[:cut])
+
+    @given(st.data())
+    def test_a_changed_byte_is_refused_or_changes_nothing(self, damage, data):
+        blob, original, load = damage
+        at = data.draw(st.integers(0, len(blob) - 1), "offset")
+        flip = data.draw(st.integers(1, 255), "xor")
+        damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1 :]
+        try:
+            loaded = load(damaged)
+        except DataError:
+            return
+        # A change the header's JSON values do not see (a space turned into
+        # a tab, 1.0 into 1e0) may load, but only as the same checkpoint.
+        assert model_to_vector(loaded.model).tobytes() == model_to_vector(original.model).tobytes()
+        assert loaded.meta == original.meta
+        for name, value in vars(original.scaler).items():
+            assert np.array_equal(getattr(loaded.scaler, name), value)

@@ -3,6 +3,7 @@ exit codes, report formats, and the scenario commands."""
 
 import csv
 import datetime as dt
+import json
 import os
 import subprocess
 import sys
@@ -241,6 +242,78 @@ class TestForecastCommand:
             "forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
             "--start", "2020-05-20", "--end", "2020-06-05",
         ]) == 2
+
+
+DROP = object()
+
+
+def rewrite_checkpoint(src: Path, dst: Path, section: str, key, value) -> None:
+    """Copy a checkpoint with one header entry changed (key None: the whole
+    section; value DROP: delete it), its config digest recomputed so the
+    edit gets past the digest check."""
+    blob = src.read_bytes()
+    start = len(ckpt_io.MAGIC) + 8
+    length = int.from_bytes(blob[len(ckpt_io.MAGIC) : start], "little")
+    header = json.loads(blob[start : start + length])
+    if key is None:
+        header[section] = value
+    elif value is DROP:
+        del header[section][key]
+    else:
+        header[section][key] = value
+    header["config_digest"] = ckpt_io.config_digest(
+        {name: header[name] for name in ("arch", "scaler", "meta")})
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(ckpt_io.MAGIC + len(text).to_bytes(8, "little") + text + blob[start + length :])
+
+
+class TestMalformedCheckpoint:
+    # The trained checkpoint: input_dim 4 (all features), K=1, L=7.
+    @pytest.mark.parametrize("section,key,value", [
+        ("arrays", 0, "lstm1.W_ix"),
+        ("arrays", 0, {"name": "lstm1.W_ix"}),
+        ("arrays", 0, {"name": "lstm1.W_ix", "shape": [50, 4], "dtype": "<f8"}),
+        ("arch", None, [4, 50, 30]),
+        ("arch", "hidden1", DROP),
+        ("arch", "hidden1", "50"),
+        ("arch", "fc1", 300.0),
+        ("arch", "fc2", -100),
+        ("arch", "hidden2", 10**12),
+        ("arch", "lagged_m", "no"),
+        ("arch", "head_activation", "softmax"),
+        ("scaler", "feature_min", ["a", "b", "c", "d"]),
+        ("scaler", "feature_max", [1.0, 2.0, 3.0]),
+        ("scaler", "target_min", "80"),
+        ("scaler", "target_max", None),
+        ("meta", None, []),
+        ("meta", "features", DROP),
+        ("meta", "lookback", DROP),
+        ("meta", "lookback", "7"),
+        ("meta", "features", ["temperature", "humidity", "day_label"]),
+        ("meta", "features", ["temperature", "humidity", "day_label", "rain"]),
+        ("meta", "group", ["all"]),
+        ("meta", "baseline_month", 202001),
+    ], ids=["manifest_entry_str", "manifest_entry_no_shape", "manifest_entry_extra_key",
+            "arch_list", "arch_no_hidden1", "arch_hidden1_str", "arch_fc1_float",
+            "arch_fc2_negative", "arch_hidden2_huge", "arch_lagged_m_str", "arch_head_activation",
+            "scaler_feature_min_str", "scaler_feature_max_short", "scaler_target_min_str",
+            "scaler_target_max_null", "meta_list", "meta_no_features", "meta_no_lookback",
+            "meta_lookback_str", "meta_features_short", "meta_features_unknown", "meta_group_list",
+            "meta_baseline_month_int"])
+    def test_forecast_exits_2(self, trained, tmp_path, section, key, value):
+        cfg, out = trained
+        bad = tmp_path / "checkpoint.bin"
+        rewrite_checkpoint(out / "checkpoint.bin", bad, section, key, value)
+        assert main(["forecast", "--config", str(cfg), "--checkpoint", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_unedited_rewrite_still_forecasts(self, trained, tmp_path):
+        cfg, out = trained
+        good = tmp_path / "checkpoint.bin"
+        rewrite_checkpoint(out / "checkpoint.bin", good, "meta", "seed", 0)
+        assert main(["forecast", "--config", str(cfg), "--checkpoint", str(good),
+                     "--out", str(tmp_path)]) == 0
 
 
 def forecast_setup(dataset, horizon):

@@ -2,12 +2,17 @@
 synthetic generator."""
 
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eadforecast.cli import RunConfig
 from eadforecast.data import (
+    FEATURE_ORDER,
+    GROUPS,
     DailyRecord,
     FeatureMask,
     SynthConfig,
@@ -24,6 +29,8 @@ from eadforecast.data import (
     write_dataset,
 )
 from eadforecast.errors import ConfigError, DataError
+from eadforecast.training import apply_scaler, fit_scaler
+from tests.oracles import per_window_scaled
 
 
 def write(path, text):
@@ -195,10 +202,12 @@ class TestMakeWindows:
         return plain_records(date_range(dt.date(2020, 1, 1), days), [100.0] * days)
 
     def test_count_span10_l7_k1(self):
-        assert len(make_windows(self.records(10), 7, 1, FeatureMask())) == 3
+        _, rows, targets = make_windows(self.records(10), 7, 1, FeatureMask())
+        assert rows.shape == (3, 7) and targets.shape == (3, 1)
 
     def test_count_span10_l7_k3(self):
-        assert len(make_windows(self.records(10), 7, 3, FeatureMask())) == 1
+        _, rows, targets = make_windows(self.records(10), 7, 3, FeatureMask())
+        assert rows.shape == (1, 7) and targets.shape == (1, 3)
 
     def test_count_formula_property(self):
         rng = np.random.default_rng(0)
@@ -206,13 +215,13 @@ class TestMakeWindows:
             span = int(rng.integers(2, 40))
             L = int(rng.integers(1, span))
             K = int(rng.integers(1, span - L + 1))
-            wins = make_windows(self.records(span), L, K, FeatureMask())
-            assert len(wins) == span - L - K + 1
+            _, rows, targets = make_windows(self.records(span), L, K, FeatureMask())
+            assert len(rows) == len(targets) == span - L - K + 1
 
     def test_mask_drops_column(self):
         mask = FeatureMask(temperature=True, humidity=True, day_label=True, mobility=False)
-        wins = make_windows(self.records(10), 7, 1, mask)
-        assert wins[0].inputs.shape == (7, 3)
+        features, rows, _ = make_windows(self.records(10), 7, 1, mask)
+        assert features[rows][0].shape == (7, 3)
 
     def test_span_too_short(self):
         with pytest.raises(DataError):
@@ -222,9 +231,9 @@ class TestMakeWindows:
         records = self.records(12)
         for i, r in enumerate(records):
             r.ead["all"] = i
-        wins = make_windows(records, 7, 3, FeatureMask())
-        assert np.array_equal(wins[0].target, [7.0, 8.0, 9.0])
-        assert wins[0].anchor_date == records[7].date
+        _, rows, targets = make_windows(records, 7, 3, FeatureMask())
+        assert np.array_equal(targets[0], [7.0, 8.0, 9.0])
+        assert np.array_equal(rows[0], np.arange(7))
 
     def test_round_trip_bit_exact(self):
         records = self.records(12)
@@ -232,9 +241,38 @@ class TestMakeWindows:
         for r in records:
             r.tmax = float(rng.normal(15, 9))
             r.humidity = float(rng.uniform(30, 90))
-        wins = make_windows(records, 7, 1, FeatureMask())
-        assert wins[0].inputs[0, 0] == records[0].tmax
-        assert wins[-1].inputs[-1, 1] == records[-2].humidity
+        features, rows, _ = make_windows(records, 7, 1, FeatureMask())
+        assert features[rows][0][0, 0] == records[0].tmax
+        assert features[rows][-1][-1, 1] == records[-2].humidity
+
+    @given(st.data())
+    def test_scaled_windows_match_the_per_window_path(self, data):
+        # Random spans, L, K, masks and groups, with few distinct values per
+        # column so constant columns, ties and signed zeros come up.
+        span = data.draw(st.integers(2, 30), "span")
+        L = data.draw(st.integers(1, span - 1), "L")
+        K = data.draw(st.integers(1, span - L), "K")
+        mask = FeatureMask.from_names(data.draw(
+            st.lists(st.sampled_from(FEATURE_ORDER), min_size=1, max_size=4, unique=True), "mask"))
+        group = data.draw(st.sampled_from(GROUPS), "group")
+        levels = st.sampled_from(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 110.0), min_size=1, max_size=4),
+            "levels"))
+        records = self.records(span)
+        for r in records:
+            r.tmax, r.humidity, r.mobility = (data.draw(levels) for _ in range(3))
+            r.day_label = data.draw(st.integers(0, 1))
+            r.ead[group] = data.draw(st.integers(0, 3))
+        windows = make_windows(records, L, K, mask, group)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # constant columns
+            scaler = fit_scaler(windows)
+            want_X, want_Y, want_bounds = per_window_scaled(records, L, K, mask.columns(), group)
+        X, Y = apply_scaler(scaler, windows)
+        bounds = (scaler.feature_min, scaler.feature_max, scaler.target_min, scaler.target_max)
+        for got, want in zip((X, Y, *bounds), (want_X, want_Y, *want_bounds)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSynthGenerate:

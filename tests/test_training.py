@@ -1,15 +1,14 @@
 """Losses, Adam, min-max scaling, and the mini-batch training loop."""
 
-import datetime as dt
 import math
 
 import numpy as np
 import pytest
 
-from eadforecast.data import FeatureWindow
+from eadforecast.data import window_rows
 from eadforecast.errors import ConfigError, NumericalError
 from eadforecast.losses import batch_loss_and_grad
-from eadforecast.lstm import ModelSpec, init_params
+from eadforecast.lstm import ModelSpec, init_params, model_leaves, model_to_vector
 from eadforecast.training import AdamState, TrainConfig, _adam_update_flat, apply_scaler, fit_scaler, train
 from tests.oracles import finite_diff_gradient
 
@@ -130,53 +129,51 @@ class TestAdam:
         train(model, X, Y, TrainConfig(epochs=1, lr=1))
 
 
-def make_window(inputs, target, day=dt.date(2020, 1, 1)):
-    return FeatureWindow(
-        inputs=np.asarray(inputs, dtype=np.float64),
-        target=np.asarray(target, dtype=np.float64),
-        anchor_date=day,
-    )
+def windows_of(inputs, targets):
+    """make_windows' (features, rows, targets) for windows that share no day:
+    window n's L input days are rows n*L .. n*L+L-1 of the feature matrix."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    n, L, F = inputs.shape
+    return (inputs.reshape(n * L, F), np.arange(n * L).reshape(n, L),
+            np.asarray(targets, dtype=np.float64).reshape(n, -1))
 
 
 class TestScaler:
     def test_midpoint(self):
         # feature range [10, 30]: 20 -> 0.5
-        windows = [make_window([[10.0], [30.0]], [0.0]), make_window([[20.0], [25.0]], [10.0])]
-        scaler = fit_scaler(windows)
+        scaler = fit_scaler(windows_of([[[10.0], [30.0]], [[20.0], [25.0]]], [[0.0], [10.0]]))
         np.testing.assert_allclose(scaler.transform_features(np.array([[20.0]])), [[0.5]])
 
     def test_round_trip(self):
-        windows = [make_window([[10.0], [30.0]], [5.0]), make_window([[12.0], [28.0]], [40.0])]
-        scaler = fit_scaler(windows)
+        scaler = fit_scaler(windows_of([[[10.0], [30.0]], [[12.0], [28.0]]], [[5.0], [40.0]]))
         np.testing.assert_allclose(scaler.invert_target(scaler.transform_target(17.3)), 17.3, atol=1e-12)
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(2)
-        windows = [
-            make_window(rng.uniform(-5, 50, size=(4, 3)), rng.uniform(0, 300, size=2))
-            for _ in range(10)
-        ]
+        windows = windows_of(rng.uniform(-5, 50, size=(10, 4, 3)), rng.uniform(0, 300, size=(10, 2)))
         scaler = fit_scaler(windows)
-        for w in windows:
-            x = scaler.transform_features(w.inputs)
-            back = x * (scaler.feature_max - scaler.feature_min) + scaler.feature_min
-            np.testing.assert_allclose(back, w.inputs, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(
-                scaler.invert_target(scaler.transform_target(w.target)), w.target, rtol=1e-12
-            )
+        X, Y = apply_scaler(scaler, windows)
+        features, rows, targets = windows
+        back = X * (scaler.feature_max - scaler.feature_min) + scaler.feature_min
+        np.testing.assert_allclose(back, features[rows], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(scaler.invert_target(Y), targets, rtol=1e-12)
 
     def test_extrapolation_no_clipping(self):
         # value 35 on range [10, 30] -> 1.25
-        windows = [make_window([[10.0], [30.0]], [0.0, 1.0])]
-        scaler = fit_scaler(windows)
+        scaler = fit_scaler(windows_of([[[10.0], [30.0]]], [[0.0, 1.0]]))
         np.testing.assert_allclose(scaler.transform_features(np.array([[35.0]])), [[1.25]])
 
     def test_constant_feature_warns_and_maps_to_half(self):
-        windows = [make_window([[7.0, 1.0], [7.0, 2.0]], [3.0])]
         with pytest.warns(UserWarning, match="constant feature"):
-            scaler = fit_scaler(windows)
+            scaler = fit_scaler(windows_of([[[7.0, 1.0], [7.0, 2.0]]], [[3.0]]))
         out = scaler.transform_features(np.array([[7.0, 1.5], [9.0, 2.0]]))
         np.testing.assert_allclose(out[:, 0], [0.5, 0.5])
+
+    def test_bounds_come_from_the_rows_the_windows_cover(self):
+        # Rows 0 and 4 belong to no window: their extremes leave the bounds.
+        features = np.array([[-100.0], [1.0], [3.0], [2.0], [100.0]])
+        scaler = fit_scaler((features, window_rows(np.array([3, 4]), 2), np.array([[1.0], [2.0]])))
+        assert (scaler.feature_min[0], scaler.feature_max[0]) == (1.0, 3.0)
 
 
 def linear_task_windows(n=200, seed=0):
@@ -185,12 +182,7 @@ def linear_task_windows(n=200, seed=0):
     # of the window.
     rng = np.random.default_rng(seed)
     x = np.cumsum(rng.normal(0, 0.3, size=n + 8)) + 10.0
-    windows = []
-    for a in range(8, n + 8):
-        inputs = x[a - 8 : a, None]
-        target = np.array([0.8 * x[a - 1] + 0.1])
-        windows.append(make_window(inputs, target, dt.date(2020, 1, 1) + dt.timedelta(days=a)))
-    return windows
+    return x[:, None], window_rows(np.arange(8, n + 8), 8), 0.8 * x[7 : n + 7, None] + 0.1
 
 
 class TestTrainLoop:
@@ -203,9 +195,7 @@ class TestTrainLoop:
 
     def test_constant_target_loss_decreases(self):
         rng = np.random.default_rng(1)
-        windows = [
-            make_window(rng.normal(size=(4, 1)), [5.0]) for _ in range(32)
-        ]
+        windows = windows_of(rng.normal(size=(32, 4, 1)), np.full((32, 1), 5.0))
         scaler = fit_scaler(windows)
         X, Y = apply_scaler(scaler, windows)
         model = self.small_model()
@@ -225,9 +215,24 @@ class TestTrainLoop:
 
         pred_scaled, _ = forward_batch(model, X)
         preds = scaler.invert_target(pred_scaled[:, 0])
-        actual = np.array([w.target[0] for w in windows])
+        actual = windows[2][:, 0]
         mae_counts = np.mean(np.abs(preds - actual))
         assert mae_counts < 0.10 * abs(actual.mean())
+
+    def test_one_epoch_moves_every_parameter_and_not_the_callers_model(self):
+        # Adam moves every parameter whose gradient is not exactly zero, so a
+        # parameter that keeps its value got no gradient: a frozen LSTM gate,
+        # say, which the acceptance gate's scores do not show. Every LSTM
+        # parameter must move; a dense layer's units that the ReLU never
+        # opens keep theirs, so of a dense leaf only some must.
+        X, Y = apply_scaler(fit_scaler(windows := linear_task_windows(n=40)), windows)
+        model = self.small_model()
+        before = model_to_vector(model)
+        trained, _ = train(model, X, Y, TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert model_to_vector(model).tobytes() == before.tobytes()
+        for (name, old), (_, new) in zip(model_leaves(model), model_leaves(trained)):
+            moved = new != old
+            assert moved.all() if name.startswith("lstm") else moved.any(), name
 
     def test_seed_reproducibility(self):
         windows = linear_task_windows(n=60)
