@@ -2,7 +2,8 @@
 benchmark runs behind a speed claim.
 
     python bench/layer_step.py --parent PATH --out FILE [--change PATH]
-                               [--repeats 5] [--pairs 10] [--seconds 36]
+                               [--repeats 5] [--pairs 10] [--trace-pairs 3]
+                               [--seconds 36] [--workloads NAME,...]
 
 PATH is the root of a checkout (it holds src/eadforecast and perfbench/);
 --change defaults to this checkout. For B = 8, 64 and 256 a worker process
@@ -22,11 +23,17 @@ The layers are timed through wrappers on the module attributes that
 training calls, the boundaries perfbench/layers.py also times, so both
 sides are measured the same way whatever their internals. Repeats
 alternate which side runs first; each value is the median over repeats.
+--repeats 0 skips this table.
 
 With --pairs N (default 0), it then runs perfbench/run.py --trace 0 for
 each workload N times per side, alternating which side goes first, seed i
 for pair i, and records each metric's samples, median and quartiles, the
-test-span CC and relative MAE, and how many pairs the change won.
+test-span CC and relative MAE, and how many pairs the change won. With
+--trace-pairs M (default 0) it runs perfbench/run.py --trace 1 the same way
+M times per side and workload, and records every per-layer metric of the
+traced runs (the BENCHMARK.json `per_layer` list: layer, phase and I/O
+times) with its samples, median and quartiles. --workloads limits both to
+the named workloads (default: all three).
 
 The output holds both sides side by side and the environment: numpy, BLAS
 name, version and live thread count, nproc.
@@ -52,6 +59,7 @@ LAYERS = ("lstm1_fwd", "lstm2_fwd", "lstm1_bwd", "lstm2_bwd", "dense_fwd", "dens
 E2E = {"setup_s": False, "wall_s": False, "train_windows_per_s": True,
        "forecast_anchors_per_s": True, "peak_rss_mb": False, "test_cc": True}
 WORKLOADS = ("train_paper", "ablate_wide", "forecast_k28")
+PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,10 @@ def run_worker(root: Path, batch: int) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if len(values) < 2:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "samples": values}
 
 
@@ -145,10 +156,10 @@ def layer_table(sides: dict[str, Path], repeats: int) -> dict:
     return table
 
 
-def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)],
         capture_output=True, text=True, cwd=root, check=True)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -161,14 +172,22 @@ def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def perfbench_pairs(sides: dict[str, Path], pairs: int, seconds: float) -> dict:
+def alternating_runs(sides: dict[str, Path], workload: str, pairs: int, seconds: float,
+                     trace: int) -> dict[str, list[dict]]:
+    """`pairs` perfbench runs of the workload per side, seed i for pair i,
+    alternating which side goes first."""
+    runs = {side: [] for side in sides}
+    for i in range(pairs):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            runs[side].append(perfbench_run(sides[side], workload, i, seconds, trace))
+            print(f"{workload} trace {trace} pair {i} {side}: {runs[side][-1]}", file=sys.stderr)
+    return runs
+
+
+def perfbench_pairs(sides: dict[str, Path], pairs: int, seconds: float, workloads) -> dict:
     report = {}
-    for workload in WORKLOADS:
-        runs = {side: [] for side in sides}
-        for i in range(pairs):
-            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-                runs[side].append(perfbench_run(sides[side], workload, i, seconds))
-                print(f"{workload} pair {i} {side}: {runs[side][-1]}", file=sys.stderr)
+    for workload in workloads:
+        runs = alternating_runs(sides, workload, pairs, seconds, trace=0)
         row = {}
         for metric in [*E2E, "test_mae_rel"]:
             got = {side: [run[metric] for run in runs[side]] for side in sides}
@@ -181,6 +200,18 @@ def perfbench_pairs(sides: dict[str, Path], pairs: int, seconds: float) -> dict:
         row["attempted"] = {side: sum(run["attempted"] for run in runs[side]) for side in sides}
         row["correct"] = {side: all(run["correct"] for run in runs[side]) for side in sides}
         report[workload] = row
+    return report
+
+
+def perfbench_trace_pairs(sides: dict[str, Path], pairs: int, seconds: float, workloads) -> dict:
+    report = {}
+    for workload in workloads:
+        runs = alternating_runs(sides, workload, pairs, seconds, trace=1)
+        metrics = [m for m in PER_LAYER if all(m in run for side in sides for run in runs[side])]
+        report[workload] = {
+            metric: {side: summary([run[metric] for run in runs[side]]) for side in sides}
+            for metric in metrics
+        }
     return report
 
 
@@ -200,7 +231,9 @@ def main() -> None:
     p.add_argument("--batch", type=int, help="measure mode: the batch size")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--pairs", type=int, default=0)
+    p.add_argument("--trace-pairs", dest="trace_pairs", type=int, default=0)
     p.add_argument("--seconds", type=float, default=36.0)
+    p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--out", type=Path, help="the JSON file to write")
     args = p.parse_args()
     if args.mode == "measure":
@@ -209,13 +242,19 @@ def main() -> None:
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = {
-        "environment": environment(),
-        "layers_ms_median_of_repeats": layer_table(sides, args.repeats),
-        "repeats": args.repeats,
-    }
+    workloads = args.workloads.split(",")
+    if not set(workloads) <= set(WORKLOADS):
+        p.error(f"--workloads: choose from {','.join(WORKLOADS)}")
+    doc = {"environment": environment()}
+    if args.repeats:
+        doc["layers_ms_median_of_repeats"] = layer_table(sides, args.repeats)
+        doc["repeats"] = args.repeats
     if args.pairs:
-        doc["perfbench"] = perfbench_pairs(sides, args.pairs, args.seconds)
+        doc["perfbench"] = perfbench_pairs(sides, args.pairs, args.seconds, workloads)
+    if args.trace_pairs:
+        doc["perfbench_trace1"] = perfbench_trace_pairs(
+            sides, args.trace_pairs, args.seconds, workloads)
+    if args.pairs or args.trace_pairs:
         doc["perfbench_seconds"] = args.seconds
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 

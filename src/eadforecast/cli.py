@@ -10,13 +10,13 @@ outputs. Configuration comes from an optional YAML file plus flag overrides
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import importlib.resources
 import json
 import logging
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -330,86 +330,147 @@ def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt
     return list(zip(anchors, scaler.invert_target(y)))
 
 
+PREDICTIONS_HEADER = "anchor_date,step,target_date,value"
+# Characters read_predictions_csv takes from the file per block of lines
+# (~6,000 lines of a K=28 file).
+PREDICTIONS_BLOCK = 1 << 18
+
+
+def _iso_days(first: dt.date, start: int, stop: int) -> list[str]:
+    """ISO text of the days first + start .. first + stop - 1."""
+    return [(first + dt.timedelta(days=d)).isoformat() for d in range(start, stop)]
+
+
 def write_predictions_csv(path, forecasts) -> None:
-    lines = ["anchor_date,step,target_date,value"]
+    """One line per anchor and step, `anchor_date,step,target_date,value`,
+    the value as repr(float), anchors in the order given."""
+    text = PREDICTIONS_HEADER + "\n"
     if forecasts:
-        # Each date is an anchor once and a target up to K times; format it once.
+        vecs = [np.asarray(vec, dtype=np.float64) for _, vec in forecasts]
         first = min(anchor for anchor, _ in forecasts)
-        last = max(anchor for anchor, _ in forecasts)
-        k = max(len(vec) for _, vec in forecasts)
-        iso = [(first + dt.timedelta(days=d)).isoformat() for d in range((last - first).days + k)]
-        for anchor, vec in forecasts:
-            n = (anchor - first).days
-            for step, value in enumerate(np.asarray(vec, dtype=np.float64).tolist()):
-                lines.append(f"{iso[n]},{step + 1},{iso[n + step]},{value!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        days = [(anchor - first).days for anchor, _ in forecasts]
+        sizes = [len(vec) for vec in vecs]
+        # Each date is an anchor once and a target up to K times; format it once.
+        iso = _iso_days(first, 0, max(days) + max(sizes))
+        mid = [f",{step}," for step in range(1, max(sizes) + 1)]
+        # The repr of a list of floats is their reprs joined by ", ".
+        values = repr(np.concatenate(vecs).tolist())[1:-1].split(", ")
+        anchors = chain.from_iterable(map(repeat, [iso[n] for n in days], sizes))
+        steps = chain.from_iterable(mid[:m] for m in sizes)
+        targets = chain.from_iterable(iso[n : n + m] for n, m in zip(days, sizes))
+        text += "".join(chain.from_iterable(
+            zip(anchors, steps, targets, repeat(","), values, repeat("\n"))))
+    atomic_write_text(path, text)
+
+
+def _prediction_blocks(fh):
+    """The rest of fh in blocks of whole lines, each ending in a newline."""
+    tail = ""
+    while chunk := fh.read(PREDICTIONS_BLOCK):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        tail = text[cut:]
+    if tail:
+        yield tail + "\n"
 
 
 def read_predictions_csv(path):
     """Forecasts as written by write_predictions_csv.
 
-    Every anchor must hold steps 1..K once each, with target date
-    anchor + step - 1, every anchor the same K, and the anchors must be
-    consecutive days; anything else is a DataError.
+    The rows must come in written order: K rows per anchor with steps 1..K
+    and target date anchor + step - 1, K taken from the first anchor, and
+    each anchor the day after the one before. The first line that departs
+    from it, or has a value that is not a number, is a DataError that names
+    it; so is a file that is not UTF-8 text. The file is read in blocks of
+    lines, each checked against the columns the writer would have produced.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
-    # Per anchor: its steps, target-date strings and values, in file order.
-    by_anchor: dict[dt.date, tuple[list[int], list[str], list[float]]] = {}
-    anchor_text = None
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["anchor_date", "step", "target_date", "value"]:
-            raise DataError(f"{path}: bad predictions header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{path}:{line_no}: expected 4 fields")
-            try:
-                # An anchor's rows are adjacent, so its date is parsed once.
-                if row[0] != anchor_text:
-                    steps, targets, values = by_anchor.setdefault(
-                        dt.date.fromisoformat(row[0]), ([], [], [])
-                    )
-                    anchor_text = row[0]
-                steps.append(int(row[1]))
-                values.append(float(row[3]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-            # Each target date recurs K times; interning keeps one copy.
-            targets.append(sys.intern(row[2]))
-    anchors = sorted(by_anchor)
-    if not anchors:
+    try:
+        with path.open(encoding="utf-8") as fh:  # universal newlines: a CRLF file reads as LF
+            return _read_predictions(path, fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_predictions(path: Path, fh):
+    header = fh.readline()
+    if header.rstrip("\n") != PREDICTIONS_HEADER:
+        raise DataError(f"{path}: bad predictions header {header.rstrip()!r}")
+    blocks = _prediction_blocks(fh)
+    text = next(blocks, "")
+    if not text:
         return []
-    first = anchors[0]
-    k = len(by_anchor[first][0])
-    want_steps = list(range(1, k + 1))
-    iso_days = [(first + dt.timedelta(days=d)).isoformat() for d in range(len(anchors) + k - 1)]
-    out = []
-    for n, anchor in enumerate(anchors):
-        if (anchor - first).days != n:
-            raise DataError(f"{path}: anchors must be consecutive; gap before {anchor}")
-        steps, targets, values = by_anchor[anchor]
-        if steps != want_steps:
-            rows = sorted(zip(steps, targets, values), key=lambda r: r[0])
-            steps, targets, values = (list(col) for col in zip(*rows))
-            if len(set(steps)) != len(steps):
-                raise DataError(f"{path}: anchor {anchor} has a duplicate step")
-            if steps != want_steps:
-                raise DataError(
-                    f"{path}: anchor {anchor} has steps {steps}; "
-                    f"anchor {first} has steps 1..{k}"
-                )
-        if targets != iso_days[n : n + k]:
-            step, target, want = next(
-                (s, t, w) for s, t, w in zip(steps, targets, iso_days[n : n + k]) if t != w
-            )
+    anchor = text[: text.index("\n")].split(",", 1)[0]
+    try:
+        first = dt.date.fromisoformat(anchor)
+    except ValueError as exc:
+        raise DataError(f"{path}:2: {exc}") from None
+    # K is the number of lines of the first anchor; read on until it ends.
+    prefix, k, pos = anchor + ",", 0, 0
+    while True:
+        while text.startswith(prefix, pos):
+            k, pos = k + 1, text.find("\n", pos) + 1
+        if pos < len(text) or not (more := next(blocks, "")):
+            break
+        text += more
+    k = max(k, 1)  # 0: the first line has no comma, and is refused below
+    step_text = [str(step) for step in range(1, k + 1)]
+    iso: list[str] = []
+    values = []  # one float64 array per block
+    row = 0  # rows before the block
+    for text in chain([text], blocks):
+        n = text.count("\n")
+        a0, a1 = row // k, (row + n - 1) // k + 1  # the block's anchors
+        iso += _iso_days(first, len(iso), a1 + k - 1)
+        off = row % k
+        # The block's columns; each anchor keeps the newline before it.
+        fields = ("\n" + text.replace("\n", ",\n")).split(",")
+        if not (
+            len(fields) == 4 * n + 1
+            and fields[0::4] == [*chain.from_iterable(
+                repeat("\n" + day, k) for day in iso[a0:a1])][off : off + n] + ["\n"]
+            and fields[1::4] == (step_text * (a1 - a0))[off : off + n]
+            and fields[2::4] == [*chain.from_iterable(
+                iso[a : a + k] for a in range(a0, a1))][off : off + n]
+        ):
+            _refuse_prediction_lines(path, text, row, k, iso)
+        try:
+            values.append(np.fromiter(map(float, fields[3::4]), np.float64, n))
+        except ValueError:
+            _refuse_prediction_lines(path, text, row, k, iso)
+        row += n
+    if row % k:
+        raise DataError(
+            f"{path}:{row + 2}: the file ends at step {row % k} of anchor {iso[row // k]}; "
+            f"every anchor has steps 1..{k}"
+        )
+    y = np.concatenate(values).reshape(-1, k)
+    return [(first + dt.timedelta(days=a), y[a]) for a in range(len(y))]
+
+
+def _refuse_prediction_lines(path, text: str, row: int, k: int, iso: list[str]):
+    """Raise the DataError for the first line of a block (its first line is
+    data row `row`) that is not the row write_predictions_csv writes there."""
+    for i, line in enumerate(text[:-1].split("\n"), start=row):
+        a, s = divmod(i, k)
+        fields, want = line.split(","), [iso[a], str(s + 1), iso[a + s]]
+        where = f"{path}:{i + 2}"
+        if len(fields) != 4:
+            raise DataError(f"{where}: expected 4 fields, got {len(fields)}")
+        if fields[:3] != want:
             raise DataError(
-                f"{path}: anchor {anchor} step {step} has target date {target}, expected {want}"
+                f"{where}: row {','.join(fields[:3])} is out of written order; expected "
+                f"{','.join(want)} (anchors one day apart from {iso[0]}, steps 1..{k})"
             )
-        out.append((anchor, np.array(values, dtype=np.float64)))
-    return out
+        try:
+            float(fields[3])
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
+    raise AssertionError("a refused block has no bad line")
 
 
 def write_horizon_csv(path, agg) -> None:
@@ -534,6 +595,17 @@ def cmd_train(args) -> None:
     log.info("checkpoint written to %s", out / "checkpoint.bin")
 
 
+def _is_month(value) -> bool:
+    """Whether value is a month fill_mobility takes (see data.month_end)."""
+    if not isinstance(value, str):
+        return False
+    try:
+        data_mod.month_end(value)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_forecast(args) -> None:
     # The checkpoint drives the network configuration and the mobility
     # baseline. These five start as None, so that a value given in the config
@@ -548,10 +620,10 @@ def cmd_forecast(args) -> None:
             and all(f in data_mod.FEATURE_ORDER for f in features)
             and type(lookback) is int and lookback >= 1
             and meta.get("group", "all") in data_mod.GROUPS
-            and isinstance(meta.get("baseline_month", ""), str)):
+            and _is_month(meta.get("baseline_month", RunConfig.baseline_month))):
         raise DataError(f"{args.checkpoint}: the checkpoint meta must record its features (one "
                         "known name per input) and lookback (an integer >= 1); a group must be "
-                        "a known one and a baseline month a string")
+                        "a known one and a baseline month a YYYY-MM string")
     ckpt_io.check_compatible(
         ckpt, features=cfg.features, lookback=cfg.lookback, horizon=cfg.horizon, group=cfg.group,
         baseline_month=cfg.baseline_month,

@@ -81,11 +81,16 @@ def _open_rows(path: Path, expected_header: list[str]):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
         if [h.strip() for h in header] != expected_header:
             raise DataError(
                 f"{path}: bad header {header}; expected {expected_header}"
             )
-        yield from ((line_no, row) for line_no, row in enumerate(reader, start=2))
+        try:
+            yield from ((line_no, row) for line_no, row in enumerate(reader, start=2))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def load_weather_csv(path) -> dict[dt.date, tuple[float, float]]:
@@ -164,8 +169,12 @@ def load_holidays(path) -> set[dt.date]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"holiday file not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     out: set[dt.date] = set()
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -173,9 +182,14 @@ def load_holidays(path) -> set[dt.date]:
     return out
 
 
+def day_label(day: dt.date, holidays: set[dt.date]) -> int:
+    """1 for a working day, 0 for a Saturday, a Sunday or a listed holiday."""
+    return 0 if day.weekday() >= 5 or day in holidays else 1
+
+
 def build_calendar_labels(dates, holidays: set[dt.date]) -> list[int]:
-    """1 for working days, 0 for Saturdays, Sundays, and listed holidays."""
-    return [0 if (d.weekday() >= 5 or d in holidays) else 1 for d in dates]
+    """day_label of each date."""
+    return [day_label(d, holidays) for d in dates]
 
 
 def merge(
@@ -197,28 +211,18 @@ def merge(
     mobility = mobility or {}
     missing: list[str] = []
     records: list[DailyRecord] = []
-    day = start
+    day, one_day = start, dt.timedelta(days=1)
     while day <= end:
-        gaps = []
-        if day not in weather:
-            gaps.append("weather")
-        if day not in ead:
-            gaps.append("ead")
-        if gaps:
+        sky, counts = weather.get(day), ead.get(day)
+        if sky is None or counts is None:
+            gaps = [name for name, got in (("weather", sky), ("ead", counts)) if got is None]
             missing.append(f"{day.isoformat()} ({'/'.join(gaps)})")
         else:
-            tmax, humidity = weather[day]
-            records.append(
-                DailyRecord(
-                    date=day,
-                    tmax=tmax,
-                    humidity=humidity,
-                    day_label=build_calendar_labels([day], holidays)[0],
-                    ead=dict(ead[day]),
-                    mobility=mobility.get(day),
-                )
-            )
-        day += dt.timedelta(days=1)
+            # The record takes the loader's count dict as it is, not a copy.
+            tmax, humidity = sky
+            records.append(DailyRecord(
+                day, tmax, humidity, day_label(day, holidays), counts, mobility.get(day)))
+        day += one_day
     if missing:
         shown = ", ".join(missing[:10])
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
@@ -231,10 +235,12 @@ def merge(
 # ---------------------------------------------------------------------------
 
 
-def _month_end(year: int, month: int) -> dt.date:
-    if month == 12:
+def month_end(month: str) -> dt.date:
+    """The last day of a YYYY-MM month; ValueError if month is not one."""
+    year, number = (int(part) for part in month.split("-"))
+    if number == 12:
         return dt.date(year, 12, 31)
-    return dt.date(year, month + 1, 1) - dt.timedelta(days=1)
+    return dt.date(year, number + 1, 1) - dt.timedelta(days=1)
 
 
 def fill_mobility(
@@ -257,8 +263,7 @@ def fill_mobility(
     baseline_end: dt.date | None = None
     if baseline_month is not None:
         try:
-            year, month = (int(p) for p in baseline_month.split("-"))
-            baseline_end = _month_end(year, month)
+            baseline_end = month_end(baseline_month)
         except ValueError:
             raise ConfigError(f"bad baseline month {baseline_month!r}; expected YYYY-MM") from None
     if not anchors:
@@ -280,17 +285,14 @@ def fill_mobility(
                 return v0 + (v1 - v0) * frac
         return anchors[-1][1]  # trailing hold
 
+    # Observed days keep their records; a filled day gets a new one.
     filled = []
     for r in records:
-        mobility = r.mobility if r.mobility is not None else value_at(r.date)
-        if mobility <= 0:
+        if r.mobility is None:
+            r = DailyRecord(r.date, r.tmax, r.humidity, r.day_label, r.ead, value_at(r.date))
+        if r.mobility <= 0:
             raise DataError(f"{r.date.isoformat()}: filled mobility is not positive")
-        filled.append(
-            DailyRecord(
-                date=r.date, tmax=r.tmax, humidity=r.humidity,
-                day_label=r.day_label, ead=dict(r.ead), mobility=mobility,
-            )
-        )
+        filled.append(r)
     return filled
 
 

@@ -45,8 +45,8 @@ Appleyard et al. 2016, arXiv:1604.01946):
   variant). The weight gradients are one matmul over all steps at the end,
   written into a flat gradient vector in the canonical leaf order.
 - Buffers. `Workspace` holds every per-step array for one model and a
-  largest batch; `train` and `run_forecast` make one and reuse it, so no
-  step allocates.
+  largest batch, the dense layers' included; `train` and `run_forecast`
+  make one and reuse it, so no step allocates the layers' arrays.
 """
 
 from __future__ import annotations
@@ -553,10 +553,34 @@ def sigmoid(x) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _dense_forward(layer: DenseLayerParams, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = h @ layer.W.T + layer.b
+class _DenseBuffers:
+    """Work arrays of one dense layer for up to `batch` rows, flat and viewed
+    per call as (B, width) like _LayerBuffers'. The backward arrays are
+    allocated on the first backward pass."""
+
+    def __init__(self, layer: DenseLayerParams, batch: int):
+        self.batch = batch
+        self.out, self.inp = layer.W.shape
+        self.z, self.r = np.empty((2, batch * self.out))  # pre-activation, output
+
+    @functools.cached_property
+    def backward(self) -> dict:
+        return {
+            "active": np.empty(self.batch * self.out, dtype=bool),  # z > 0 (rectifier)
+            "dz": np.empty(self.batch * self.out),
+            "dx": np.empty(self.batch * self.inp),
+        }
+
+
+def _dense_forward(
+    layer: DenseLayerParams, h: np.ndarray, buf: _DenseBuffers
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z, output) of the layer for h (B, inp), z = h W^T + b, in buf."""
+    B = h.shape[0]
+    z = np.matmul(h, layer.W.T, out=_view(buf.z, B, buf.out))
+    z += layer.b
     if layer.activation == "rectifier":
-        return z, np.maximum(z, 0.0)
+        return z, np.maximum(z, 0.0, out=_view(buf.r, B, buf.out))
     if layer.activation == "sigmoid":
         return z, sigmoid(z)
     return z, z
@@ -564,18 +588,21 @@ def _dense_forward(layer: DenseLayerParams, h: np.ndarray) -> tuple[np.ndarray, 
 
 def _dense_backward(
     layer: DenseLayerParams, h_in: np.ndarray, z: np.ndarray, out: np.ndarray, dout: np.ndarray,
-    grad: DenseLayerParams,
+    grad: DenseLayerParams, buf: _DenseBuffers,
 ) -> np.ndarray:
-    """Writes dW and db into grad; returns the gradient w.r.t. h_in."""
+    """Writes dW and db into grad; returns the gradient w.r.t. h_in, in buf."""
+    B, work = z.shape[0], buf.backward
     if layer.activation == "rectifier":
-        dz = dout * (z > 0.0)
+        active = np.greater(z, 0.0, out=_view(work["active"], B, buf.out))
+        dz = np.multiply(dout, active, out=_view(work["dz"], B, buf.out))
     elif layer.activation == "sigmoid":
-        dz = dout * out * (1.0 - out)
+        dz = np.multiply(dout, out, out=_view(work["dz"], B, buf.out))
+        dz *= 1.0 - out
     else:
         dz = dout
     np.matmul(dz.T, h_in, out=grad.W)
     np.sum(dz, axis=0, out=grad.b)
-    return dz @ layer.W
+    return np.matmul(dz, layer.W, out=_view(work["dx"], B, buf.inp))
 
 
 class Workspace:
@@ -583,16 +610,19 @@ class Workspace:
     and up to `batch` windows of `steps` steps, made once per training run
     or forecast so that no step allocates them.
 
-    The cache forward_batch returns lives here, so it is valid until the
-    next forward_batch with the same workspace. backward_batch writes the
-    gradient into `grad`, one flat vector in the canonical leaf order, and
-    returns `grads`, a model whose leaves are views of it.
+    The outputs and the cache forward_batch returns live here, so they are
+    valid until the next forward_batch with the same workspace.
+    backward_batch writes the gradient into `grad`, one flat vector in the
+    canonical leaf order, and returns `grads`, a model whose leaves are
+    views of it.
     """
 
     def __init__(self, model: ForecastModel, batch: int, steps: int):
         self.model, self.batch, self.steps = model, batch, steps
         self.lstm1 = _LayerBuffers(model.lstm1.hidden_size, model.lstm1.input_size, batch, steps)
         self.lstm2 = _LayerBuffers(model.lstm2.hidden_size, model.lstm2.input_size, batch, steps)
+        self.fc1, self.fc2, self.head = (
+            _DenseBuffers(layer, batch) for layer in (model.fc1, model.fc2, model.head))
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
@@ -632,7 +662,7 @@ def forward_batch(
 ) -> tuple[np.ndarray, NetworkCache]:
     """Forward pass for a batch of windows. X: (B, L, F) -> (B, K).
 
-    The cache is held in ws (a fresh workspace if None)."""
+    The outputs and the cache are held in ws (a fresh workspace if None)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[1] < 1:
         raise ConfigError(f"expected a (batch, lookback, features) array, got {X.shape}")
@@ -651,9 +681,9 @@ def forward_batch(
     c1 = _lstm_forward_batch(model.lstm1, x, model.lagged_m, ws.lstm1)
     c2 = _lstm_forward_batch(model.lstm2, c1["s"], model.lagged_m, ws.lstm2)
     h = c2["s"][-1]  # (B, H2)
-    z1, r1 = _dense_forward(model.fc1, h)
-    z2, r2 = _dense_forward(model.fc2, r1)
-    z3, y = _dense_forward(model.head, r2)
+    z1, r1 = _dense_forward(model.fc1, h, ws.fc1)
+    z2, r2 = _dense_forward(model.fc2, r1, ws.fc2)
+    z3, y = _dense_forward(model.head, r2, ws.head)
     cache = NetworkCache(
         X=X,
         lstm1=c1,
@@ -673,9 +703,9 @@ def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) ->
         raise ConfigError("backward_batch needs the cache from forward_batch")
     ws, fc = cache.ws, cache.fc
     g = ws.grads
-    dr2 = _dense_backward(model.head, fc["r2"], fc["z3"], cache.y, dY, g.head)
-    dr1 = _dense_backward(model.fc2, fc["r1"], fc["z2"], fc["r2"], dr2, g.fc2)
-    dh = _dense_backward(model.fc1, fc["h"], fc["z1"], fc["r1"], dr1, g.fc1)
+    dr2 = _dense_backward(model.head, fc["r2"], fc["z3"], cache.y, dY, g.head, ws.head)
+    dr1 = _dense_backward(model.fc2, fc["r1"], fc["z2"], fc["r2"], dr2, g.fc2, ws.fc2)
+    dh = _dense_backward(model.fc1, fc["h"], fc["z1"], fc["r1"], dr1, g.fc1, ws.fc1)
 
     T, B, _ = cache.lstm2["x"].shape
     ds2 = _view(ws.ds2, T, model.lstm2.hidden_size, B)

@@ -1,9 +1,11 @@
 """Oracles the package is checked against: central-difference gradients
-for the analytic gradients, and the per-window scaling path for the
-windows training gathers by index."""
+for the analytic gradients, the per-window scaling path for the windows
+training gathers by index, and the per-date collection of overlapping
+forecasts for their aggregate."""
 
 from __future__ import annotations
 
+import datetime as dt
 from typing import Callable
 
 import numpy as np
@@ -71,3 +73,13 @@ def per_window_scaled(records, L: int, K: int, columns, group: str):
             X[n, :, j] = (x[:, j] - fmin[j]) / (fmax[j] - fmin[j]) if fmax[j] > fmin[j] else 0.5
         Y[n] = (y - tmin) / (tmax - tmin) if tmax > tmin else 0.5
     return X, Y, (fmin, fmax, tmin, tmax)
+
+
+def per_date_values(forecasts) -> dict[dt.date, list[float]]:
+    """Every forecast value covering each date, in anchor order: the value of
+    step s of the forecast anchored at a covers a + s - 1."""
+    per_date: dict[dt.date, list[float]] = {}
+    for anchor, vec in forecasts:
+        for step, value in enumerate(vec):
+            per_date.setdefault(anchor + dt.timedelta(days=step), []).append(float(value))
+    return dict(sorted(per_date.items()))

@@ -5,6 +5,7 @@ import csv
 import datetime as dt
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,25 @@ class TestMalformedCheckpoint:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("month", ["2020-13", "2020/01", ""])
+    def test_baseline_month_not_yyyy_mm_exits_2(self, trained, tmp_path, month):
+        # A string the mobility fill cannot read is the checkpoint's fault.
+        cfg, out = trained
+        bad = tmp_path / "checkpoint.bin"
+        rewrite_checkpoint(out / "checkpoint.bin", bad, "meta", "baseline_month", month)
+        assert main(["forecast", "--config", str(cfg), "--checkpoint", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    def test_config_file_baseline_month_not_yyyy_mm_exits_1(self, trained, tmp_path, command):
+        cfg, out = trained
+        doc = {**yaml.safe_load(cfg.read_text()), "baseline_month": "2020-13", "out": str(tmp_path)}
+        bad = tmp_path / "config.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        extra = ["--checkpoint", str(out / "checkpoint.bin")] if command == "forecast" else []
+        assert main([command, "--config", str(bad), *extra]) == 1
+
     def test_unedited_rewrite_still_forecasts(self, trained, tmp_path):
         cfg, out = trained
         good = tmp_path / "checkpoint.bin"
@@ -510,6 +530,8 @@ MALFORMED_PREDICTIONS = {
         lambda ls: [l.replace("2019-03-04,2,2019-03-05", "2019-03-04,2,2019-03-06") for l in ls], 2
     ),
     "anchor_gap": (lambda ls: _drop(ls, "2019-03-06,"), 2),
+    "wrong_step": (lambda ls: [l.replace("2019-03-04,2,", "2019-03-04,3,") for l in ls], 2),
+    "last_anchor_short": (lambda ls: _drop(ls, "2019-03-10,3,"), 2),
 }
 
 
@@ -523,6 +545,20 @@ class TestEvaluateCommand:
         cfg = base_config(dataset, tmp_path / "run")
         assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
                      "--out", str(tmp_path / "run")]) == code
+
+    @pytest.mark.parametrize("case", list(MALFORMED_PREDICTIONS))
+    def test_malformed_predictions_with_crlf_lines(self, dataset, tmp_path, capsys, case):
+        # The same exit code for a CRLF copy, and a refusal names its line.
+        edit, code = MALFORMED_PREDICTIONS[case]
+        lines = edit(prediction_lines(dt.date(2019, 3, 1), 10, 3))
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes("\r\n".join(["anchor_date,step,target_date,value", *lines]).encode() + b"\r\n")
+        cfg = base_config(dataset, tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "run")]) == code
+        if code:
+            assert re.search(rf"{re.escape(str(preds))}:\d+: ", capsys.readouterr().err)
 
     def test_report_format_and_scores(self, dataset, trained, tmp_path):
         cfg, out = trained

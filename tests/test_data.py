@@ -1,15 +1,18 @@
 """Ingestion, calendar labels, mobility gap filling, windowing, and the
 synthetic generator."""
 
+import bisect
+import contextlib
 import datetime as dt
+import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eadforecast.cli import RunConfig
+from eadforecast.cli import RunConfig, main
 from eadforecast.data import (
     FEATURE_ORDER,
     GROUPS,
@@ -25,6 +28,7 @@ from eadforecast.data import (
     load_weather_csv,
     make_windows,
     merge,
+    month_end,
     synth_generate,
     write_dataset,
 )
@@ -195,6 +199,125 @@ class TestFillMobility:
         values = np.array([r.mobility for r in filled])
         for seg in (values[0:13], values[12:30]):
             assert np.allclose(np.diff(seg, n=2), 0.0, atol=1e-9)
+
+    @given(st.data())
+    def test_invariants(self, data):
+        # Observed values are kept, unobserved baseline-month days before the
+        # first observation are 100, every other filled day lies between its
+        # known neighbours (or holds the nearest one), and all are positive.
+        span = data.draw(st.integers(1, 60), "span")
+        start = data.draw(st.dates(dt.date(2019, 10, 1), dt.date(2020, 4, 1)), "start")
+        dates = date_range(start, span)
+        mobility = data.draw(st.lists(
+            st.none() | st.floats(1.0, 250.0), min_size=span, max_size=span), "mobility")
+        month = data.draw(st.none() | st.sampled_from(["2019-09", "2019-12", "2020-01", "2020-03"]),
+                          "baseline month")
+        assume(month is not None or any(m is not None for m in mobility))
+        filled = [r.mobility for r in fill_mobility(plain_records(dates, mobility), month)]
+        known = {d: m for d, m in zip(dates, mobility) if m is not None}
+        baseline_end = None if month is None else month_end(month)
+        if baseline_end is not None and (not known or min(known) > baseline_end):
+            known[baseline_end] = 100.0
+        known_days = sorted(known)
+        for day, got, observed in zip(dates, filled, mobility):
+            assert got > 0.0
+            if observed is not None:
+                assert got == observed
+                continue
+            if baseline_end is not None and day <= baseline_end and day <= known_days[0]:
+                assert got == 100.0
+                continue
+            n = bisect.bisect(known_days, day)
+            neighbours = [known[d] for d in known_days[max(n - 1, 0) : n + 1]]
+            if len(neighbours) == 1:
+                assert got == neighbours[0]
+            else:
+                assert min(neighbours) <= got <= max(neighbours)
+
+    def test_only_filled_days_get_new_records(self):
+        records = plain_records(date_range(dt.date(2020, 5, 1), 3), [80.0, None, 60.0])
+        filled = fill_mobility(records)
+        assert filled[0] is records[0] and filled[2] is records[2]
+        assert filled[1] is not records[1] and records[1].mobility is None
+        assert filled[1].ead is records[1].ead
+
+
+# Cells of fuzzed dataset rows: arbitrary text, near-misses of valid values
+# and numbers.
+FUZZ_CELLS = st.one_of(
+    st.text(max_size=10),
+    st.sampled_from([
+        "", " ", "nan", "inf", "-inf", "1e999", "-1", "0", "1_000", "0x10", "\uff11\uff12", '"', '""',
+        "'", "\r", "\x00", "2020-01-05", "2020-02-30", "20200105", "2020-01-05T00:00", " 2020-01-06",
+    ]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A three-month dataset and a valid K=1 predictions file for January."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = write_dataset(synth_generate(SynthConfig(
+        start=dt.date(2019, 12, 1), end=dt.date(2020, 2, 29)), seed=4), root)
+    preds = root / "predictions.csv"
+    preds.write_text("anchor_date,step,target_date,value\n" + "".join(
+        f"{d},1,{d},{100.0 + 7 * n % 23!r}\n" for n, d in enumerate(date_range(dt.date(2020, 1, 1), 31))))
+    paths = {name: paths[name] for name in ("weather", "ead", "mobility", "holidays")}
+    args = [arg for key, path in paths.items() for arg in (f"--{key}", str(path))]
+    assert main(["evaluate", *args, "--predictions", str(preds), "--out", str(root / "run")]) == 0
+    return paths, preds
+
+
+class TestFuzzedRows:
+    @settings(max_examples=120)
+    @given(name=st.sampled_from(["weather", "ead", "mobility", "holidays"]),
+           edit=st.sampled_from(["cell", "cell", "cell", "drop cell", "add cell", "row", "insert row"]),
+           data=st.data())
+    def test_load_or_exit_2(self, fuzz_dataset, tmp_path_factory, name, edit, data):
+        # One line of one dataset file gets a fuzzed cell, loses or gains a
+        # cell, or is replaced or joined by a fuzzed row: evaluate runs
+        # (exit 0) or refuses the data (exit 2); nothing else escapes main.
+        paths, preds = fuzz_dataset
+        lines = paths[name].read_text().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), "line")
+        cells = lines[i].rstrip("\n").split(",")
+        if edit == "row" or edit == "insert row":
+            row = data.draw(st.lists(FUZZ_CELLS, max_size=8), "row")
+            lines[i : i if edit == "insert row" else i + 1] = [",".join(row) + "\n"]
+        else:
+            j = data.draw(st.integers(0, len(cells) - (0 if edit == "add cell" else 1)), "cell")
+            cells[j : j if edit == "add cell" else j + 1] = (
+                [] if edit == "drop cell" else [data.draw(FUZZ_CELLS, "fuzzed cell")])
+            lines[i] = ",".join(cells) + "\n"
+        work = tmp_path_factory.mktemp("fuzzed")
+        files = {key: work / path.name for key, path in paths.items()}
+        for key, path in paths.items():
+            files[key].write_bytes(
+                "".join(lines).encode("utf-8") if key == name else path.read_bytes())
+        args = [arg for key, path in files.items() for arg in (f"--{key}", str(path))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", *args, "--predictions", str(preds), "--out", str(work / "run")])
+        assert code in (0, 2), err.getvalue()
+
+
+    @pytest.mark.parametrize("name", ["weather", "ead", "mobility", "holidays"])
+    @pytest.mark.parametrize("line", [0, -1])
+    def test_bytes_that_are_not_utf8_exit_2(self, fuzz_dataset, tmp_path, name, line):
+        paths, preds = fuzz_dataset
+        files = {key: tmp_path / path.name for key, path in paths.items()}
+        for key, path in paths.items():
+            lines = path.read_bytes().splitlines(keepends=True)
+            if key == name:
+                lines[line] = lines[line].replace(b",", b"\xe9,", 1) if b"," in lines[line] else b"\xe9\n"
+            files[key].write_bytes(b"".join(lines))
+        args = [arg for key, path in files.items() for arg in (f"--{key}", str(path))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", *args, "--predictions", str(preds), "--out", str(tmp_path / "run")])
+        assert code == 2, err.getvalue()
 
 
 class TestMakeWindows:

@@ -5,6 +5,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eadforecast.errors import ConfigError, NumericalError
 from eadforecast.metrics import (
@@ -17,6 +19,7 @@ from eadforecast.metrics import (
     polyfit3,
     polyval,
 )
+from tests.oracles import per_date_values
 
 
 class TestCorrCoeff:
@@ -160,23 +163,37 @@ class TestHorizonAggregate:
         interior = [i for i, d in enumerate(agg.dates) if day(k - 1) <= d <= day(11)]
         assert np.all(agg.count[interior] == k)
 
+    @staticmethod
+    def assert_matches_per_date_oracle(forecasts):
+        # Every value covering a date, in anchor order, reduced per date.
+        per_date = per_date_values(forecasts)
+        agg = horizon_aggregate(forecasts)
+        assert agg.dates == list(per_date) and agg.horizon == len(forecasts[0][1])
+        for got, reduce in ((agg.mean, np.mean), (agg.min, np.min), (agg.max, np.max), (agg.count, len)):
+            want = np.array([reduce(values) for values in per_date.values()])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [1, 3, 28])
     @pytest.mark.parametrize("anchors", [1, 2, 27, 28, 29, 100])
     def test_matches_per_date_loop(self, k, anchors):
-        # Reference: collect every value covering a date in anchor order, then
-        # reduce per date. Spans shorter than K are all ragged edge.
+        # Spans shorter than K are all ragged edge.
         rng = np.random.default_rng(1000 * k + anchors)
-        forecasts = [(day(n), rng.uniform(0, 300, size=k)) for n in range(anchors)]
-        per_date = {}
-        for anchor, vec in forecasts:
-            for step, value in enumerate(vec):
-                per_date.setdefault(anchor + dt.timedelta(days=step), []).append(float(value))
-        dates = sorted(per_date)
-        agg = horizon_aggregate(forecasts)
-        assert agg.dates == dates and agg.horizon == k
-        for got, reduce in ((agg.mean, np.mean), (agg.min, np.min), (agg.max, np.max), (agg.count, len)):
-            want = np.array([reduce(per_date[d]) for d in dates])
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        self.assert_matches_per_date_oracle(
+            [(day(n), rng.uniform(0, 300, size=k)) for n in range(anchors)])
+
+    @given(first=st.dates(dt.date(2000, 1, 1), dt.date(2099, 1, 1)), k=st.integers(1, 40),
+           anchors=st.integers(1, 90), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans())
+    def test_matches_per_date_oracle_property(self, first, k, anchors, seed, ties):
+        # Magnitudes over many decades, or few distinct values (ties), so the
+        # mean's summation order shows in its bits.
+        rng = np.random.default_rng(seed)
+        if ties:
+            y = rng.integers(-2, 3, size=(anchors, k)) * 0.1
+        else:
+            y = rng.normal(size=(anchors, k)) * 10.0 ** rng.integers(-8, 8, size=(anchors, k))
+        self.assert_matches_per_date_oracle(
+            [(first + dt.timedelta(days=n), y[n]) for n in range(anchors)])
 
     def test_gap_in_anchors_rejected(self):
         with pytest.raises(ConfigError):
