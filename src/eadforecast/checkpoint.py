@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import atomic_write_bytes
-from .lstm import ForecastModel, ModelSpec, init_params, model_from_vector, model_leaves
+from .lstm import ForecastModel, ModelSpec, model_leaves
 from .training import MinMaxScaler
 
 MAGIC = b"EADCAST1"
@@ -51,16 +51,7 @@ def save_checkpoint(path, model: ForecastModel, scaler: MinMaxScaler, meta: dict
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in leaves)
     header = {
         "format_version": FORMAT_VERSION,
-        "arch": {
-            "input_dim": model.input_dim,
-            "hidden1": model.lstm1.hidden_size,
-            "hidden2": model.lstm2.hidden_size,
-            "fc1": model.fc1.W.shape[0],
-            "fc2": model.fc2.W.shape[0],
-            "horizon": model.horizon,
-            "head_activation": model.head.activation,
-            "lagged_m": model.lagged_m,
-        },
+        "arch": asdict(model.spec),
         "scaler": {
             "feature_min": scaler.feature_min.tolist(),
             "feature_max": scaler.feature_max.tolist(),
@@ -129,16 +120,21 @@ def load_checkpoint(path) -> Checkpoint:
             and all(v >= 1 for v in arch.values() if type(v) is int)):
         raise corrupt(f"arch must hold {', '.join(ARCH_TYPES)} as written by save_checkpoint")
     try:
-        template = init_params(ModelSpec(**arch), scheme="zeros")
-    except (ConfigError, MemoryError) as exc:
+        spec = ModelSpec(**arch)
+    except ConfigError as exc:
         raise corrupt(f"arch: {exc}") from None
-    leaves = model_leaves(template)
-    if header["arrays"] != [{"name": name, "shape": list(a.shape)} for name, a in leaves]:
-        raise corrupt(f"the array manifest does not list the architecture's {len(leaves)} arrays")
-    if len(payload) != 8 * sum(a.size for _, a in leaves):
+    # Shapes and sizes come from the arch alone, so a huge one is refused
+    # before anything of its size is allocated.
+    shapes = spec.leaf_shapes()
+    if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes]:
+        raise corrupt(f"the array manifest does not list the architecture's {len(shapes)} arrays")
+    if len(payload) != 8 * spec.size:
         raise DataError(f"{path}: payload size does not match the manifest")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    model = model_from_vector(template, flat, copy=False)
+    model = ForecastModel(spec)
+    flat, pos = np.frombuffer(payload, dtype="<f8"), 0
+    for _, leaf in model_leaves(model):  # the payload is in the canonical order
+        leaf[...] = flat[pos : pos + leaf.size].reshape(leaf.shape)
+        pos += leaf.size
 
     if not (isinstance(sc, dict) and isinstance(meta, dict)):
         raise corrupt("scaler and meta must be JSON objects")

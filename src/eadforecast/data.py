@@ -71,6 +71,18 @@ def _parse_date(text: str, path: Path, line_no: int) -> dt.date:
         raise DataError(f"{path}:{line_no}: bad date {text!r}: {exc}") from None
 
 
+def _number(cell: str, kind, path: Path, line_no: int, what: str):
+    """kind(cell), kind being float or int, or a DataError. Python reads
+    more numerals than a CSV file should hold: the digit-group underscores
+    of 1_0 and non-ASCII digits such as full-width ５０ are refused too."""
+    if "_" not in cell and cell.isascii():
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    raise DataError(f"{path}:{line_no}: bad {what} {cell!r}")
+
+
 def _open_rows(path: Path, expected_header: list[str]):
     path = Path(path)
     if not path.exists():
@@ -101,11 +113,8 @@ def load_weather_csv(path) -> dict[dt.date, tuple[float, float]]:
         if len(row) != 3:
             raise DataError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
         day = _parse_date(row[0], path, line_no)
-        try:
-            tmax = float(row[1])
-            humidity = float(row[2])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: bad number: {exc}") from None
+        tmax = _number(row[1], float, path, line_no, "tmax_c")
+        humidity = _number(row[2], float, path, line_no, "humidity_pct")
         if not (math.isfinite(tmax) and math.isfinite(humidity)):
             raise DataError(f"{path}:{line_no}: non-finite value")
         if not 0.0 <= humidity <= 100.0:
@@ -129,10 +138,7 @@ def load_ead_csv(path) -> dict[dt.date, dict[str, int]]:
         day = _parse_date(row[0], path, line_no)
         counts: dict[str, int] = {}
         for name, cell in zip(GROUPS, row[1:]):
-            try:
-                value = int(cell)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad count {cell!r} for {name}") from None
+            value = _number(cell, int, path, line_no, f"count for {name}")
             if value < 0:
                 raise DataError(f"{path}:{line_no}: negative count for {name}")
             counts[name] = value
@@ -152,10 +158,7 @@ def load_mobility_csv(path) -> dict[dt.date, float]:
         if len(row) != 2:
             raise DataError(f"{path}:{line_no}: expected 2 fields, got {len(row)}")
         day = _parse_date(row[0], path, line_no)
-        try:
-            value = float(row[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: bad number: {exc}") from None
+        value = _number(row[1], float, path, line_no, "mobility_pct")
         if not math.isfinite(value) or value <= 0.0:
             raise DataError(f"{path}:{line_no}: mobility must be a positive number")
         if day in out:

@@ -24,12 +24,17 @@ of the gate equations and against central finite differences.
 How the engine computes it (the fused-gate, loop-hoisted layout of
 Appleyard et al. 2016, arXiv:1604.01946):
 
-- Layout. Per step, every array is feature-major, (rows, B): the four gate
-  blocks [i|o|f|m] of a step are each one contiguous (H, B) array, so each
-  elementwise op runs on contiguous memory. A layer's weights are stacked as
-  W = [Wx | Ws | b] (4H, I+H+1), and step t is one matmul of W with the
-  column block [x_t; s_{t-1}; 1]; s_t is written straight into the next
-  step's block.
+- Layout. A model is its `ModelSpec` plus one flat vector, `theta`: each
+  LSTM layer's weights stacked as W = [Wx | Ws | b] (4H, I+H+1), gate rows
+  i, o, f, m, then each dense layer's W and b. Every layer array is a view
+  of theta, and a layer's twelve per-gate arrays (W_ix, ..., b_m) are views
+  of its W; the gradient is a model of the same layout. Step t is one matmul of W with
+  the column block [x_t; s_{t-1}; 1]; s_t is written straight into the next
+  step's block. Per step, every array is feature-major, (rows, B): the four
+  gate blocks [i|o|f|m] of a step are each one contiguous (H, B) array, so
+  each elementwise op runs on contiguous memory. The checkpoint and
+  `model_to_vector` keep the canonical order of `model_leaves`: per layer
+  the twelve per-gate arrays, W_gx, then W_gs, then b_g.
 - One tanh per step. sigmoid(z) = 1/2 + 1/2 tanh(z/2), and the 1/2 inside is
   folded into the i/o/f rows of W (halving a float is exact), so a single
   tanh over all 4H rows and two in-place steps give the three sigmoid gates
@@ -42,11 +47,13 @@ Appleyard et al. 2016, arXiv:1604.01946):
   `BACKWARD_BLOCK_BYTES` from B * 4H so that a block is still in cache when
   the loop reads it: the whole 14-step window at B=8, a step or two at
   B=256. The loop keeps seven numpy calls per step (eight for the lagged
-  variant). The weight gradients are one matmul over all steps at the end,
-  written into a flat gradient vector in the canonical leaf order.
+  variant). A layer's weight gradient is one matmul over all steps at the
+  end, written straight into its W in the flat gradient vector.
 - Buffers. `Workspace` holds every per-step array for one model and a
-  largest batch, the dense layers' included; `train` and `run_forecast`
-  make one and reuse it, so no step allocates the layers' arrays.
+  largest batch, the dense layers' included, and the flat gradient;
+  `train` and `run_forecast` make one and reuse it, so no step allocates
+  the layers' arrays. A forward pass copies each LSTM layer's W into its
+  buffer with the i/o/f rows halved; nothing else copies weights.
 """
 
 from __future__ import annotations
@@ -62,63 +69,10 @@ import numpy as np
 from .errors import ConfigError
 
 ACTIVATIONS = ("rectifier", "identity", "sigmoid")
+_GATE_ORDER = ("i", "o", "f", "m")
 
 
-@dataclass
-class LstmCellParams:
-    """Weights of one LSTM layer: four input matrices (H x I), four state
-    matrices (H x H), four biases (H)."""
-
-    W_ix: np.ndarray
-    W_is: np.ndarray
-    W_ox: np.ndarray
-    W_os: np.ndarray
-    W_fx: np.ndarray
-    W_fs: np.ndarray
-    W_mx: np.ndarray
-    W_ms: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_f: np.ndarray
-    b_m: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_ix.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.W_ix.shape[1]
-
-    def validate(self) -> None:
-        h, i = self.W_ix.shape
-        for name in ("W_ix", "W_ox", "W_fx", "W_mx"):
-            if getattr(self, name).shape != (h, i):
-                raise ConfigError(f"{name} must have shape ({h}, {i})")
-        for name in ("W_is", "W_os", "W_fs", "W_ms"):
-            if getattr(self, name).shape != (h, h):
-                raise ConfigError(f"{name} must have shape ({h}, {h})")
-        for name in ("b_i", "b_o", "b_f", "b_m"):
-            if getattr(self, name).shape != (h,):
-                raise ConfigError(f"{name} must have shape ({h},)")
-
-
-@dataclass
-class DenseLayerParams:
-    W: np.ndarray
-    b: np.ndarray
-    activation: str = "rectifier"
-
-    def validate(self) -> None:
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ConfigError(
-                f"dense layer shapes disagree: W {self.W.shape}, b {self.b.shape}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Layer dimensions; defaults match the production architecture."""
 
@@ -131,154 +85,150 @@ class ModelSpec:
     head_activation: str = "identity"
     lagged_m: bool = False
 
+    def __post_init__(self) -> None:
+        if self.head_activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.head_activation!r}")
 
-@dataclass
+    def lstm_layers(self) -> tuple:
+        """(name, input size, hidden size) of each LSTM layer."""
+        return ("lstm1", self.input_dim, self.hidden1), ("lstm2", self.hidden1, self.hidden2)
+
+    def dense_layers(self) -> tuple:
+        """(name, input size, output size, activation) of each dense layer."""
+        return (("fc1", self.hidden2, self.fc1, "rectifier"),
+                ("fc2", self.fc1, self.fc2, "rectifier"),
+                ("head", self.fc2, self.horizon, self.head_activation))
+
+    def leaf_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every parameter array in the canonical order, the
+        checkpoint's: per LSTM layer the input matrices W_gx (H, I), the state
+        matrices W_gs (H, H) and the biases b_g (H), gate order i, o, f, m;
+        per dense layer W and b. Computed without allocating."""
+        out = []
+        for name, I, H in self.lstm_layers():
+            out += [(f"{name}.W_{g}x", (H, I)) for g in _GATE_ORDER]
+            out += [(f"{name}.W_{g}s", (H, H)) for g in _GATE_ORDER]
+            out += [(f"{name}.b_{g}", (H,)) for g in _GATE_ORDER]
+        for name, I, O, _ in self.dense_layers():
+            out += [(f"{name}.W", (O, I)), (f"{name}.b", (O,))]
+        return out
+
+    @property
+    def size(self) -> int:
+        """The number of parameters."""
+        return sum(math.prod(shape) for _, shape in self.leaf_shapes())
+
+
+@dataclass(frozen=True)
+class LstmCellParams:
+    """Weights of one LSTM layer, stacked as W = [Wx | Ws | b] (4H, I+H+1)
+    with the gate rows in order i, o, f, m. The paper's matrices are views of
+    W, cut once: W_gx (H, I), W_gs (H, H) and b_g (H) for each gate g."""
+
+    W: np.ndarray
+    input_size: int
+
+    def __post_init__(self) -> None:
+        H, I = self.hidden_size, self.input_size
+        for k, g in enumerate(_GATE_ORDER):
+            rows = self.W[k * H : (k + 1) * H]
+            object.__setattr__(self, f"W_{g}x", rows[:, :I])
+            object.__setattr__(self, f"W_{g}s", rows[:, I : I + H])
+            object.__setattr__(self, f"b_{g}", rows[:, I + H])
+
+    @property
+    def hidden_size(self) -> int:
+        return self.W.shape[0] // 4
+
+
+@dataclass(frozen=True)
+class DenseLayerParams:
+    W: np.ndarray
+    b: np.ndarray
+    activation: str = "rectifier"
+
+
 class ForecastModel:
+    """A ModelSpec and one flat parameter vector, theta.
+
+    theta holds each LSTM layer's W (4H, I+H+1), then each dense layer's W
+    and b, and every layer array is a view of it, so an in-place edit of
+    theta shows through the layers and the reverse. Without theta the model
+    gets a zero vector of its own.
+    """
+
     lstm1: LstmCellParams
     lstm2: LstmCellParams
     fc1: DenseLayerParams
     fc2: DenseLayerParams
     head: DenseLayerParams
-    input_dim: int
-    horizon: int
-    lagged_m: bool = False
 
-    def validate(self) -> None:
-        self.lstm1.validate()
-        self.lstm2.validate()
-        self.fc1.validate()
-        self.fc2.validate()
-        self.head.validate()
-        chain = [
-            (self.lstm1.input_size, self.input_dim, "lstm1 input"),
-            (self.lstm2.input_size, self.lstm1.hidden_size, "lstm2 input"),
-            (self.fc1.W.shape[1], self.lstm2.hidden_size, "fc1 input"),
-            (self.fc2.W.shape[1], self.fc1.W.shape[0], "fc2 input"),
-            (self.head.W.shape[1], self.fc2.W.shape[0], "head input"),
-            (self.head.W.shape[0], self.horizon, "head output"),
-        ]
-        for got, want, what in chain:
-            if got != want:
-                raise ConfigError(f"{what} dimension is {got}, expected {want}")
+    def __init__(self, spec: ModelSpec, theta: np.ndarray | None = None):
+        self.spec = spec
+        self.theta = np.zeros(spec.size) if theta is None else theta
+        if self.theta.shape != (spec.size,):
+            raise ConfigError(f"parameter vector has shape {self.theta.shape}, expected ({spec.size},)")
+        end = 0
 
+        def take(*shape: int) -> np.ndarray:
+            nonlocal end
+            start, end = end, end + math.prod(shape)
+            return self.theta[start:end].reshape(shape)
 
-# Gradients mirror the parameter structure exactly, so the same containers
-# are reused for both.
-ModelGrads = ForecastModel
+        for name, I, H in spec.lstm_layers():
+            setattr(self, name, LstmCellParams(take(4 * H, I + H + 1), I))
+        for name, I, O, activation in spec.dense_layers():
+            setattr(self, name, DenseLayerParams(take(O, I), take(O), activation))
+
+    @property
+    def input_dim(self) -> int:
+        return self.spec.input_dim
+
+    @property
+    def horizon(self) -> int:
+        return self.spec.horizon
+
+    @property
+    def lagged_m(self) -> bool:
+        return self.spec.lagged_m
 
 
 # ---------------------------------------------------------------------------
 # Parameter initialization and traversal
 # ---------------------------------------------------------------------------
 
-_GATE_ORDER = ("i", "o", "f", "m")
-
-
-def _leaf_names(prefix: str) -> list[str]:
-    return [f"{prefix}.W_{g}x" for g in _GATE_ORDER] + [
-        f"{prefix}.W_{g}s" for g in _GATE_ORDER
-    ] + [f"{prefix}.b_{g}" for g in _GATE_ORDER]
-
-
-LEAF_ORDER = (
-    _leaf_names("lstm1")
-    + _leaf_names("lstm2")
-    + ["fc1.W", "fc1.b", "fc2.W", "fc2.b", "head.W", "head.b"]
-)
-
 
 def model_leaves(model: ForecastModel) -> list[tuple[str, np.ndarray]]:
-    """(name, array) pairs in the canonical serialization order."""
+    """(name, array) pairs in the canonical order, views of model.theta."""
     out = []
-    for name in LEAF_ORDER:
+    for name, _ in model.spec.leaf_shapes():
         part, attr = name.split(".")
         out.append((name, getattr(getattr(model, part), attr)))
     return out
 
 
 def model_to_vector(model: ForecastModel) -> np.ndarray:
+    """The parameters as a new vector in the canonical order."""
     return np.concatenate([a.ravel() for _, a in model_leaves(model)])
-
-
-def model_from_vector(
-    template: ForecastModel, vec: np.ndarray, copy: bool = True
-) -> ForecastModel:
-    """Rebuild a model from a flat parameter vector.
-
-    With copy=False the leaves are views into vec, so later in-place edits
-    of vec show through the model (the training loop relies on this).
-    """
-    parts: dict[str, dict[str, np.ndarray]] = {"lstm1": {}, "lstm2": {}, "fc1": {}, "fc2": {}, "head": {}}
-    pos = 0
-    for name, a in model_leaves(template):
-        part, attr = name.split(".")
-        leaf = vec[pos : pos + a.size].reshape(a.shape)
-        parts[part][attr] = leaf.copy() if copy else leaf
-        pos += a.size
-    if pos != vec.size:
-        raise ConfigError(f"parameter vector has {vec.size} entries, expected {pos}")
-    return ForecastModel(
-        lstm1=LstmCellParams(**parts["lstm1"]),
-        lstm2=LstmCellParams(**parts["lstm2"]),
-        fc1=DenseLayerParams(activation=template.fc1.activation, **parts["fc1"]),
-        fc2=DenseLayerParams(activation=template.fc2.activation, **parts["fc2"]),
-        head=DenseLayerParams(activation=template.head.activation, **parts["head"]),
-        input_dim=template.input_dim,
-        horizon=template.horizon,
-        lagged_m=template.lagged_m,
-    )
-
-
-def _uniform_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _init_cell(rng, hidden: int, inp: int, zeros: bool) -> LstmCellParams:
-    def wx():
-        return np.zeros((hidden, inp)) if zeros else _uniform_matrix(rng, hidden, inp)
-
-    def ws():
-        return np.zeros((hidden, hidden)) if zeros else _uniform_matrix(rng, hidden, hidden)
-
-    # Draw order is fixed: x-weights then state-weights, gate order i,o,f,m.
-    W_ix, W_ox, W_fx, W_mx = wx(), wx(), wx(), wx()
-    W_is, W_os, W_fs, W_ms = ws(), ws(), ws(), ws()
-    zb = lambda: np.zeros(hidden)
-    return LstmCellParams(
-        W_ix=W_ix, W_is=W_is, W_ox=W_ox, W_os=W_os,
-        W_fx=W_fx, W_fs=W_fs, W_mx=W_mx, W_ms=W_ms,
-        b_i=zb(), b_o=zb(), b_f=zb(), b_m=zb(),
-    )
 
 
 def init_params(spec: ModelSpec, scheme: str = "uniform", seed: int = 0) -> ForecastModel:
     """Build a fresh model.
 
-    "zeros" sets every weight and bias to zero; "uniform" draws weights
-    uniformly in +-sqrt(6 / (fan_in + fan_out)) with zero biases,
-    deterministically from the seed.
+    "zeros" sets every weight and bias to zero; "uniform" draws each weight
+    matrix uniformly in +-sqrt(6 / (fan_in + fan_out)), one after another
+    in the canonical order, with zero biases, deterministically from the
+    seed.
     """
     if scheme not in ("zeros", "uniform"):
         raise ConfigError(f"unknown init scheme {scheme!r}; expected 'zeros' or 'uniform'")
-    zeros = scheme == "zeros"
-    rng = np.random.default_rng(seed)
-
-    def dense(rows, cols, activation):
-        W = np.zeros((rows, cols)) if zeros else _uniform_matrix(rng, rows, cols)
-        return DenseLayerParams(W=W, b=np.zeros(rows), activation=activation)
-
-    model = ForecastModel(
-        lstm1=_init_cell(rng, spec.hidden1, spec.input_dim, zeros),
-        lstm2=_init_cell(rng, spec.hidden2, spec.hidden1, zeros),
-        fc1=dense(spec.fc1, spec.hidden2, "rectifier"),
-        fc2=dense(spec.fc2, spec.fc1, "rectifier"),
-        head=dense(spec.horizon, spec.fc2, spec.head_activation),
-        input_dim=spec.input_dim,
-        horizon=spec.horizon,
-        lagged_m=spec.lagged_m,
-    )
-    model.validate()
+    model = ForecastModel(spec)
+    if scheme == "uniform":
+        rng = np.random.default_rng(seed)
+        for _, leaf in model_leaves(model):
+            if leaf.ndim == 2:
+                bound = math.sqrt(6.0 / sum(leaf.shape))
+                leaf[...] = rng.uniform(-bound, bound, size=leaf.shape)
     return model
 
 
@@ -292,15 +242,6 @@ def init_params(spec: ModelSpec, scheme: str = "uniform", seed: int = 0) -> Fore
 # loop reads them: all 14 steps of lstm1 at the training batch of 8, two at
 # 64, one at 256.
 BACKWARD_BLOCK_BYTES = 1 << 18
-
-
-def _fused(vec: np.ndarray, hidden: int, inp: int):
-    """One layer's leaves at the front of a flat vector in the canonical
-    order, as views: Wx (4H, I), Ws (4H, H) and b (4H), gate order i, o, f, m."""
-    h4 = 4 * hidden
-    nx, ns = h4 * inp, h4 * hidden
-    return (vec[:nx].reshape(h4, inp), vec[nx : nx + ns].reshape(h4, hidden),
-            vec[nx + ns : nx + ns + h4])
 
 
 def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -321,8 +262,8 @@ class _LayerBuffers:
     def __init__(self, hidden: int, inp: int, batch: int, steps: int):
         h4, k = 4 * hidden, inp + hidden + 1
         self.hidden, self.inp, self.batch, self.steps = hidden, inp, batch, steps
-        # [Wx | Ws | b] in gate order [i|o|f|m], the i/o/f rows halved (load);
-        # step t multiplies the column block xs[t] = [x_t; s_{t-1}; 1].
+        # The layer's W with the i/o/f rows halved (load); step t multiplies
+        # the column block xs[t] = [x_t; s_{t-1}; 1].
         self.W = np.empty((h4, k))
         self.xs = np.empty((steps + 1) * k * batch)
         self.gates = np.empty(steps * h4 * batch)
@@ -330,14 +271,10 @@ class _LayerBuffers:
         self.cand = np.empty(hidden * batch)
 
     def load(self, p: LstmCellParams) -> None:
-        """Stack p's weights into W, halving the i/o/f rows: sigmoid(z) is
-        computed as (1 + tanh(z/2)) / 2, and halving a float is exact."""
-        I, H = self.inp, self.hidden
-        W = self.W
-        np.concatenate((p.W_ix, p.W_ox, p.W_fx, p.W_mx), out=W[:, :I])
-        np.concatenate((p.W_is, p.W_os, p.W_fs, p.W_ms), out=W[:, I : I + H])
-        np.concatenate((p.b_i, p.b_o, p.b_f, p.b_m), out=W[:, I + H])
-        W[: 3 * H] *= 0.5
+        """Copy p.W into W, halving the i/o/f rows: sigmoid(z) is computed as
+        (1 + tanh(z/2)) / 2, and halving a float is exact."""
+        np.copyto(self.W, p.W)
+        self.W[: 3 * self.hidden] *= 0.5
 
     @functools.cached_property
     def block(self) -> int:
@@ -349,11 +286,8 @@ class _LayerBuffers:
     def backward(self) -> dict:
         H, I, B, T = self.hidden, self.inp, self.batch, self.steps
         h4, k = 4 * H, I + H + 1
-        unhalve = np.ones(h4)
-        unhalve[: 3 * H] = 2.0
         return {
-            "WT": np.empty((I + H, h4)),  # [Wx | Ws] transposed, at full scale
-            "unhalve": unhalve,
+            "WT": np.empty((I + H, h4)),  # [Wx | Ws] transposed
             "dpre": np.empty(T * h4 * B),  # per step: d loss / d pre-activations
             "dxs": np.empty(T * (I + H) * B),  # per step: d loss / d [x_t; s_{t-1}]
             "factors": np.empty(self.block * h4 * B),
@@ -362,7 +296,6 @@ class _LayerBuffers:
             # gate-major copies for the weight-gradient product
             "dpre_rows": np.empty(T * h4 * B),
             "xs_rows": np.empty(T * k * B),
-            "dW": np.empty((h4, k)),
         }
 
 
@@ -474,13 +407,14 @@ def _backward_factors(G, C, TC, t0: int, t1: int, lagged_m: bool, F: np.ndarray,
 
 
 def _lstm_backward_batch(
-    p: LstmCellParams, cache: dict, ds_ext: np.ndarray, lagged_m: bool, grad, need_dx: bool = True
+    p: LstmCellParams, cache: dict, ds_ext: np.ndarray, lagged_m: bool, grad: LstmCellParams,
+    need_dx: bool = True,
 ) -> np.ndarray | None:
     """Backward through one layer.
 
     ds_ext: (T, B, H) gradient flowing into each step's output s_t from the
-    layer's consumer. Writes the weight gradients into grad = (dWx, dWs, db),
-    stacked like _fused's views, and returns dL/dx as a (T, B, I) view, or
+    layer's consumer. Writes the weight gradient into grad.W and returns
+    dL/dx as a (T, B, I) view, or
     None without need_dx. The step loop runs over blocks of steps, last block
     first, each after its cache-only factors (_backward_factors); the weight
     gradients are one matmul over the whole sequence at the end.
@@ -494,7 +428,7 @@ def _lstm_backward_batch(
     xs = _view(buf.xs, T + 1, k, B)
     arrays = buf.backward
     WT = arrays["WT"]
-    np.multiply(buf.W[:, : I + H].T, arrays["unhalve"], out=WT)
+    np.copyto(WT, p.W[:, : I + H].T)
     dsT = ds_ext.transpose(0, 2, 1)
     dpre = _view(arrays["dpre"], T, h4, B)
     dxs = _view(arrays["dxs"], T, I + H, B)
@@ -534,12 +468,7 @@ def _lstm_backward_batch(
     rows_x = _view(arrays["xs_rows"], k, T, B)
     np.copyto(rows_a, dpre.transpose(1, 0, 2))
     np.copyto(rows_x, xs[:T].transpose(1, 0, 2))
-    dW = arrays["dW"]
-    np.matmul(rows_a.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=dW)
-    dWx, dWs, db = grad
-    np.copyto(dWx, dW[:, :I])
-    np.copyto(dWs, dW[:, I : I + H])
-    np.copyto(db, dW[:, I + H])
+    np.matmul(rows_a.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=grad.W)
     return dxs[:, :I].transpose(0, 2, 1) if need_dx else None
 
 
@@ -613,8 +542,7 @@ class Workspace:
     The outputs and the cache forward_batch returns live here, so they are
     valid until the next forward_batch with the same workspace.
     backward_batch writes the gradient into `grad`, one flat vector in the
-    canonical leaf order, and returns `grads`, a model whose leaves are
-    views of it.
+    layout of the model's theta, and returns `grads`, the model over it.
     """
 
     def __init__(self, model: ForecastModel, batch: int, steps: int):
@@ -626,18 +554,11 @@ class Workspace:
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
-        return np.empty(sum(a.size for _, a in model_leaves(self.model)))
+        return np.empty(self.model.theta.size)
 
     @functools.cached_property
     def grads(self) -> ForecastModel:
-        return model_from_vector(self.model, self.grad, copy=False)
-
-    @functools.cached_property
-    def lstm_grads(self):
-        """_fused views of the two LSTM layers' gradients in `grad`."""
-        l1, l2 = self.lstm1, self.lstm2
-        n1 = 4 * l1.hidden * (l1.inp + l1.hidden + 1)
-        return _fused(self.grad, l1.hidden, l1.inp), _fused(self.grad[n1:], l2.hidden, l2.inp)
+        return ForecastModel(self.model.spec, self.grad)
 
     @functools.cached_property
     def ds2(self) -> np.ndarray:
@@ -695,10 +616,10 @@ def forward_batch(
     return y, cache
 
 
-def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) -> ModelGrads:
+def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) -> ForecastModel:
     """Backward pass: dY is the gradient of the scalar loss w.r.t. the batch
     outputs (B, K). Returns the summed parameter gradients as the cache's
-    workspace's `grads`, views of its flat `grad`."""
+    workspace's `grads`, the model over its flat `grad`."""
     if cache is None or cache.fc is None:
         raise ConfigError("backward_batch needs the cache from forward_batch")
     ws, fc = cache.ws, cache.fc
@@ -711,9 +632,9 @@ def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) ->
     ds2 = _view(ws.ds2, T, model.lstm2.hidden_size, B)
     ds2[:-1] = 0.0
     ds2[-1] = dh.T
-    g1, g2 = ws.lstm_grads
-    dx2 = _lstm_backward_batch(model.lstm2, cache.lstm2, ds2.transpose(0, 2, 1), model.lagged_m, g2)
-    _lstm_backward_batch(model.lstm1, cache.lstm1, dx2, model.lagged_m, g1, need_dx=False)
+    dx2 = _lstm_backward_batch(
+        model.lstm2, cache.lstm2, ds2.transpose(0, 2, 1), model.lagged_m, g.lstm2)
+    _lstm_backward_batch(model.lstm1, cache.lstm1, dx2, model.lagged_m, g.lstm1, need_dx=False)
     return g
 
 

@@ -10,9 +10,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .losses import LOSS_KINDS, batch_loss_and_grad
-from .lstm import (
-    ForecastModel, Workspace, backward_batch, forward_batch, model_from_vector, model_to_vector,
-)
+from .lstm import ForecastModel, Workspace, backward_batch, forward_batch
+# Not called here; perfbench/layers.py times training.model_to_vector while it lists it.
+from .lstm import model_to_vector  # noqa: F401
 
 
 # Adam's decay rates and denominator guard (Kingma & Ba's defaults).
@@ -23,8 +23,8 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one flat vector each in the model's
-    canonical leaf order, so the update is a handful of vector ops."""
+    """First/second moment accumulators, one flat vector each in the layout
+    of the model's theta, so the update is a handful of vector ops."""
 
     m1_flat: np.ndarray
     m2_flat: np.ndarray
@@ -166,8 +166,9 @@ def train(
 
     X: (N, L, F) inputs, Y: (N, K) targets, both already scaled. Gradients are
     averaged within each batch so the learning rate is batch-size independent.
-    Returns the trained model and the mean batch loss per epoch. Fully
-    deterministic for a given config.seed.
+    Returns the trained model, a copy (the caller's model is not changed),
+    and the mean batch loss per epoch. Fully deterministic for a given
+    config.seed.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -178,12 +179,11 @@ def train(
         raise ConfigError("training set is empty")
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
-    # Work on a flat parameter buffer; the model's leaves are views into it,
-    # so the in-place Adam update is the only parameter write per batch.
-    # backward_batch writes the gradient into the workspace's flat buffer.
-    theta = model_to_vector(model)
+    # The in-place Adam update of theta is the only parameter write per
+    # batch; backward_batch writes the gradient into ws.grad, in theta's layout.
+    model = ForecastModel(model.spec, model.theta.copy())
+    theta = model.theta
     state = AdamState.zeros(theta.size, alpha=config.lr)
-    model = model_from_vector(model, theta, copy=False)
     ws = Workspace(model, min(config.batch_size, n), X.shape[1])
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -203,4 +203,4 @@ def train(
         history.append(float(np.mean(epoch_losses)))
         if config.log_every and config.progress and (epoch + 1) % config.log_every == 0:
             config.progress(epoch + 1, history[-1])
-    return model_from_vector(model, theta), history
+    return model, history

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from eadforecast.checkpoint import (
     MAGIC,
     Checkpoint,
     check_compatible,
+    config_digest,
     load_checkpoint,
     save_checkpoint,
 )
 from eadforecast.errors import ConfigError, DataError
-from eadforecast.lstm import ModelSpec, forward_batch, model_to_vector
+from eadforecast.lstm import (
+    ForecastModel, ModelSpec, forward_batch, init_params, model_leaves, model_to_vector,
+)
 from eadforecast.training import MinMaxScaler
 from tests.test_lstm import random_model
 
@@ -119,6 +124,29 @@ class TestRefusals:
         with pytest.raises(DataError, match="corrupt checkpoint header"):
             load_checkpoint(path)
 
+    def test_a_huge_arch_is_refused_before_anything_of_its_size_is_allocated(self, saved):
+        # hidden2 = 10**4 would make lstm2's four state matrices 3.2 GB; the
+        # manifest is checked against the arch's shapes without building it.
+        path, _, _, _ = saved
+        blob = path.read_bytes()
+        start = len(MAGIC) + 8
+        length = int(np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))[0])
+        header = json.loads(blob[start : start + length])
+        header["arch"]["hidden2"] = 10**4
+        header["config_digest"] = config_digest(
+            {name: header[name] for name in ("arch", "scaler", "meta")})
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(MAGIC + np.array([len(text)], dtype="<u8").tobytes() + text
+                         + blob[start + length :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="corrupt checkpoint header"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_checkpoint(tmp_path / "nope.bin")
@@ -182,3 +210,38 @@ class TestDamagedFiles:
         assert loaded.meta == original.meta
         for name, value in vars(original.scaler).items():
             assert np.array_equal(getattr(loaded.scaler, name), value)
+
+
+V1_FILE = Path(__file__).parent / "data" / "checkpoint_v1.bin"
+
+
+def v1_file_model() -> ForecastModel:
+    """The model V1_FILE holds, built as it was when the file was written:
+    a uniform init of seed 7, then every bias set to k + 0.25 * (1, 2, ...),
+    k being its index in the canonical leaf order."""
+    model = init_params(ModelSpec(input_dim=2, hidden1=3, hidden2=2, fc1=3, fc2=2, horizon=2), seed=7)
+    for k, (_, leaf) in enumerate(model_leaves(model)):
+        if leaf.ndim == 1:
+            leaf[:] = k + 0.25 * np.arange(1, leaf.size + 1)
+    return model
+
+
+class TestFormatVersion1File:
+    """V1_FILE was written by save_checkpoint when a model was twelve
+    separate arrays per LSTM layer, with the scaler
+    MinMaxScaler([0, -1.5], [1, 2.5], 3, 40); it pins format 1."""
+
+    def test_loads_to_the_leaves_it_was_written_from(self):
+        loaded = load_checkpoint(V1_FILE)
+        for (name, got), (_, want) in zip(model_leaves(loaded.model), model_leaves(v1_file_model()),
+                                          strict=True):
+            assert got.tobytes() == want.tobytes(), name
+        assert loaded.meta == {"features": ["temperature", "mobility"], "lookback": 3,
+                               "group": "all", "seed": 7}
+        assert loaded.scaler.feature_min.tolist() == [0.0, -1.5]
+        assert (loaded.scaler.target_min, loaded.scaler.target_max) == (3.0, 40.0)
+
+    def test_saving_it_again_reproduces_the_file(self, tmp_path):
+        loaded = load_checkpoint(V1_FILE)
+        save_checkpoint(tmp_path / "again.bin", loaded.model, loaded.scaler, loaded.meta)
+        assert (tmp_path / "again.bin").read_bytes() == V1_FILE.read_bytes()

@@ -488,3 +488,29 @@ class TestWriteReadRoundTrip:
             SynthConfig(start=dt.date(2016, 1, 1), end=dt.date(2016, 12, 31)), seed=0
         )
         assert len(result.records) == 366  # leap year
+
+
+class TestStrictNumerals:
+    # float() and int() read Python numerals: 1_0 as 10 and full-width or
+    # Arabic-Indic digits as their values. In a dataset cell those are typos.
+    @pytest.mark.parametrize("name,column,cell", [
+        ("weather", 1, "1_0"), ("weather", 2, "５０"), ("ead", 1, " 1_00 "),
+        ("ead", 4, "５０"), ("mobility", 1, "9_0.5"), ("mobility", 1, "٩٠"),
+    ])
+    def test_underscores_and_non_ascii_digits_exit_2_naming_the_line(
+            self, fuzz_dataset, tmp_path, name, column, cell):
+        paths, preds = fuzz_dataset
+        files = {key: tmp_path / path.name for key, path in paths.items()}
+        for key, path in paths.items():
+            lines = path.read_text().splitlines(keepends=True)
+            if key == name:
+                cells = lines[5].rstrip("\n").split(",")
+                cells[column] = cell
+                lines[5] = ",".join(cells) + "\n"
+            files[key].write_bytes("".join(lines).encode("utf-8"))
+        args = [arg for key, path in files.items() for arg in (f"--{key}", str(path))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", *args, "--predictions", str(preds), "--out", str(tmp_path / "run")])
+        assert code == 2, err.getvalue()
+        assert f"{files[name]}:6: bad " in err.getvalue()

@@ -6,6 +6,8 @@ candidate-vector variants), and every gradient is pinned against central
 finite differences. A single window is a batch of one.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,36 +23,36 @@ from eadforecast.lstm import (
     backward_batch,
     forward_batch,
     init_params,
-    model_from_vector,
     model_leaves,
     model_to_vector,
 )
 from tests.oracles import finite_diff_gradient
 
 
-def random_cell(rng, hidden, inp, scale=0.6) -> LstmCellParams:
-    def mat(r, c):
-        return rng.normal(0.0, scale, size=(r, c))
-
-    return LstmCellParams(
-        W_ix=mat(hidden, inp), W_is=mat(hidden, hidden),
-        W_ox=mat(hidden, inp), W_os=mat(hidden, hidden),
-        W_fx=mat(hidden, inp), W_fs=mat(hidden, hidden),
-        W_mx=mat(hidden, inp), W_ms=mat(hidden, hidden),
-        b_i=rng.normal(size=hidden), b_o=rng.normal(size=hidden),
-        b_f=rng.normal(size=hidden), b_m=rng.normal(size=hidden),
-    )
-
-
 def zero_cell(hidden, inp) -> LstmCellParams:
-    cell = random_cell(np.random.default_rng(0), hidden, inp)
-    return LstmCellParams(**{k: np.zeros_like(v) for k, v in vars(cell).items()})
+    return LstmCellParams(np.zeros((4 * hidden, inp + hidden + 1)), inp)
+
+
+def random_cell(rng, hidden, inp, scale=0.6) -> LstmCellParams:
+    """Weights of standard deviation scale and biases of 1, drawn gate by
+    gate: W_ix, W_is, W_ox, ..., W_ms, then b_i, ..., b_m."""
+    p = zero_cell(hidden, inp)
+    for g in "iofm":
+        getattr(p, f"W_{g}x")[:] = rng.normal(0.0, scale, size=(hidden, inp))
+        getattr(p, f"W_{g}s")[:] = rng.normal(0.0, scale, size=(hidden, hidden))
+    for g in "iofm":
+        getattr(p, f"b_{g}")[:] = rng.normal(size=hidden)
+    return p
 
 
 def random_model(rng, spec: ModelSpec) -> ForecastModel:
+    """A uniform init plus normal noise, drawn in the canonical leaf order."""
     model = init_params(spec, scheme="uniform", seed=int(rng.integers(1 << 31)))
-    vec = model_to_vector(model)
-    return model_from_vector(model, vec + rng.normal(0.0, 0.2, size=vec.size))
+    noise, pos = rng.normal(0.0, 0.2, size=spec.size), 0
+    for _, leaf in model_leaves(model):
+        leaf += noise[pos : pos + leaf.size].reshape(leaf.shape)
+        pos += leaf.size
+    return model
 
 
 def layer_forward(p, seq, lagged=False) -> dict:
@@ -98,8 +100,9 @@ class TestCellStep:
         # state stores c = tanh(atanh(0.3)) = 0.3; step 2 has x=0, so its
         # candidate is 0 and c carries over: c=0.3, s = tanh(0.3) = 0.29131...
         p = zero_cell(1, 1)
-        p.W_mx = np.ones((1, 1))
-        p.b_i, p.b_o, p.b_f = np.array([100.0]), np.array([100.0]), np.array([100.0])
+        p.W_mx[:] = 1.0
+        for b in (p.b_i, p.b_o, p.b_f):
+            b[:] = 100.0
         cache = layer_forward(p, [[np.arctanh(0.3)], [0.0]])
         np.testing.assert_allclose(cache["c"][:, 0], [[0.3], [0.3]], atol=1e-12)
         np.testing.assert_allclose(cache["s"][1, 0], [np.tanh(0.3)], atol=1e-12)
@@ -130,31 +133,34 @@ class TestCellStep:
         np.testing.assert_allclose(cache["c"][0, 0], np.zeros(2), atol=1e-15)
         np.testing.assert_allclose(cache["c"][1, 0], cache["i"][1, 0] * cache["m"][0, 0], atol=1e-15)
 
-    def test_dimension_mismatch(self):
-        # Every input matrix of a cell must have the shape of W_ix.
+    def test_gate_matrices_are_views_of_the_stacked_weights(self):
+        # W = [Wx | Ws | b] with gate rows i, o, f, m: each of the paper's
+        # twelve arrays is a block of it, and an edit of one shows in W.
         p = random_cell(np.random.default_rng(1), 2, 3)
-        p.validate()
-        p.W_fx = np.zeros((2, 2))
-        with pytest.raises(ConfigError, match="W_fx"):
-            p.validate()
+        blocks = [np.hstack([getattr(p, f"W_{g}x"), getattr(p, f"W_{g}s"),
+                             getattr(p, f"b_{g}")[:, None]]) for g in "iofm"]
+        assert np.array_equal(np.vstack(blocks), p.W)
+        p.W_fs[1, 0] = 7.0
+        assert p.W[2 * 2 + 1, 3 + 0] == 7.0
+        with pytest.raises(AttributeError):
+            p.W_fx = np.zeros((2, 3))
 
     def test_saturated_gates_are_exactly_zero_or_one_without_warnings(self):
         # |z| > 40 puts tanh(z/2) at exactly +-1, so sigmoid(z) = (1 +
         # tanh(z/2)) / 2 is exactly 1 or 0 and tanh(z) exactly +-1, with no
         # overflow on the way; the backward pass stays finite and gives the
         # saturated gates zero gradient.
-        p = zero_cell(2, 1)
-        p.b_i, p.b_o, p.b_f = np.array([41.0, -41.0]), np.array([300.0, -45.0]), np.array([-60.0, 42.0])
-        p.W_mx = np.array([[50.0], [-50.0]])
+        model = init_params(ModelSpec(input_dim=1, hidden1=2, hidden2=2, fc1=3, fc2=2), seed=3)
+        p = model.lstm1
+        p.W[:] = 0.0
+        p.b_i[:], p.b_o[:], p.b_f[:] = [41.0, -41.0], [300.0, -45.0], [-60.0, 42.0]
+        p.W_mx[:] = [[50.0], [-50.0]]
         with np.errstate(all="raise"):
             cache = layer_forward(p, [[1.0], [2.0], [-1.0]])
             assert np.array_equal(cache["i"][:, 0], np.tile([1.0, 0.0], (3, 1)))
             assert np.array_equal(cache["o"][:, 0], np.tile([1.0, 0.0], (3, 1)))
             assert np.array_equal(cache["f"][:, 0], np.tile([0.0, 1.0], (3, 1)))
             assert np.array_equal(cache["m"][:, 0], [[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-            spec = ModelSpec(input_dim=1, hidden1=2, hidden2=2, fc1=3, fc2=2)
-            model = init_params(spec, seed=3)
-            model.lstm1 = p
             _, grads = loss_and_grads(model, np.array([[[1.0], [2.0], [-1.0]]]), np.array([[0.5]]))
         assert np.all(np.isfinite(grads.lstm1.W_is))
         assert np.array_equal(grads.lstm1.b_i, np.zeros(2))
@@ -281,12 +287,12 @@ def relative_error(a, n):
 
 def check_gradients(model, X, Y, loss="mse", h=1e-5):
     _, grads = loss_and_grads(model, X, Y, loss)
-    analytic = model_to_vector(grads)
+    analytic = grads.theta
 
-    def f(p):
-        return loss_and_grads(model_from_vector(model, p), X, Y, loss)[0]
+    def f(theta):
+        return loss_and_grads(ForecastModel(model.spec, theta), X, Y, loss)[0]
 
-    numeric = finite_diff_gradient(f, model_to_vector(model), h)
+    numeric = finite_diff_gradient(f, model.theta.copy(), h)
     return relative_error(analytic, numeric).max()
 
 
@@ -319,7 +325,7 @@ class TestNetworkBackward:
         )
         for _ in range(4):
             model = random_model(rng, spec)
-            assert model_to_vector(model).size <= 200
+            assert model.theta.size <= 200
             X = rng.normal(size=(1, 5, 2))
             Y = rng.normal(size=(1, 1))
             assert check_gradients(model, X, Y) < 1e-5
@@ -331,8 +337,8 @@ class TestNetworkBackward:
         model = random_model(rng, spec)
         X, Y = rng.normal(size=(5, 6, 3)), rng.normal(size=(5, 2))
         _, grads = loss_and_grads(model, X, Y)
-        per_window = [model_to_vector(loss_and_grads(model, X[b : b + 1], Y[b : b + 1])[1]) for b in range(5)]
-        np.testing.assert_allclose(model_to_vector(grads), np.mean(per_window, axis=0), rtol=1e-10, atol=1e-14)
+        per_window = [loss_and_grads(model, X[b : b + 1], Y[b : b + 1])[1].theta for b in range(5)]
+        np.testing.assert_allclose(grads.theta, np.mean(per_window, axis=0), rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_multi_block_backward_matches_finite_differences(self, lagged, monkeypatch):
@@ -361,13 +367,13 @@ class TestNetworkBackward:
         grads = []
         for block_bytes in (1, 8 * 16 * 3 * 3, 1 << 30):  # blocks of 1, 3 and 7 steps
             monkeypatch.setattr(lstm, "BACKWARD_BLOCK_BYTES", block_bytes)
-            grads.append(model_to_vector(loss_and_grads(model, X, Y)[1]))
+            grads.append(loss_and_grads(model, X, Y)[1].theta)
         assert np.array_equal(grads[0], grads[1]) and np.array_equal(grads[0], grads[2])
 
     def test_workspace_gradient_is_flat_and_fully_rewritten(self):
         # backward_batch writes every entry of the workspace's flat gradient,
-        # and returns views of it; a reused workspace, also at a smaller
-        # batch, gives the bits of a fresh one.
+        # and returns the model over it; a reused workspace, also at a
+        # smaller batch, gives the bits of a fresh one.
         rng = np.random.default_rng(95)
         spec = ModelSpec(input_dim=3, hidden1=4, hidden2=3, fc1=5, fc2=4, horizon=2)
         model = random_model(rng, spec)
@@ -377,9 +383,9 @@ class TestNetworkBackward:
             y, cache = forward_batch(model, X, ws)
             ws.grad.fill(np.nan)
             grads = backward_batch(model, cache, batch_loss_and_grad(y, Y)[1])
-            assert grads is ws.grads
-            assert np.array_equal(ws.grad, model_to_vector(grads))
-            assert np.array_equal(ws.grad, model_to_vector(loss_and_grads(model, X, Y)[1]))
+            assert grads is ws.grads and grads.theta is ws.grad
+            assert not np.isnan(ws.grad).any()
+            assert np.array_equal(ws.grad, loss_and_grads(model, X, Y)[1].theta)
 
     def test_workspace_refuses_a_larger_batch(self):
         model = init_params(TINY)
@@ -401,6 +407,34 @@ class TestNetworkBackward:
         model = init_params(TINY)
         with pytest.raises(ConfigError):
             backward_batch(model, None, np.zeros((1, 1)))
+
+
+class TestParameterLayout:
+    def test_layers_are_views_of_theta_in_engine_order(self):
+        # theta = lstm1.W, lstm2.W, then fc1.W, fc1.b, fc2.W, fc2.b, head.W, head.b.
+        model = random_model(np.random.default_rng(12), TINY)
+        parts = [model.lstm1.W, model.lstm2.W]
+        parts += [a for layer in (model.fc1, model.fc2, model.head) for a in (layer.W, layer.b)]
+        assert np.array_equal(np.concatenate([a.ravel() for a in parts]), model.theta)
+        assert all(np.shares_memory(a, model.theta) for a in parts)
+
+    def test_leaves_follow_the_spec_in_the_canonical_order(self):
+        model = random_model(np.random.default_rng(13), TINY)
+        assert [(name, a.shape) for name, a in model_leaves(model)] == TINY.leaf_shapes()
+        flat = model_to_vector(model)
+        assert flat.size == TINY.size == model.theta.size
+        assert np.array_equal(np.sort(flat), np.sort(model.theta))
+        assert np.array_equal(flat[:4], model.lstm1.W_ix.ravel())  # (H, I) = (2, 2)
+
+    def test_spec_is_frozen_and_checks_the_head_activation(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TINY.hidden1 = 5
+        with pytest.raises(ConfigError, match="activation"):
+            ModelSpec(input_dim=2, head_activation="softmax")
+
+    def test_theta_of_another_size_is_refused(self):
+        with pytest.raises(ConfigError, match="parameter vector"):
+            ForecastModel(TINY, np.zeros(TINY.size + 1))
 
 
 class TestInitParams:
