@@ -45,14 +45,15 @@ Appleyard et al. 2016, arXiv:1604.01946):
   products with m, c_prev, i, o and tanh(c); see `_backward_factors`) are
   computed outside the step loop, for blocks of steps sized by
   `BACKWARD_BLOCK_BYTES` from B * 4H so that a block is still in cache when
-  the loop reads it: the whole 14-step window at B=8, a step or two at
-  B=256. The loop keeps seven numpy calls per step (eight for the lagged
-  variant). A layer's weight gradient is one matmul over all steps at the
-  end, written straight into its W in the flat gradient vector.
-- Buffers. `Workspace` holds every per-step array for one model and a
-  largest batch, the dense layers' included, and the flat gradient;
-  `train` and `run_forecast` make one and reuse it, so no step allocates
-  the layers' arrays. A forward pass copies each LSTM layer's W into its
+  the loop reads it: the whole 14-step window at B=8, one step at B=256.
+  The loop turns a step's factors into a_t in place (eight numpy calls per
+  step) and writes the block's a_t gate-major, (4H, T, B), after it. A
+  layer's weight gradient is one matmul over all steps at the end that
+  reads a_t in place, written straight into its W in the flat gradient.
+- Buffers. `Workspace` holds every per-step array of one model at a largest
+  batch once (the column blocks also gate-major, for the weight gradient)
+  and the flat gradient; `train` and `run_forecast` make one and reuse it,
+  so no step allocates. A forward pass copies each LSTM layer's W into its
   buffer with the i/o/f rows halved; nothing else copies weights.
 """
 
@@ -255,8 +256,9 @@ class _LayerBuffers:
     of a step is one contiguous (H, B) array: numpy runs an elementwise op on
     a strided view several times slower than on a contiguous one. The arrays
     are flat and viewed per call as (T, rows, B), so a smaller batch gets
-    contiguous views of the same memory. The backward arrays are allocated on
-    the first backward pass.
+    contiguous views of the same memory; only dpre and xs_rows, which the
+    weight-gradient matmul reads, are gate-major, (rows, T, B). The backward
+    arrays are allocated on the first backward pass.
     """
 
     def __init__(self, hidden: int, inp: int, batch: int, steps: int):
@@ -288,14 +290,12 @@ class _LayerBuffers:
         h4, k = 4 * H, I + H + 1
         return {
             "WT": np.empty((I + H, h4)),  # [Wx | Ws] transposed
-            "dpre": np.empty(T * h4 * B),  # per step: d loss / d pre-activations
+            "dpre": np.empty(h4 * T * B),  # gate-major: d loss / d pre-activations
             "dxs": np.empty(T * (I + H) * B),  # per step: d loss / d [x_t; s_{t-1}]
             "factors": np.empty(self.block * h4 * B),
             "p": np.empty(self.block * H * B),
             "state": np.empty((4, H * B)),  # ds, dc, the other step's dc, dc_next
-            # gate-major copies for the weight-gradient product
-            "dpre_rows": np.empty(T * h4 * B),
-            "xs_rows": np.empty(T * k * B),
+            "xs_rows": np.empty(T * k * B),  # xs[:T] copied gate-major
         }
 
 
@@ -414,10 +414,10 @@ def _lstm_backward_batch(
 
     ds_ext: (T, B, H) gradient flowing into each step's output s_t from the
     layer's consumer. Writes the weight gradient into grad.W and returns
-    dL/dx as a (T, B, I) view, or
-    None without need_dx. The step loop runs over blocks of steps, last block
-    first, each after its cache-only factors (_backward_factors); the weight
-    gradients are one matmul over the whole sequence at the end.
+    dL/dx as a (T, B, I) view, or None without need_dx. The step loop runs
+    over blocks of steps, last block first, each after its cache-only
+    factors (_backward_factors); the weight gradients are one matmul over
+    the whole sequence at the end.
     """
     x, buf = cache["x"], cache["buffers"]
     T, B, I = x.shape
@@ -430,7 +430,7 @@ def _lstm_backward_batch(
     WT = arrays["WT"]
     np.copyto(WT, p.W[:, : I + H].T)
     dsT = ds_ext.transpose(0, 2, 1)
-    dpre = _view(arrays["dpre"], T, h4, B)
+    dpre = _view(arrays["dpre"], h4, T, B)  # a_t is the column block dpre[:, t]
     dxs = _view(arrays["dxs"], T, I + H, B)
     ds, dc, dc_other, dc_next = (_view(a, H, B) for a in arrays["state"])
     dc_next.fill(0.0)
@@ -452,23 +452,22 @@ def _lstm_backward_batch(
                 np.add(dsT[t], dxs[t + 1, I:], out=ds)
             np.multiply(ds, P[j], out=dc)
             dc += dc_next
-            da = dpre[t]
-            np.multiply(dc, F4[j], out=da.reshape(4, H, B))  # a_i, a_f, a_m
-            np.multiply(ds, F[j, H : 2 * H], out=da[H : 2 * H])  # a_o replaces dc * F_o
+            da = F[j]  # the step's factors become a_t in place
+            da[H : 2 * H] *= ds  # a_o
+            F4[j, ::2] *= dc  # a_i, a_f
+            da[3 * H :] *= dc_other if lagged_m else dc  # a_m
             np.multiply(dc, G[t, 2 * H : 3 * H], out=dc_next)
             if lagged_m:
-                np.multiply(dc_other, F[j, 3 * H :], out=da[3 * H :])
                 dc, dc_other = dc_other, dc
             if t or need_dx:
                 np.matmul(WT[lo:], da, out=dxs[t, lo:])
+        np.copyto(dpre[:, t0:t1], F.transpose(1, 0, 2))
 
     # d loss / d [Wx | Ws | b] = sum over steps of a_t [x_t; s_{t-1}; 1]^T:
-    # one matmul over gate-major copies with the (step, window) pairs as columns.
-    rows_a = _view(arrays["dpre_rows"], h4, T, B)
+    # one matmul with the (step, window) pairs as columns, dpre read in place.
     rows_x = _view(arrays["xs_rows"], k, T, B)
-    np.copyto(rows_a, dpre.transpose(1, 0, 2))
     np.copyto(rows_x, xs[:T].transpose(1, 0, 2))
-    np.matmul(rows_a.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=grad.W)
+    np.matmul(dpre.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=grad.W)
     return dxs[:, :I].transpose(0, 2, 1) if need_dx else None
 
 

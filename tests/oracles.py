@@ -1,5 +1,6 @@
 """Oracles the package is checked against: central-difference gradients
-for the analytic gradients, the per-window scaling path for the windows
+for the analytic gradients, gate-major copies for the bits of an LSTM
+layer's weight gradient, the per-window scaling path for the windows
 training gathers by index, and the per-date collection of overlapping
 forecasts for their aggregate."""
 
@@ -41,6 +42,20 @@ def finite_diff_gradient(
             )
         grad[idx] = (f_hi - f_lo) / (2.0 * h)
     return grad
+
+
+def weight_gradient_by_copies(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum over steps t of a_t [x_t; s_{t-1}; 1]^T for one LSTM layer, from
+    a (T, 4H, B), the gradients w.r.t. each step's pre-activations, and
+    xs (T, I+H+1, B), each step's column block. Both are first copied into
+    contiguous gate-major (rows, T, B) arrays, then multiplied in one
+    matmul with the (step, window) pairs as columns."""
+    T, h4, B = a.shape
+    k = xs.shape[1]
+    rows_a, rows_x = np.empty((h4, T, B)), np.empty((k, T, B))
+    np.copyto(rows_a, a.transpose(1, 0, 2))
+    np.copyto(rows_x, xs.transpose(1, 0, 2))
+    return rows_a.reshape(h4, T * B) @ rows_x.reshape(k, T * B).T
 
 
 # Feature name -> DailyRecord attribute.

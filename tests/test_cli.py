@@ -424,21 +424,41 @@ class TestRunForecast:
 
     def test_forecast_uses_one_cpu_under_two_blas_threads(self, dataset, tmp_path):
         # Contention from other processes only lowers CPU time per wall
-        # second, so a busy machine cannot make this fail.
-        _, (cpu, wall) = forecast_subprocess(dataset, tmp_path, "2")
-        assert cpu / wall <= 1.2, (cpu, wall)
+        # second; a thread of the process itself can raise it. The OpenBLAS
+        # pool's worker spins ~0.06 CPU-seconds when the pool starts (during
+        # `import numpy`), and after any product run on two threads. On
+        # failure the message holds each thread's CPU seconds before and
+        # after run_forecast, which tells such a thread from the main one.
+        _, timing = forecast_subprocess(dataset, tmp_path, "2")
+        assert timing["cpu"] / timing["wall"] <= 1.2, timing
 
 
-# Runs the forecast command and prints the CPU and wall seconds of run_forecast.
+# Runs the forecast command and prints, as JSON, the CPU and wall seconds of
+# run_forecast and each thread's CPU seconds (user + system, from
+# /proc/self/task/*/stat where there is one) before and after it.
 TIMED_FORECAST = """
-import sys, time
+import json, os, sys, time
 from eadforecast import cli
 run_forecast = cli.run_forecast
 
+def thread_cpu():
+    if not os.path.isdir("/proc/self/task"):
+        return {}
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rpartition(")")[2].split()
+        out[tid] = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    return out
+
 def timed(*args):
+    before = thread_cpu()
     cpu, wall = time.process_time(), time.perf_counter()
     out = run_forecast(*args)
-    print(time.process_time() - cpu, time.perf_counter() - wall)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    after = thread_cpu()
+    threads = {tid: [before.get(tid), after[tid]] for tid in after}
+    print(json.dumps({"cpu": cpu, "wall": wall, "threads": threads}))
     return out
 
 cli.run_forecast = timed
@@ -448,8 +468,8 @@ sys.exit(cli.main(sys.argv[1:]))
 
 def forecast_subprocess(dataset, tmp_path, threads):
     """Forecast 875 anchors with an untrained K=28 model in a fresh process
-    under OPENBLAS_NUM_THREADS=threads; returns the output directory and the
-    CPU and wall seconds of run_forecast."""
+    under OPENBLAS_NUM_THREADS=threads; returns the output directory and
+    TIMED_FORECAST's timing of run_forecast."""
     model, scaler, records, _ = forecast_setup(dataset, 28)
     ckpt = tmp_path / "checkpoint.bin"
     ckpt_io.save_checkpoint(ckpt, model, scaler, {
@@ -468,8 +488,7 @@ def forecast_subprocess(dataset, tmp_path, threads):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    cpu, wall = map(float, proc.stdout.split())
-    return out, (cpu, wall)
+    return out, json.loads(proc.stdout)
 
 
 def old_write_predictions_csv(path, forecasts) -> None:

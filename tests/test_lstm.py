@@ -7,6 +7,7 @@ finite differences. A single window is a batch of one.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from eadforecast.lstm import (
     model_leaves,
     model_to_vector,
 )
-from tests.oracles import finite_diff_gradient
+from tests.oracles import finite_diff_gradient, weight_gradient_by_copies
 
 
 def zero_cell(hidden, inp) -> LstmCellParams:
@@ -407,6 +408,71 @@ class TestNetworkBackward:
         model = init_params(TINY)
         with pytest.raises(ConfigError):
             backward_batch(model, None, np.zeros((1, 1)))
+
+
+def engine_bytes(spec: ModelSpec, B: int, T: int) -> int:
+    """Bytes of the arrays forward_batch and backward_batch need for B
+    windows of T steps, from the spec's shapes. Per LSTM layer: the column
+    blocks [x_t; s_{t-1}; 1] of every step and the state after the last, and
+    their gate-major copy for the weight gradient; the gates and their
+    gradients; c and tanh(c); the input gradients; one block of backward
+    factors. Then the dense layers' buffers, the flat gradient and the
+    gradient into lstm2's outputs."""
+    floats = bools = 0
+    for _, I, H in spec.lstm_layers():
+        block = max(1, min(T, lstm.BACKWARD_BLOCK_BYTES // (8 * 4 * H * B)))
+        floats += (I + H + 1) * (T + 1) * B  # xs
+        floats += (I + H + 1) * T * B  # xs_rows
+        floats += 2 * 4 * H * T * B  # gates, dpre
+        floats += 2 * H * T * B  # c, tanh(c)
+        floats += (I + H) * T * B  # dxs
+        floats += block * 5 * H * B  # factors (4H rows) and P (H rows)
+    for _, I, O, _ in spec.dense_layers():
+        floats += 3 * O * B + I * B  # z, output, dz; dx
+        bools += O * B  # z > 0
+    floats += spec.size + T * spec.hidden2 * B  # grad, ds2
+    return 8 * floats + bools
+
+
+class TestWorkspaceMemory:
+    def test_one_step_peak_stays_within_the_arrays_it_needs(self):
+        # A fresh workspace's forward and backward at B=64 hold the gradients
+        # w.r.t. the gates once: the weight gradient reads them in place.
+        spec, B, T = ModelSpec(input_dim=4), 64, 14
+        model = random_model(np.random.default_rng(3), spec)
+        X, dY = np.random.default_rng(4).normal(size=(B, T, 4)), np.ones((B, 1))
+        tracemalloc.start()
+        try:
+            y, cache = forward_batch(model, X, Workspace(model, B, T))
+            backward_batch(model, cache, dY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * engine_bytes(spec, B, T), (peak, engine_bytes(spec, B, T))
+
+
+class TestWeightGradient:
+    # At the paper's shapes lstm1's backward factors come in one block of
+    # all 14 steps at B = 1 and 8, in blocks of 2 steps at 64, 1 at 256.
+    @pytest.mark.parametrize("lagged", [False, True])
+    @pytest.mark.parametrize("batch, block", [(1, 14), (8, 14), (64, 2), (256, 1)])
+    def test_bits_equal_the_gate_major_copy_oracle(self, lagged, batch, block):
+        rng = np.random.default_rng(batch + lagged)
+        model = random_model(rng, ModelSpec(input_dim=4, lagged_m=lagged))
+        X, Y = rng.normal(size=(batch, 14, 4)), rng.normal(size=(batch, 1))
+        ws = Workspace(model, batch, 14)
+        assert ws.lstm1.block == block
+        y, cache = forward_batch(model, X, ws)
+        grads = backward_batch(model, cache, batch_loss_and_grad(y, Y)[1])
+        for name in ("lstm1", "lstm2"):
+            layer = getattr(cache, name)
+            x, s = layer["x"], layer["s"]  # (T, B, I), (T, B, H)
+            T, B, H = s.shape
+            s_prev = np.concatenate([np.zeros((1, B, H)), s[:-1]])
+            xs = np.concatenate([x, s_prev, np.ones((T, B, 1))], axis=2).transpose(0, 2, 1)
+            a = getattr(ws, name).backward["dpre"][: 4 * H * T * B].reshape(4 * H, T, B)
+            expected = weight_gradient_by_copies(a.transpose(1, 0, 2), xs)
+            assert np.array_equal(getattr(grads, name).W, expected), name
 
 
 class TestParameterLayout:
