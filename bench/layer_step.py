@@ -2,9 +2,8 @@
 benchmark runs behind a speed claim.
 
     python bench/layer_step.py --parent PATH --out FILE [--change PATH]
-                               [--repeats 5] [--paired 2000] [--pairs 10]
-                               [--trace-pairs 3] [--seconds 36]
-                               [--workloads NAME,...] [--trace-workloads NAME,...]
+                               [--repeats 5] [--pairs 10] [--trace-pairs 3]
+                               [--seconds 36] [--workloads NAME,...]
 
 PATH is the root of a checkout (it holds src/eadforecast and perfbench/);
 --change defaults to this checkout. For B = 8, 64 and 256 a worker process
@@ -26,19 +25,10 @@ imports one side's package, trains the paper's network (lstm 50 -> lstm 30
 
 The layers are timed through wrappers on the module attributes that
 training calls, the boundaries perfbench/layers.py also times, so both
-sides are measured the same way whatever their internals. Each repeat runs
-both sides at one batch size back to back, alternating which goes first;
-each value is the median over repeats, with the quartiles of the repeats.
+sides are measured the same way whatever their internals. Repeats
+alternate which side runs first; each value is the median over repeats,
+with the quartiles of the repeats.
 --repeats 0 skips this table.
-
-With --paired N (default 0), one worker process per batch size imports
-both sides' packages under two names and times, call by call and
-alternating the side, each LSTM layer's forward and backward and a whole
-forward_batch + backward_batch at the paper's shapes: N call pairs at B=8,
-N*8/B at larger B. A speed phase of the machine then hits both sides, so
-this detects differences of a few percent that the table above cannot.
-It records each side's median ms and the quartiles of the per-pair
-change/parent ratios.
 
 With --pairs N (default 0), it then runs perfbench/run.py --trace 0 for
 each workload N times per side, alternating which side goes first, seed i
@@ -47,9 +37,8 @@ test-span CC and relative MAE, and how many pairs the change won. With
 --trace-pairs M (default 0) it runs perfbench/run.py --trace 1 the same way
 M times per side and workload, and records every per-layer metric of the
 traced runs (the BENCHMARK.json `per_layer` list: layer, phase and I/O
-times) with its samples, median and quartiles. --workloads limits the
---pairs runs to the named workloads (default: all three), --trace-workloads
-the --trace-pairs runs (default: the --workloads).
+times) with its samples, median and quartiles. --workloads limits both to
+the named workloads (default: all three).
 
 The output holds both sides side by side and the environment: numpy, BLAS
 name, version and live thread count, nproc.
@@ -58,8 +47,6 @@ name, version and live thread count, nproc.
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import json
 import resource
 import statistics
@@ -75,7 +62,6 @@ STEPS = {8: 200, 64: 40, 256: 12}  # optimizer steps per timed epoch
 LAYERS = ("lstm1_fwd", "lstm2_fwd", "lstm1_bwd", "lstm2_bwd", "dense_fwd", "dense_bwd",
           "loss", "adam", "step")
 MEMORY = ("workspace_mib", "maxrss_mb")
-PAIRED = ("lstm1_fwd", "lstm2_fwd", "lstm2_bwd", "lstm1_bwd", "step")
 # metric -> True when higher is better
 E2E = {"setup_s": False, "wall_s": False, "train_windows_per_s": True,
        "forecast_anchors_per_s": True, "peak_rss_mb": False, "test_cc": True}
@@ -168,64 +154,6 @@ def measure(src: str, batch: int) -> dict:
     return out
 
 
-def load_engine(src: str, name: str):
-    """The lstm module of the eadforecast package under src, imported as
-    package `name`, so that two checkouts' engines run in one process."""
-    init = Path(src) / "eadforecast" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.lstm")
-
-
-def layer_calls(lstm, batch: int) -> dict:
-    """Closures over one engine at the paper's shapes (L=14, four features):
-    each LSTM layer's forward and backward through a shared workspace, and a
-    whole forward_batch + backward_batch."""
-    import numpy as np
-
-    model = lstm.init_params(lstm.ModelSpec(input_dim=4), seed=0)
-    X = np.random.default_rng(0).uniform(size=(batch, 14, 4))
-    dY = np.ones((batch, 1))
-    ws = lstm.Workspace(model, batch, 14)
-    lstm.backward_batch(model, lstm.forward_batch(model, X, ws)[1], dY)
-    x, g = X.transpose(1, 0, 2), ws.grads
-    c1 = lstm._lstm_forward_batch(model.lstm1, x, False, ws.lstm1)
-    c2 = lstm._lstm_forward_batch(model.lstm2, c1["s"], False, ws.lstm2)
-    ds2 = np.zeros((14, batch, model.lstm2.hidden_size))
-    ds2[-1] = 1.0
-    dx2 = lstm._lstm_backward_batch(model.lstm2, c2, ds2, False, g.lstm2)
-    return {
-        "lstm1_fwd": lambda: lstm._lstm_forward_batch(model.lstm1, x, False, ws.lstm1),
-        "lstm2_fwd": lambda: lstm._lstm_forward_batch(model.lstm2, c1["s"], False, ws.lstm2),
-        "lstm2_bwd": lambda: lstm._lstm_backward_batch(model.lstm2, c2, ds2, False, g.lstm2),
-        "lstm1_bwd": lambda: lstm._lstm_backward_batch(
-            model.lstm1, c1, dx2, False, g.lstm1, need_dx=False),
-        "step": lambda: lstm.backward_batch(model, lstm.forward_batch(model, X, ws)[1], dY),
-    }
-
-
-def measure_paired(parent_src: str, change_src: str, batch: int, calls: int) -> dict:
-    engines = {"parent": load_engine(parent_src, "eadforecast_parent"),
-               "change": load_engine(change_src, "eadforecast_change")}
-    fns = {side: layer_calls(lstm, batch) for side, lstm in engines.items()}
-    out = {}
-    for name in PAIRED:
-        times = {side: [] for side in engines}
-        for i in range(calls):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                start = time.perf_counter()
-                fns[side][name]()
-                times[side].append(time.perf_counter() - start)
-        ratio = summary([c / p for c, p in zip(times["change"], times["parent"])])
-        del ratio["samples"]
-        out[f"{name}_ms"] = {**{side: 1e3 * statistics.median(times[side]) for side in engines},
-                            "change_over_parent": ratio}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -249,8 +177,8 @@ def summary(values: list[float]) -> dict:
 def layer_table(sides: dict[str, Path], repeats: int) -> dict:
     runs = {side: {b: [] for b in BATCHES} for side in sides}
     for r in range(repeats):
-        for b in BATCHES:
-            for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+        for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+            for b in BATCHES:
                 runs[side][b].append(run_worker(sides[side], b))
                 print(f"repeat {r} {side} B={b} step {runs[side][b][-1]['step']:.3f} ms",
                       file=sys.stderr)
@@ -265,19 +193,6 @@ def layer_table(sides: dict[str, Path], repeats: int) -> dict:
                 "change_over_parent": got["change"]["median"] / got["parent"]["median"],
             }
         table[f"B={b}"] = row
-    return table
-
-
-def paired_table(sides: dict[str, Path], calls: int) -> dict:
-    table = {}
-    for b in BATCHES:
-        proc = subprocess.run(
-            [sys.executable, str(HERE), "paired", "--src", str(sides["parent"] / "src"),
-             "--change-src", str(sides["change"] / "src"), "--batch", str(b),
-             "--calls", str(max(20, calls * 8 // b))],
-            capture_output=True, text=True, check=True)
-        table[f"B={b}"] = json.loads(proc.stdout.splitlines()[-1])
-        print(f"paired B={b}: {table[f'B={b}']['step_ms']}", file=sys.stderr)
     return table
 
 
@@ -349,47 +264,36 @@ def environment() -> dict:
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("mode", nargs="?", default="compare", choices=("compare", "measure", "paired"))
+    p.add_argument("mode", nargs="?", default="compare", choices=("compare", "measure"))
     p.add_argument("--parent", type=Path)
     p.add_argument("--change", type=Path, default=ROOT)
-    p.add_argument("--src", help="measure and paired modes: the (parent's) src directory")
-    p.add_argument("--change-src", dest="change_src", help="paired mode: the change's src")
-    p.add_argument("--batch", type=int, help="measure and paired modes: the batch size")
-    p.add_argument("--calls", type=int, help="paired mode: call pairs per layer")
+    p.add_argument("--src", help="measure mode: the src directory to import")
+    p.add_argument("--batch", type=int, help="measure mode: the batch size")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--paired", type=int, default=0)
     p.add_argument("--pairs", type=int, default=0)
     p.add_argument("--trace-pairs", dest="trace_pairs", type=int, default=0)
     p.add_argument("--seconds", type=float, default=36.0)
     p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--trace-workloads", dest="trace_workloads")
     p.add_argument("--out", type=Path, help="the JSON file to write")
     args = p.parse_args()
     if args.mode == "measure":
         print(json.dumps(measure(args.src, args.batch)))
         return
-    if args.mode == "paired":
-        print(json.dumps(measure_paired(args.src, args.change_src, args.batch, args.calls)))
-        return
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads.split(",")
-    trace_workloads = args.trace_workloads.split(",") if args.trace_workloads else workloads
-    if not set(workloads) | set(trace_workloads) <= set(WORKLOADS):
-        p.error(f"--workloads, --trace-workloads: choose from {','.join(WORKLOADS)}")
+    if not set(workloads) <= set(WORKLOADS):
+        p.error(f"--workloads: choose from {','.join(WORKLOADS)}")
     doc = {"environment": environment()}
     if args.repeats:
         doc["layers_ms_median_of_repeats"] = layer_table(sides, args.repeats)
         doc["repeats"] = args.repeats
-    if args.paired:
-        doc["layers_ms_paired_in_process"] = paired_table(sides, args.paired)
-        doc["paired_calls_at_B8"] = args.paired
     if args.pairs:
         doc["perfbench"] = perfbench_pairs(sides, args.pairs, args.seconds, workloads)
     if args.trace_pairs:
         doc["perfbench_trace1"] = perfbench_trace_pairs(
-            sides, args.trace_pairs, args.seconds, trace_workloads)
+            sides, args.trace_pairs, args.seconds, workloads)
     if args.pairs or args.trace_pairs:
         doc["perfbench_seconds"] = args.seconds
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

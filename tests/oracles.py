@@ -1,8 +1,8 @@
 """Oracles the package is checked against: central-difference gradients
-for the analytic gradients, gate-major copies for the bits of an LSTM
-layer's weight gradient, the per-window scaling path for the windows
-training gathers by index, and the per-date collection of overlapping
-forecasts for their aggregate."""
+for the analytic gradients, a step-by-step backward pass and gate-major
+copies for the bits of an LSTM layer's weight gradient, the per-window
+scaling path for the windows training gathers by index, and the per-date
+collection of overlapping forecasts for their aggregate."""
 
 from __future__ import annotations
 
@@ -42,6 +42,60 @@ def finite_diff_gradient(
             )
         grad[idx] = (f_hi - f_lo) / (2.0 * h)
     return grad
+
+
+def lstm_backward_by_steps(
+    cache: dict, W: np.ndarray, ds_ext: np.ndarray, lagged_m: bool, need_dx: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One LSTM layer's backward pass, step by step, from its forward cache
+    alone: returns a (T, 4H, B), the gradients w.r.t. each step's
+    pre-activations (gate rows i, o, f, m), and d loss / d x as (T, B, I),
+    or None without need_dx.
+
+    W is the layer's [Wx | Ws | b] (4H, I+H+1) and ds_ext (T, B, H) the
+    gradient into each s_t from the layer's consumer. Each step's factors
+    are computed from the cache when the step is reached, and a_t is written
+    into its own contiguous (4H, B) array, with the operations the engine
+    used before it held a_t gate-major (sigma' = sigma - sigma^2; a step's
+    a_t multiplies into [x_t; s_{t-1}] with the same matmul), so the bits
+    agree with the engine's:
+        ds = ds_ext_t + (W_s^T a_{t+1}),   dc = ds P + dc_{t+1} f_{t+1},
+        a_o = ds F_o,   a_i, a_f, a_m = dc F_i, dc F_f, dc F_m,
+    with F_i = sigma'_i m, F_o = sigma'_o tanh(c), F_f = sigma'_f c_prev,
+    F_m = (1 - m^2) i and P = (1 - tanh(c)^2) o. With lagged_m, F_i uses
+    m_prev, and a_m at step t is the next step's dc times (1 - m_t^2) i_{t+1}.
+    """
+    G = cache["gates"].transpose(0, 2, 1)  # (T, 4H, B)
+    C, TC = cache["c"].transpose(0, 2, 1), cache["tanh_c"].transpose(0, 2, 1)
+    T, h4, B = G.shape
+    H = h4 // 4
+    I = W.shape[1] - H - 1
+    WT = np.ascontiguousarray(W[:, : I + H].T)
+    dsT = ds_ext.transpose(0, 2, 1)
+    zero = np.zeros((H, B))
+    a = np.empty((T, h4, B))
+    dxs = np.empty((T, I + H, B))
+    dc_next, dc_later = zero, zero  # dc_{t+1} f_{t+1}; dc_{t+1}
+    lo = 0 if need_dx else I
+    for t in range(T - 1, -1, -1):
+        i, o, f, m = (G[t, q * H : (q + 1) * H] for q in range(4))
+        d_i, d_o, d_f = (g - g * g for g in (i, o, f))
+        if lagged_m:
+            F_i = d_i * (G[t - 1, 3 * H :] if t else zero)
+            F_m = (1.0 - m * m) * (G[t + 1, :H] if t < T - 1 else zero)
+        else:
+            F_i, F_m = d_i * m, (1.0 - m * m) * i
+        F_o = d_o * TC[t]
+        F_f = d_f * (C[t - 1] if t else zero)
+        P = (1.0 - TC[t] * TC[t]) * o
+        ds = dsT[t] if t == T - 1 else dsT[t] + dxs[t + 1, I:]
+        dc = ds * P + dc_next
+        a[t, :H], a[t, H : 2 * H], a[t, 2 * H : 3 * H] = dc * F_i, ds * F_o, dc * F_f
+        a[t, 3 * H :] = (dc_later if lagged_m else dc) * F_m
+        dc_next, dc_later = dc * f, dc
+        if t or need_dx:
+            np.matmul(WT[lo:], a[t], out=dxs[t, lo:])
+    return a, dxs[:, :I].transpose(0, 2, 1) if need_dx else None
 
 
 def weight_gradient_by_copies(a: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -435,19 +435,21 @@ class TestRunForecast:
 
 # Runs the forecast command and prints, as JSON, the CPU and wall seconds of
 # run_forecast and each thread's CPU seconds (user + system, from
-# /proc/self/task/*/stat where there is one) before and after it.
+# /proc/self/task/*/stat; None where the thread did not exist) before and
+# after it.
 TIMED_FORECAST = """
 import json, os, sys, time
 from eadforecast import cli
 run_forecast = cli.run_forecast
 
 def thread_cpu():
-    if not os.path.isdir("/proc/self/task"):
-        return {}
     out = {}
     for tid in os.listdir("/proc/self/task"):
-        with open(f"/proc/self/task/{tid}/stat") as f:
-            fields = f.read().rpartition(")")[2].split()
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rpartition(")")[2].split()
+        except FileNotFoundError:  # the thread ended after listdir
+            continue
         out[tid] = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
     return out
 
@@ -457,7 +459,7 @@ def timed(*args):
     out = run_forecast(*args)
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     after = thread_cpu()
-    threads = {tid: [before.get(tid), after[tid]] for tid in after}
+    threads = {tid: [before.get(tid), after.get(tid)] for tid in {*before, *after}}
     print(json.dumps({"cpu": cpu, "wall": wall, "threads": threads}))
     return out
 

@@ -27,7 +27,11 @@ from eadforecast.lstm import (
     model_leaves,
     model_to_vector,
 )
-from tests.oracles import finite_diff_gradient, weight_gradient_by_copies
+from tests.oracles import (
+    finite_diff_gradient,
+    lstm_backward_by_steps,
+    weight_gradient_by_copies,
+)
 
 
 def zero_cell(hidden, inp) -> LstmCellParams:
@@ -456,7 +460,10 @@ class TestWeightGradient:
     # all 14 steps at B = 1 and 8, in blocks of 2 steps at 64, 1 at 256.
     @pytest.mark.parametrize("lagged", [False, True])
     @pytest.mark.parametrize("batch, block", [(1, 14), (8, 14), (64, 2), (256, 1)])
-    def test_bits_equal_the_gate_major_copy_oracle(self, lagged, batch, block):
+    def test_bits_equal_the_step_by_step_oracle(self, lagged, batch, block):
+        # a_t of both layers comes from the oracle's own backward pass over
+        # the forward cache; only lstm2's input gradient, from the dense
+        # layers, is read from the workspace.
         rng = np.random.default_rng(batch + lagged)
         model = random_model(rng, ModelSpec(input_dim=4, lagged_m=lagged))
         X, Y = rng.normal(size=(batch, 14, 4)), rng.normal(size=(batch, 1))
@@ -464,15 +471,19 @@ class TestWeightGradient:
         assert ws.lstm1.block == block
         y, cache = forward_batch(model, X, ws)
         grads = backward_batch(model, cache, batch_loss_and_grad(y, Y)[1])
-        for name in ("lstm1", "lstm2"):
+        T, H2 = 14, model.lstm2.hidden_size
+        ds_ext = ws.ds2[: T * H2 * batch].reshape(T, H2, batch).transpose(0, 2, 1)
+        for name, need_dx in (("lstm2", True), ("lstm1", False)):
             layer = getattr(cache, name)
+            a, dx = lstm_backward_by_steps(
+                layer, getattr(model, name).W, ds_ext, lagged, need_dx)
             x, s = layer["x"], layer["s"]  # (T, B, I), (T, B, H)
-            T, B, H = s.shape
-            s_prev = np.concatenate([np.zeros((1, B, H)), s[:-1]])
-            xs = np.concatenate([x, s_prev, np.ones((T, B, 1))], axis=2).transpose(0, 2, 1)
-            a = getattr(ws, name).backward["dpre"][: 4 * H * T * B].reshape(4 * H, T, B)
-            expected = weight_gradient_by_copies(a.transpose(1, 0, 2), xs)
+            H = s.shape[2]
+            s_prev = np.concatenate([np.zeros((1, batch, H)), s[:-1]])
+            xs = np.concatenate([x, s_prev, np.ones((T, batch, 1))], axis=2).transpose(0, 2, 1)
+            expected = weight_gradient_by_copies(a, xs)
             assert np.array_equal(getattr(grads, name).W, expected), name
+            ds_ext = dx
 
 
 class TestParameterLayout:
