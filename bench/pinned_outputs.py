@@ -11,7 +11,11 @@ batch 8 and seed 0:
 - train: `train`, `forecast` and `evaluate` at 2 epochs;
 - ablate: `ablate --epochs 1`;
 - horizon: `horizon --horizons 3,7 --epochs 1`;
-- lagged_xent: `train --eq5-lagged-m --loss xent` at 2 epochs.
+- lagged_xent: `train --eq5-lagged-m --loss xent` at 2 epochs;
+- config: `train --config config/config.yaml --epochs 1`, the one run that
+  reads a config file (CONFIG below: data paths relative to the file, the
+  `squared_error` loss alias and the file-only settings `shuffle: false`
+  and `baseline_month: 2019-12`).
 
 Each output line is `sha256  path`, the path relative to the run
 directory, sorted by path. Two checkouts write the same bytes exactly when
@@ -39,6 +43,18 @@ from pathlib import Path
 SPANS = ["--train-start", "2019-07-01", "--train-end", "2019-12-31",
          "--test-start", "2020-01-01", "--test-end", "2020-02-29"]
 COMMON = ["--batch-size", "8", "--seed", "0"]
+CONFIG = """\
+data:
+  weather: ../data/weather.csv
+  ead: ../data/ead.csv
+  mobility: ../data/mobility.csv
+  holidays: ../data/holidays.txt
+train: {start: 2019-07-01, end: 2019-12-31}
+test: {start: 2020-01-01, end: 2020-02-29}
+training: {batch_size: 8, seed: 0, loss: squared_error, shuffle: false}
+baseline_month: '2019-12'
+out: .
+"""
 
 
 def runs(work: Path) -> list[list[str]]:
@@ -60,11 +76,14 @@ def runs(work: Path) -> list[list[str]]:
         cli("ablate", "ablate", "--epochs", "1"),
         cli("horizon", "horizon", "--horizons", "3,7", "--epochs", "1"),
         cli("train", "lagged_xent", "--epochs", "2", "--eq5-lagged-m", "--loss", "xent"),
+        ["train", "--config", str(work / "config" / "config.yaml"), "--epochs", "1"],
     ]
 
 
 def pinned_digests(checkout: Path, work: Path) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    (work / "config").mkdir()
+    (work / "config" / "config.yaml").write_text(CONFIG)
     for args in runs(work):
         proc = subprocess.run([sys.executable, "-m", "eadforecast.cli", *args],
                               env=env, capture_output=True, text=True)

@@ -15,7 +15,7 @@ import importlib.resources
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -55,30 +55,99 @@ DEFAULT_HORIZONS = (3, 7, 14, 28)
 FORECAST_CHUNK = 32
 
 
+def _coerce_date(value, label: str) -> dt.date:
+    if value is None or isinstance(value, dt.date):
+        return value
+    try:
+        return dt.date.fromisoformat(str(value))
+    except ValueError:
+        raise ConfigError(f"bad date for {label}: {value!r}") from None
+
+
+def _of_type(what: str, *kinds):
+    """The check of a config-file value of one of these YAML types; type()
+    rather than isinstance, because a YAML true is a bool and bool is a
+    subclass of int."""
+    def check(value, key):
+        if type(value) not in kinds:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_INT, _BOOL, _STR = _of_type("an integer", int), _of_type("true or false", bool), _of_type("a string", str)
+
+
+def _as_path(value, key) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return Path(value)
+
+
+def _as_names(value, key) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(f, str) for f in value)):
+        raise ConfigError(f"{key} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+def _split_names(text: str, name) -> tuple[str, ...]:
+    return tuple(f.strip() for f in text.split(",") if f.strip())
+
+
+LOSS_ALIASES = {"squared_error": "mse", "cross_entropy": "xent", "normalized_cross_entropy": "xent"}
+
+
+def _as_loss(value, key) -> str:
+    value = _STR(value, key)
+    return LOSS_ALIASES.get(value, value)
+
+
+def _setting(value, key: str, check, *, parse=None, flag: bool = True, **kwargs):
+    """A RunConfig field: its default value, its config-file key (dotted for
+    an entry of a section), check(file_value, key) -> the field's value, and
+    unless flag is False the add_argument keywords of its flag (see
+    _flag_dest; parse(text, name) converts a flag argparse leaves as text)."""
+    return field(default=value, metadata={
+        "key": key, "check": check, "parse": parse, "flag": kwargs if flag else None})
+
+
+def _flag_dest(f) -> str:
+    """A setting's flag is named after its key, or after the field for a key
+    in a section (train.start: --train-start)."""
+    return f.name if "." in f.metadata["key"] else f.metadata["key"]
+
+
 @dataclass
 class RunConfig:
-    weather: Path = None
-    ead: Path = None
-    mobility: Path = None
-    holidays: Path = None
-    train_start: dt.date = None
-    train_end: dt.date = None
-    test_start: dt.date = None
-    test_end: dt.date = None
-    group: str = "all"
-    lookback: int = 14
-    horizon: int = 1
-    features: tuple[str, ...] = DEFAULT_FEATURES
-    epochs: int = 500
-    batch_size: int = 8
-    loss: str = "mse"
-    lr: float = 1e-3
-    seed: int = 0
-    shuffle: bool = True
-    init: str = "uniform"
-    lagged_m: bool = False
-    baseline_month: str = "2020-01"
-    out: Path = field(default_factory=lambda: Path("out"))
+    """A run's settings (see _setting), in the order of their flags in
+    --help. The config file, the flags and the run digest read this table."""
+
+    weather: Path = _setting(None, "data.weather", _as_path, type=Path)
+    ead: Path = _setting(None, "data.ead", _as_path, type=Path)
+    mobility: Path = _setting(None, "data.mobility", _as_path, type=Path)
+    holidays: Path = _setting(None, "data.holidays", _as_path, type=Path)
+    train_start: dt.date = _setting(None, "train.start", _coerce_date, parse=_coerce_date)
+    train_end: dt.date = _setting(None, "train.end", _coerce_date, parse=_coerce_date)
+    test_start: dt.date = _setting(None, "test.start", _coerce_date, parse=_coerce_date)
+    test_end: dt.date = _setting(None, "test.end", _coerce_date, parse=_coerce_date)
+    seed: int = _setting(0, "training.seed", _INT, type=int)
+    out: Path = _setting(Path("out"), "out", _as_path, type=Path)
+    group: str = _setting("all", "group", _STR, choices=data_mod.GROUPS)
+    lookback: int = _setting(14, "lookback", _INT, type=int)
+    horizon: int = _setting(1, "horizon", _INT, type=int)
+    features: tuple[str, ...] = _setting(DEFAULT_FEATURES, "features", _as_names,
+                                         parse=_split_names, help="comma-separated feature list")
+    loss: str = _setting("mse", "training.loss", _as_loss, choices=("mse", "xent"))
+    init: str = _setting("uniform", "init", _STR, choices=("zeros", "uniform"))
+    epochs: int = _setting(500, "training.epochs", _INT, type=int)
+    batch_size: int = _setting(8, "training.batch_size", _INT, type=int)
+    lr: float = _setting(1e-3, "training.lr", _of_type("a number", int, float), type=float)
+    # default=None: an absent flag must not override a config file's true.
+    lagged_m: bool = _setting(False, "eq5_lagged_m", _BOOL, action="store_true", default=None,
+                              help="use the lagged candidate-vector cell update variant")
+    shuffle: bool = _setting(True, "training.shuffle", _BOOL, flag=False)
+    baseline_month: str = _setting("2020-01", "baseline_month",
+                                   _of_type("a YYYY-MM string", str), flag=False)
 
     def validate(self, need_spans: bool = True) -> None:
         for name in ("weather", "ead", "holidays"):
@@ -114,27 +183,22 @@ class RunConfig:
         )
 
     def digest_payload(self) -> dict:
-        return {
-            "train": [str(self.train_start), str(self.train_end)],
-            "test": [str(self.test_start), str(self.test_end)],
-            "group": self.group, "lookback": self.lookback, "horizon": self.horizon,
-            "features": list(self.features), "epochs": self.epochs,
-            "batch_size": self.batch_size, "loss": self.loss, "lr": self.lr,
-            "seed": self.seed, "shuffle": self.shuffle, "init": self.init,
-            "lagged_m": self.lagged_m, "baseline_month": self.baseline_month,
-        }
-
-
-def _coerce_date(value, label: str) -> dt.date:
-    if value is None or isinstance(value, dt.date):
-        return value
-    try:
-        return dt.date.fromisoformat(str(value))
-    except ValueError:
-        raise ConfigError(f"bad date for {label}: {value!r}") from None
+        """What the run digest covers: every setting but the paths, with
+        each span as "train"/"test": [start, end]."""
+        payload = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["check"] is _coerce_date:
+                payload.setdefault(f.metadata["key"].split(".")[0], []).append(str(value))
+            elif f.metadata["check"] is not _as_path:
+                payload[f.name] = value
+        return payload
 
 
 def load_config_file(path) -> dict:
+    """The config file's values by RunConfig key, dotted for an entry of a
+    section. A key that is no setting's, or a section that is not a mapping,
+    is refused."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -146,110 +210,36 @@ def load_config_file(path) -> dict:
         return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
-    return doc
-
-
-# Config-file keys that must hold one YAML type; type() rather than
-# isinstance, because a YAML true is a bool and bool is a subclass of int.
-_KEY_TYPES = {
-    "epochs": (int, "an integer"), "batch_size": (int, "an integer"),
-    "seed": (int, "an integer"), "lookback": (int, "an integer"),
-    "horizon": (int, "an integer"), "shuffle": (bool, "true or false"),
-    "eq5_lagged_m": (bool, "true or false"), "baseline_month": (str, "a YYYY-MM string"),
-}
-
-
-def _typed(key: str, value):
-    if key in _KEY_TYPES:
-        want, what = _KEY_TYPES[key]
-        if type(value) is not want:
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _section(doc: dict, key: str) -> dict:
-    """A config-file section that must be a mapping; absent is empty."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, got {value!r}")
-    return value
-
-
-def _path(key: str, value) -> Path:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a path, got {value!r}")
-    return Path(value)
+    keys = {f.metadata["key"] for f in fields(RunConfig)}
+    values = {}
+    for name, value in doc.items():
+        if not any(key.startswith(f"{name}.") for key in keys):
+            values[name] = value
+        elif isinstance(value, dict):
+            values.update((f"{name}.{sub}", v) for sub, v in value.items())
+        else:
+            raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    unknown = [key for key in values if key not in keys]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key(s) {unknown}; known: {sorted(keys)}")
+    return values
 
 
 def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
     """Merge the YAML config file and the flags into cfg (a default RunConfig
-    if None); flags win over file values."""
+    if None); flags win over file values. Paths in the file are relative to
+    its directory."""
     cfg = RunConfig() if cfg is None else cfg
-    if getattr(args, "config", None):
-        doc = load_config_file(args.config)
-        base = Path(args.config).parent
-        paths = _section(doc, "data")
-
-        def rel(key, p):
-            p = _path(key, p)
-            return p if p.is_absolute() else base / p
-
-        for key in ("weather", "ead", "mobility", "holidays"):
-            if key in paths:
-                setattr(cfg, key, rel(f"data.{key}", paths[key]))
-        for span_key, (a, b) in {
-            "train": ("train_start", "train_end"),
-            "test": ("test_start", "test_end"),
-        }.items():
-            span = _section(doc, span_key)
-            if "start" in span:
-                setattr(cfg, a, _coerce_date(span["start"], f"{span_key}.start"))
-            if "end" in span:
-                setattr(cfg, b, _coerce_date(span["end"], f"{span_key}.end"))
-        training = _section(doc, "training")
-        for key in ("epochs", "batch_size", "loss", "lr", "seed", "shuffle"):
-            if key in training:
-                setattr(cfg, key, _typed(key, training[key]))
-        for key in ("group", "lookback", "horizon", "init", "baseline_month"):
-            if key in doc:
-                setattr(cfg, key, _typed(key, doc[key]))
-        if "features" in doc:
-            features = doc["features"]
-            if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
-                raise ConfigError(f"features must be a list of names, got {features!r}")
-            cfg.features = tuple(features)
-        if "eq5_lagged_m" in doc:
-            cfg.lagged_m = _typed("eq5_lagged_m", doc["eq5_lagged_m"])
-        if "out" in doc:
-            cfg.out = rel("out", doc["out"])
-
-    # Flag overrides win over file values.
-    overrides = {
-        "weather": "weather", "ead": "ead", "mobility": "mobility", "holidays": "holidays",
-        "train_start": "train_start", "train_end": "train_end",
-        "test_start": "test_start", "test_end": "test_end",
-        "group": "group", "lookback": "lookback", "horizon": "horizon",
-        "epochs": "epochs", "batch_size": "batch_size", "loss": "loss", "lr": "lr",
-        "seed": "seed", "init": "init", "out": "out",
-    }
-    for attr, flag in overrides.items():
-        value = getattr(args, flag, None)
+    config = getattr(args, "config", None)
+    values = load_config_file(config) if config else {}
+    for f in fields(RunConfig):
+        key, flag = f.metadata["key"], f.metadata["flag"]
+        if key in values:
+            value = f.metadata["check"](values[key], key)
+            setattr(cfg, f.name, Path(config).parent / value if isinstance(value, Path) else value)
+        value = None if flag is None else getattr(args, _flag_dest(f), None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "features", None):
-        cfg.features = tuple(f.strip() for f in args.features.split(",") if f.strip())
-    if getattr(args, "eq5_lagged_m", False):
-        cfg.lagged_m = True
-    for key in ("train_start", "train_end", "test_start", "test_end"):
-        setattr(cfg, key, _coerce_date(getattr(cfg, key), key))
-    for key in ("weather", "ead", "mobility", "holidays", "out"):
-        value = getattr(cfg, key)
-        if value is not None:
-            setattr(cfg, key, Path(value))
-    if cfg.loss == "squared_error":
-        cfg.loss = "mse"
-    if cfg.loss in ("cross_entropy", "normalized_cross_entropy"):
-        cfg.loss = "xent"
+            setattr(cfg, f.name, f.metadata["parse"](value, f.name) if f.metadata["parse"] else value)
     return cfg
 
 
@@ -616,8 +606,8 @@ def cmd_forecast(args) -> None:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     meta = ckpt.meta
     features, lookback = meta.get("features"), meta.get("lookback")
-    if not (isinstance(features, list) and len(features) == ckpt.model.input_dim
-            and all(f in data_mod.FEATURE_ORDER for f in features)
+    if not (isinstance(features, list) and all(f in data_mod.FEATURE_ORDER for f in features)
+            and len(set(features)) == len(features) == ckpt.model.input_dim
             and type(lookback) is int and lookback >= 1
             and meta.get("group", "all") in data_mod.GROUPS
             and _is_month(meta.get("baseline_month", RunConfig.baseline_month))):
@@ -717,9 +707,10 @@ def run_horizon_study(cfg: RunConfig, horizons):
 def cmd_horizon(args) -> None:
     cfg = build_run_config(args)
     cfg.validate()
-    horizons = (
-        [int(v) for v in args.horizons.split(",")] if args.horizons else list(DEFAULT_HORIZONS)
-    )
+    try:
+        horizons = [int(v) for v in args.horizons.split(",")] if args.horizons else DEFAULT_HORIZONS
+    except ValueError:
+        raise ConfigError(f"--horizons takes integers such as 3,7,14; got {args.horizons!r}") from None
     results = run_horizon_study(cfg, horizons)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -747,29 +738,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file; flags override file values")
-    p.add_argument("--weather", type=Path)
-    p.add_argument("--ead", type=Path)
-    p.add_argument("--mobility", type=Path)
-    p.add_argument("--holidays", type=Path)
-    p.add_argument("--train-start", dest="train_start")
-    p.add_argument("--train-end", dest="train_end")
-    p.add_argument("--test-start", dest="test_start")
-    p.add_argument("--test-end", dest="test_end")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path)
-    p.add_argument("--group", choices=data_mod.GROUPS)
-    p.add_argument("--lookback", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--features", help="comma-separated feature list")
-    p.add_argument("--loss", choices=("mse", "xent"))
-    p.add_argument("--init", choices=("zeros", "uniform"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument(
-        "--eq5-lagged-m", dest="eq5_lagged_m", action="store_true",
-        help="use the lagged candidate-vector cell update variant",
-    )
+    for f in fields(RunConfig):
+        flag = f.metadata["flag"]
+        if flag is not None:
+            p.add_argument("--" + _flag_dest(f).replace("_", "-"), **flag)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -56,6 +56,8 @@ class FeatureMask:
             raise ConfigError(f"unknown feature(s) {unknown}; valid: {list(FEATURE_ORDER)}")
         if not names:
             raise ConfigError("feature mask must enable at least one feature")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"feature names repeat in {names}")
         return cls(**{name: name in names for name in FEATURE_ORDER})
 
 

@@ -18,7 +18,8 @@ import eadforecast
 from eadforecast import checkpoint as ckpt_io
 from eadforecast import lstm as lstm_mod
 from eadforecast.cli import (
-    FORECAST_CHUNK, RunConfig, load_records, main, run_forecast, write_predictions_csv,
+    FORECAST_CHUNK, RunConfig, build_parser, build_run_config, load_records, main, run_forecast,
+    write_predictions_csv,
 )
 from eadforecast.data import (
     SynthConfig, feature_matrix, load_dataset, make_windows, synth_generate, write_dataset,
@@ -144,10 +145,15 @@ class TestTrainCommand:
         {"data": {"weather": 5}},
         {"train": 5},
         {"out": 5},
+        {"training": {"epochs": 3, "batch_size": 8, "seed": 0, "loss": ["mse"]}},
+        {"training": {"epochs": 3, "batch_size": 8, "seed": 0, "lr": "0.001"}},
+        {"group": 5},
+        {"init": 5},
     ], ids=["epochs_str", "epochs_bool", "batch_size_float", "seed_str", "shuffle_str",
             "shuffle_int", "lookback_str", "lookback_null", "horizon_float", "horizon_bool",
             "lagged_str", "lagged_int", "baseline_month_int", "training_int", "features_int",
-            "data_int", "data_path_int", "train_int", "out_int"])
+            "data_int", "data_path_int", "train_int", "out_int", "loss_list", "lr_str",
+            "group_int", "init_int"])
     def test_untyped_config_value_exits_1(self, dataset, tmp_path, extra):
         cfg = base_config(dataset, tmp_path / "run", **extra)
         assert main(["train", "--config", str(cfg)]) == 1
@@ -155,6 +161,112 @@ class TestTrainCommand:
 
     def test_bad_flag_usage_exits_1(self):
         assert main(["train", "--loss", "huber"]) == 1
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"trainig": {"epochs": 1}}, "trainig"),
+        ({"training": {"epochs": 1, "batch_size": 8, "seed": 0, "epoch": 3}}, "training.epoch"),
+        ({"eq5_lagged": True}, "eq5_lagged"),
+        ({"epochs": 1}, "epochs"),
+        ({"data": {"weather": "w.csv", "wether": "w.csv"}}, "data.wether"),
+        ({"train": {"start": "2018-01-01", "end": "2019-12-31", "stop": "2019-12-31"}},
+         "train.stop"),
+        ({"test": {"start": "2020-01-01", "end": "2020-03-31", "begin": "2020-01-01"}},
+         "test.begin"),
+    ], ids=["top_section", "training", "top_key", "top_training_key", "data", "train", "test"])
+    def test_unknown_config_key_exits_1_and_names_it(self, dataset, tmp_path, capsys, extra, key):
+        cfg = base_config(dataset, tmp_path / "run", **extra)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_repeated_feature_exits_1(self, dataset, tmp_path, source):
+        names = ["temperature", "temperature", "humidity"]
+        if source == "flag":
+            cfg = base_config(dataset, tmp_path / "run")
+            argv = ["--features", ",".join(names)]
+        else:
+            cfg, argv = base_config(dataset, tmp_path / "run", features=names), []
+        assert main(["train", "--config", str(cfg), *argv]) == 1
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def read_config(path: Path, *flags: str) -> RunConfig:
+    return build_run_config(build_parser().parse_args(["train", "--config", str(path), *flags]))
+
+
+class TestSettingsTable:
+    """Every setting from the config file and from its flag."""
+
+    @staticmethod
+    def expected(root: Path) -> RunConfig:
+        return RunConfig(
+            weather=root / "w.csv", ead=root / "e.csv", mobility=root / "m.csv",
+            holidays=root / "h.txt",
+            train_start=dt.date(2018, 2, 1), train_end=dt.date(2019, 6, 30),
+            test_start=dt.date(2019, 7, 1), test_end=dt.date(2019, 9, 30),
+            group="elderly", lookback=7, horizon=3, features=("humidity", "temperature"),
+            epochs=2, batch_size=16, loss="xent", lr=0.01, seed=5, shuffle=False, init="zeros",
+            lagged_m=True, baseline_month="2019-12", out=root / "results",
+        )
+
+    @staticmethod
+    def write(path: Path, doc: dict) -> Path:
+        path.write_text(yaml.safe_dump(doc))
+        return path
+
+    def every_setting_file(self, tmp_path: Path) -> Path:
+        return self.write(tmp_path / "config.yaml", {
+            "data": {"weather": "w.csv", "ead": "e.csv", "mobility": "m.csv",
+                     "holidays": "h.txt"},
+            "train": {"start": dt.date(2018, 2, 1), "end": "2019-06-30"},
+            "test": {"start": dt.date(2019, 7, 1), "end": dt.date(2019, 9, 30)},
+            "group": "elderly", "lookback": 7, "horizon": 3,
+            "features": ["humidity", "temperature"],
+            "training": {"epochs": 2, "batch_size": 16, "loss": "cross_entropy", "lr": 0.01,
+                         "seed": 5, "shuffle": False},
+            "init": "zeros", "eq5_lagged_m": True, "baseline_month": "2019-12",
+            "out": "results",
+        })
+
+    def test_every_setting_from_the_config_file(self, tmp_path):
+        assert read_config(self.every_setting_file(tmp_path)) == self.expected(tmp_path)
+
+    def test_every_flag_wins_over_a_default_file(self, tmp_path):
+        # The file holds the defaults, other paths and spans, and the
+        # expected shuffle and baseline_month, which have no flag; each flag
+        # sets its expected value.
+        cfg = self.write(tmp_path / "config.yaml", {
+            "data": {"weather": "a", "ead": "b", "mobility": "c", "holidays": "d"},
+            "train": {"start": "2014-04-01", "end": "2019-12-31"},
+            "test": {"start": "2020-01-01", "end": "2020-08-19"},
+            "group": "all", "lookback": 14, "horizon": 1,
+            "features": ["temperature", "humidity", "day_label", "mobility"],
+            "training": {"epochs": 500, "batch_size": 8, "loss": "mse", "lr": 0.001,
+                         "seed": 0, "shuffle": False},
+            "init": "uniform", "eq5_lagged_m": False, "baseline_month": "2019-12",
+            "out": "out",
+        })
+        root = tmp_path / "abs"
+        assert read_config(
+            cfg, "--weather", str(root / "w.csv"), "--ead", str(root / "e.csv"),
+            "--mobility", str(root / "m.csv"), "--holidays", str(root / "h.txt"),
+            "--train-start", "2018-02-01", "--train-end", "2019-06-30",
+            "--test-start", "2019-07-01", "--test-end", "2019-09-30",
+            "--seed", "5", "--out", str(root / "results"), "--group", "elderly",
+            "--lookback", "7", "--horizon", "3", "--features", "humidity, temperature",
+            "--loss", "xent", "--init", "zeros", "--epochs", "2", "--batch-size", "16",
+            "--lr", "0.01", "--eq5-lagged-m",
+        ) == self.expected(root)
+
+    def test_a_zero_flag_overrides(self, tmp_path):
+        cfg = read_config(self.every_setting_file(tmp_path), "--seed", "0")
+        assert cfg.seed == 0
+
+    def test_run_digest(self, tmp_path):
+        cfg = read_config(self.every_setting_file(tmp_path))
+        assert ckpt_io.config_digest(cfg.digest_payload()) == (
+            "9500f85f4888a2084e29953310b2ec21312d9d152a7a0eb0403f12666b4b8348")
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +404,7 @@ class TestMalformedCheckpoint:
         ("meta", "lookback", "7"),
         ("meta", "features", ["temperature", "humidity", "day_label"]),
         ("meta", "features", ["temperature", "humidity", "day_label", "rain"]),
+        ("meta", "features", ["temperature", "humidity", "humidity", "mobility"]),
         ("meta", "group", ["all"]),
         ("meta", "baseline_month", 202001),
     ], ids=["manifest_entry_str", "manifest_entry_no_shape", "manifest_entry_extra_key",
@@ -299,7 +412,8 @@ class TestMalformedCheckpoint:
             "arch_fc2_negative", "arch_hidden2_huge", "arch_lagged_m_str", "arch_head_activation",
             "scaler_feature_min_str", "scaler_feature_max_short", "scaler_target_min_str",
             "scaler_target_max_null", "meta_list", "meta_no_features", "meta_no_lookback",
-            "meta_lookback_str", "meta_features_short", "meta_features_unknown", "meta_group_list",
+            "meta_lookback_str", "meta_features_short", "meta_features_unknown",
+            "meta_features_repeated", "meta_group_list",
             "meta_baseline_month_int"])
     def test_forecast_exits_2(self, trained, tmp_path, section, key, value):
         cfg, out = trained
@@ -678,6 +792,11 @@ class TestHorizonCommand:
             assert lo <= mid <= hi
             assert 1 <= int(row["count"]) <= 3
         assert (out / "horizon_K3.svg").exists()
+
+    @pytest.mark.parametrize("horizons", ["3,x", "3,,7"])
+    def test_malformed_horizons_exit_1(self, dataset, tmp_path, horizons):
+        cfg = base_config(dataset, tmp_path / "hz")
+        assert main(["horizon", "--config", str(cfg), f"--horizons={horizons}"]) == 1
 
 
 class TestUsageErrors:
