@@ -9,6 +9,9 @@ batch 8 and seed 0:
 
 - data: the synthetic dataset itself;
 - train: `train`, `forecast` and `evaluate` at 2 epochs;
+- forecast_flags: a `forecast` of the train checkpoint given, by flag,
+  the settings the checkpoint fixes (features in canonical order,
+  lookback 14, horizon 1, group all), which forecast checks and accepts;
 - ablate: `ablate --epochs 1`;
 - horizon: `horizon --horizons 3,7 --epochs 1`;
 - lagged_xent: `train --eq5-lagged-m --loss xent` at 2 epochs;
@@ -73,6 +76,9 @@ def runs(work: Path) -> list[list[str]]:
         cli("train", "train", "--epochs", "2"),
         cli("forecast", "train", "--checkpoint", str(train / "checkpoint.bin")),
         cli("evaluate", "train", "--predictions", str(train / "predictions.csv")),
+        cli("forecast", "forecast_flags", "--checkpoint", str(train / "checkpoint.bin"),
+            "--features", "temperature,humidity,day_label,mobility", "--lookback", "14",
+            "--horizon", "1", "--group", "all"),
         cli("ablate", "ablate", "--epochs", "1"),
         cli("horizon", "horizon", "--horizons", "3,7", "--epochs", "1"),
         cli("train", "lagged_xent", "--epochs", "2", "--eq5-lagged-m", "--loss", "xent"),

@@ -3,9 +3,9 @@
 Layout: 8-byte magic "EADCAST1", little-endian u64 header length, UTF-8 JSON
 header, then the raw little-endian float64 parameter payload in the model's
 canonical leaf order. The header embeds a SHA-256 of the payload and a digest
-of the run configuration, so truncation, corruption, and cross-config loads
-are all refused with a clear message. Round-tripping reproduces forward
-outputs bit-exactly.
+of the arch, scaler and meta entries, so truncation and corruption are
+refused with a clear message. The meta is the caller's: this module reads
+none of its keys. Round-tripping reproduces forward outputs bit-exactly.
 """
 
 from __future__ import annotations
@@ -157,26 +157,3 @@ def _numbers(value, shape: tuple, corrupt) -> np.ndarray:
             return arr
     raise corrupt(f"scaler values must be {shape or 'one'} finite number(s), got {value!r}")
 
-
-def check_compatible(
-    ckpt: Checkpoint, *, features=None, lookback=None, horizon=None, group=None, baseline_month=None
-) -> None:
-    """Refuse cross-config use of a checkpoint. A value left None is not
-    checked; so is a baseline month the checkpoint does not record."""
-    meta = ckpt.meta
-    if features is not None and list(features) != list(meta.get("features", [])):
-        raise ConfigError(
-            f"checkpoint was trained with features {meta.get('features')}, got {list(features)}"
-        )
-    if lookback is not None and lookback != meta.get("lookback"):
-        raise ConfigError(
-            f"checkpoint lookback is {meta.get('lookback')}, got {lookback}"
-        )
-    if horizon is not None and horizon != ckpt.model.horizon:
-        raise ConfigError(f"checkpoint horizon is {ckpt.model.horizon}, got {horizon}")
-    if group is not None and group != meta.get("group"):
-        raise ConfigError(f"checkpoint group is {meta.get('group')!r}, got {group!r}")
-    if baseline_month is not None and baseline_month != meta.get("baseline_month", baseline_month):
-        raise ConfigError(
-            f"checkpoint baseline month is {meta['baseline_month']!r}, got {baseline_month!r}"
-        )

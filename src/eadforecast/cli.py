@@ -34,7 +34,6 @@ from .training import TrainConfig, apply_scaler, fit_scaler, train
 
 log = logging.getLogger("eadforecast")
 
-DEFAULT_FEATURES = ("temperature", "humidity", "day_label", "mobility")
 ABLATION_VARIANTS = (
     ("all_features", None),
     ("no_mobility", "mobility"),
@@ -43,6 +42,9 @@ ABLATION_VARIANTS = (
     ("no_day_label", "day_label"),
 )
 DEFAULT_HORIZONS = (3, 7, 14, 28)
+# The RunConfig settings train records in a checkpoint's meta and forecast
+# takes from it; the horizon comes from the model itself.
+CHECKPOINT_SETTINGS = ("features", "lookback", "group", "baseline_month")
 # Anchors per forward pass in run_forecast. A chunk bounds the memory the
 # forward pass keeps for its backward cache (all 2,319 anchors of the default
 # dataset at once hold ~160 MB) and fixes the matrix shapes BLAS sees. The
@@ -84,14 +86,17 @@ def _as_path(value, key) -> Path:
     return Path(value)
 
 
-def _as_names(value, key) -> tuple[str, ...]:
+def _as_features(value, key) -> tuple[str, ...]:
+    """A feature list in the canonical order (data.FEATURE_ORDER), so that two
+    orders of the same names make the same run; unknown, repeated or no names
+    are refused."""
     if not (isinstance(value, list) and all(isinstance(f, str) for f in value)):
         raise ConfigError(f"{key} must be a list of names, got {value!r}")
-    return tuple(value)
+    return data_mod.FeatureMask.from_names(value).columns()
 
 
-def _split_names(text: str, name) -> tuple[str, ...]:
-    return tuple(f.strip() for f in text.split(",") if f.strip())
+def _split_features(text: str, name) -> tuple[str, ...]:
+    return _as_features([f.strip() for f in text.split(",") if f.strip()], name)
 
 
 LOSS_ALIASES = {"squared_error": "mse", "cross_entropy": "xent", "normalized_cross_entropy": "xent"}
@@ -135,8 +140,8 @@ class RunConfig:
     group: str = _setting("all", "group", _STR, choices=data_mod.GROUPS)
     lookback: int = _setting(14, "lookback", _INT, type=int)
     horizon: int = _setting(1, "horizon", _INT, type=int)
-    features: tuple[str, ...] = _setting(DEFAULT_FEATURES, "features", _as_names,
-                                         parse=_split_names, help="comma-separated feature list")
+    features: tuple[str, ...] = _setting(data_mod.FEATURE_ORDER, "features", _as_features,
+                                         parse=_split_features, help="comma-separated feature list")
     loss: str = _setting("mse", "training.loss", _as_loss, choices=("mse", "xent"))
     init: str = _setting("uniform", "init", _STR, choices=("zeros", "uniform"))
     epochs: int = _setting(500, "training.epochs", _INT, type=int)
@@ -167,7 +172,6 @@ class RunConfig:
                 raise ConfigError("train span must precede and not overlap the test span")
         if self.group not in data_mod.GROUPS:
             raise ConfigError(f"unknown group {self.group!r}; valid: {list(data_mod.GROUPS)}")
-        data_mod.FeatureMask.from_names(self.features)
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError("lookback and horizon must be >= 1")
 
@@ -551,9 +555,9 @@ def copy_reference_metrics(dest: Path) -> None:
 
 def cmd_synth(args) -> None:
     cfg = data_mod.SynthConfig()
-    if args.start:
+    if args.start is not None:
         cfg = replace(cfg, start=_coerce_date(args.start, "start"))
-    if args.end:
+    if args.end is not None:
         cfg = replace(cfg, end=_coerce_date(args.end, "end"))
     if args.base_rate is not None:
         cfg = replace(cfg, base_rate=args.base_rate)
@@ -570,62 +574,49 @@ def cmd_train(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     model, scaler, history = run_training(cfg, records)
     write_history_csv(out / "loss_history.csv", history)
-    meta = {
-        "features": list(cfg.features),
-        "lookback": cfg.lookback,
-        "group": cfg.group,
-        "seed": cfg.seed,
-        "loss": cfg.loss,
-        "init": cfg.init,
-        "train_span": [cfg.train_start.isoformat(), cfg.train_end.isoformat()],
-        "baseline_month": cfg.baseline_month,
-        "run_digest": ckpt_io.config_digest(cfg.digest_payload()),
-    }
+    meta = {name: getattr(cfg, name) for name in (*CHECKPOINT_SETTINGS, "seed", "loss", "init")}
+    meta["train_span"] = [cfg.train_start.isoformat(), cfg.train_end.isoformat()]
+    meta["run_digest"] = ckpt_io.config_digest(cfg.digest_payload())
     ckpt_io.save_checkpoint(out / "checkpoint.bin", model, scaler, meta)
     log.info("checkpoint written to %s", out / "checkpoint.bin")
 
 
-def _is_month(value) -> bool:
-    """Whether value is a month fill_mobility takes (see data.month_end)."""
-    if not isinstance(value, str):
-        return False
+def checkpoint_settings(ckpt, path) -> dict:
+    """The settings ckpt fixes, by RunConfig field: those of
+    CHECKPOINT_SETTINGS its meta records (group "all" when it records none)
+    and the model's horizon. A meta that does not record them as train
+    writes them is a DataError."""
+    fixed = {"group": "all", **{k: ckpt.meta[k] for k in CHECKPOINT_SETTINGS if k in ckpt.meta}}
     try:
-        data_mod.month_end(value)
-    except ValueError:
-        return False
-    return True
+        fixed["features"] = _as_features(fixed.get("features"), "features")
+        if "baseline_month" in fixed:
+            data_mod.month_end(_STR(fixed["baseline_month"], "baseline_month"))
+        valid = (len(fixed["features"]) == ckpt.model.input_dim
+                 and type(fixed.get("lookback")) is int and fixed["lookback"] >= 1
+                 and fixed["group"] in data_mod.GROUPS)
+    except (ConfigError, ValueError):
+        valid = False
+    if not valid:
+        raise DataError(f"{path}: the checkpoint meta must record its features (one "
+                        "known name per input) and lookback (an integer >= 1); a group must be "
+                        "a known one and a baseline month a YYYY-MM string")
+    return {**fixed, "horizon": ckpt.model.horizon}
 
 
 def cmd_forecast(args) -> None:
-    # The checkpoint drives the network configuration and the mobility
-    # baseline. These five start as None, so that a value given in the config
-    # file or by a flag is checked against the checkpoint (exit 1 if they
-    # disagree) and a missing one is taken from it.
-    cfg = build_run_config(args, RunConfig(
-        group=None, lookback=None, horizon=None, features=None, baseline_month=None))
+    # A setting the checkpoint fixes starts as None, so that a value given in
+    # the config file or by a flag is checked against the checkpoint (exit 1
+    # if they disagree) and a missing one is taken from it.
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    meta = ckpt.meta
-    features, lookback = meta.get("features"), meta.get("lookback")
-    if not (isinstance(features, list) and all(f in data_mod.FEATURE_ORDER for f in features)
-            and len(set(features)) == len(features) == ckpt.model.input_dim
-            and type(lookback) is int and lookback >= 1
-            and meta.get("group", "all") in data_mod.GROUPS
-            and _is_month(meta.get("baseline_month", RunConfig.baseline_month))):
-        raise DataError(f"{args.checkpoint}: the checkpoint meta must record its features (one "
-                        "known name per input) and lookback (an integer >= 1); a group must be "
-                        "a known one and a baseline month a YYYY-MM string")
-    ckpt_io.check_compatible(
-        ckpt, features=cfg.features, lookback=cfg.lookback, horizon=cfg.horizon, group=cfg.group,
-        baseline_month=cfg.baseline_month,
-    )
-    cfg.features, cfg.lookback = tuple(features), lookback
-    cfg.horizon = ckpt.model.horizon
-    cfg.group = meta.get("group", "all")
-    cfg.baseline_month = meta.get(
-        "baseline_month", cfg.baseline_month or RunConfig.baseline_month)
+    fixed = checkpoint_settings(ckpt, args.checkpoint)
+    cfg = build_run_config(args, RunConfig(**dict.fromkeys(fixed)))
+    for name, value in fixed.items():
+        if getattr(cfg, name) not in (None, value):
+            raise ConfigError(f"checkpoint {name} is {value!r}, got {getattr(cfg, name)!r}")
+        setattr(cfg, name, value)
     cfg.validate(need_spans=False)
-    start = _coerce_date(args.start, "start") if args.start else cfg.test_start
-    end = _coerce_date(args.end, "end") if args.end else cfg.test_end
+    start = _coerce_date(args.start, "start") if args.start is not None else cfg.test_start
+    end = _coerce_date(args.end, "end") if args.end is not None else cfg.test_end
     if start is None or end is None:
         raise ConfigError("forecast span is not configured; pass --start/--end")
     records = load_records(cfg)
@@ -646,14 +637,6 @@ def cmd_evaluate(args) -> None:
     log.info("group=%s cc=%.4f mae=%.4f", rep.group, rep.cc, rep.mae)
 
 
-def _variant_features(base_features, excluded):
-    if excluded is None:
-        return tuple(base_features)
-    if excluded not in base_features:
-        raise ConfigError(f"cannot exclude {excluded!r}: not among features {base_features}")
-    return tuple(f for f in base_features if f != excluded)
-
-
 def run_variant(cfg: RunConfig, records, scenario: str, out_dir: Path) -> Evaluation:
     """Train on cfg's train span, forecast its test span and evaluate the
     forecasts into out_dir: the step each ablation variant and each horizon
@@ -667,12 +650,12 @@ def run_variant(cfg: RunConfig, records, scenario: str, out_dir: Path) -> Evalua
 
 def run_ablation(cfg: RunConfig):
     """Train one variant per excluded feature and score each on the test span."""
-    if set(cfg.features) != set(DEFAULT_FEATURES):
+    if set(cfg.features) != set(data_mod.FEATURE_ORDER):
         raise ConfigError("ablation requires all four features to be available")
     records = load_records(cfg)
     results = []
     for name, excluded in ABLATION_VARIANTS:
-        vcfg = replace(cfg, features=_variant_features(cfg.features, excluded))
+        vcfg = replace(cfg, features=tuple(f for f in cfg.features if f != excluded))
         ev = run_variant(vcfg, records, name, Path(cfg.out) / "ablate" / name)
         results.append((name, ev.report, relative_errors(ev.actual, ev.estimate)[0]))
     return results
@@ -708,9 +691,12 @@ def cmd_horizon(args) -> None:
     cfg = build_run_config(args)
     cfg.validate()
     try:
-        horizons = [int(v) for v in args.horizons.split(",")] if args.horizons else DEFAULT_HORIZONS
+        horizons = DEFAULT_HORIZONS if args.horizons is None else [
+            int(v) for v in args.horizons.split(",")]
     except ValueError:
         raise ConfigError(f"--horizons takes integers such as 3,7,14; got {args.horizons!r}") from None
+    if len(set(horizons)) < len(horizons):
+        raise ConfigError(f"horizons repeat in {args.horizons!r}")
     results = run_horizon_study(cfg, horizons)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

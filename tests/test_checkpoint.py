@@ -14,12 +14,11 @@ from eadforecast.checkpoint import (
     HEADER_KEYS,
     MAGIC,
     Checkpoint,
-    check_compatible,
     config_digest,
     load_checkpoint,
     save_checkpoint,
 )
-from eadforecast.errors import ConfigError, DataError
+from eadforecast.errors import DataError
 from eadforecast.lstm import (
     ForecastModel, ModelSpec, forward_batch, init_params, model_leaves, model_to_vector,
 )
@@ -150,20 +149,6 @@ class TestRefusals:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_checkpoint(tmp_path / "nope.bin")
-
-    def test_cross_config_mask_refused(self, saved):
-        path, _, _, _ = saved
-        ckpt = load_checkpoint(path)
-        with pytest.raises(ConfigError, match="features"):
-            check_compatible(ckpt, features=["temperature", "humidity", "day_label", "mobility"])
-        with pytest.raises(ConfigError, match="lookback"):
-            check_compatible(ckpt, lookback=14)
-        with pytest.raises(ConfigError, match="horizon"):
-            check_compatible(ckpt, horizon=1)
-        # Matching config passes.
-        check_compatible(
-            ckpt, features=["temperature", "humidity", "day_label"], lookback=7, horizon=2, group="all"
-        )
 
 
 @pytest.fixture(scope="module")

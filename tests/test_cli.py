@@ -195,6 +195,27 @@ def read_config(path: Path, *flags: str) -> RunConfig:
     return build_run_config(build_parser().parse_args(["train", "--config", str(path), *flags]))
 
 
+class TestFeatureOrder:
+    """A feature list names a set: input columns follow data.FEATURE_ORDER."""
+
+    def test_train_writes_the_same_checkpoint_for_either_order(self, dataset, tmp_path):
+        cfg = base_config(dataset, tmp_path / "run", training={"epochs": 1, "batch_size": 8, "seed": 0})
+        blobs = []
+        for names in ("humidity,temperature", "temperature,humidity"):
+            out = tmp_path / names.replace(",", "_")
+            assert main(["train", "--config", str(cfg), "--features", names, "--out", str(out)]) == 0
+            blobs.append((out / "checkpoint.bin").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_forecast_takes_the_other_order(self, dataset, tmp_path):
+        cfg = base_config(dataset, tmp_path / "run", training={"epochs": 1, "batch_size": 8, "seed": 0})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--features", "humidity,temperature"]) == 0
+        assert main(["forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+                     "--features", "temperature,humidity"]) == 0
+        assert (out / "predictions.csv").exists()
+
+
 class TestSettingsTable:
     """Every setting from the config file and from its flag."""
 
@@ -205,7 +226,7 @@ class TestSettingsTable:
             holidays=root / "h.txt",
             train_start=dt.date(2018, 2, 1), train_end=dt.date(2019, 6, 30),
             test_start=dt.date(2019, 7, 1), test_end=dt.date(2019, 9, 30),
-            group="elderly", lookback=7, horizon=3, features=("humidity", "temperature"),
+            group="elderly", lookback=7, horizon=3, features=("temperature", "humidity"),
             epochs=2, batch_size=16, loss="xent", lr=0.01, seed=5, shuffle=False, init="zeros",
             lagged_m=True, baseline_month="2019-12", out=root / "results",
         )
@@ -266,7 +287,7 @@ class TestSettingsTable:
     def test_run_digest(self, tmp_path):
         cfg = read_config(self.every_setting_file(tmp_path))
         assert ckpt_io.config_digest(cfg.digest_payload()) == (
-            "9500f85f4888a2084e29953310b2ec21312d9d152a7a0eb0403f12666b4b8348")
+            "82172039e83831aaba4aafd381819a14914bffe085d335143336fab5416d265b")
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +353,14 @@ class TestForecastCommand:
         assert main(["forecast", "--config", str(mismatched),
                      "--checkpoint", str(out / "checkpoint.bin")]) == 1
         assert not (tmp_path / "predictions.csv").exists()
+
+    def test_checkpoint_without_group_forecasts_group_all(self, trained, tmp_path):
+        cfg, out = trained
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_checkpoint(out / "checkpoint.bin", ckpt, "meta", "group", DROP)
+        assert main(["forecast", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--group", "all", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "predictions.csv").exists()
 
     def test_config_file_match_accepted(self, trained, tmp_path):
         cfg, out = trained
@@ -793,13 +822,29 @@ class TestHorizonCommand:
             assert 1 <= int(row["count"]) <= 3
         assert (out / "horizon_K3.svg").exists()
 
-    @pytest.mark.parametrize("horizons", ["3,x", "3,,7"])
+    @pytest.mark.parametrize("horizons", ["3,x", "3,,7", "3,3"])
     def test_malformed_horizons_exit_1(self, dataset, tmp_path, horizons):
         cfg = base_config(dataset, tmp_path / "hz")
-        assert main(["horizon", "--config", str(cfg), f"--horizons={horizons}"]) == 1
+        assert main(["horizon", "--config", str(cfg), f"--horizons={horizons}",
+                     "--epochs", "1"]) == 1
+        assert not list((tmp_path / "hz").glob("horizon*"))  # refused before any training
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command,flag", [
+        ("horizon", "--horizons"), ("forecast", "--start"), ("forecast", "--end"),
+        ("synth", "--start"), ("synth", "--end"),
+    ])
+    def test_empty_value_exits_1(self, trained, tmp_path, command, flag):
+        # An empty value is not an absent one: none of these falls back to its default.
+        cfg, out = trained
+        argv = {"synth": ["--out", str(tmp_path / "synth")],
+                "forecast": ["--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+                             "--out", str(tmp_path)],
+                "horizon": ["--config", str(cfg), "--epochs", "1", "--out", str(tmp_path)]}[command]
+        assert main([command, *argv, f"{flag}="]) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_command(self):
         assert main(["transmogrify"]) == 1
 
