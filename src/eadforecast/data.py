@@ -192,11 +192,6 @@ def day_label(day: dt.date, holidays: set[dt.date]) -> int:
     return 0 if day.weekday() >= 5 or day in holidays else 1
 
 
-def build_calendar_labels(dates, holidays: set[dt.date]) -> list[int]:
-    """day_label of each date."""
-    return [day_label(d, holidays) for d in dates]
-
-
 def merge(
     weather: dict[dt.date, tuple[float, float]],
     ead: dict[dt.date, dict[str, int]],
@@ -456,7 +451,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
         for (m, d) in HOLIDAY_RULES
         if config.start <= dt.date(year, m, d) <= config.end
     }
-    day_label = np.array(build_calendar_labels(dates, holidays), dtype=np.int64)
+    labels = np.array([day_label(d, holidays) for d in dates], dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     # Fixed draw order keeps the dataset reproducible per seed.
@@ -490,7 +485,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
     newyear_dist = np.minimum(np.abs(doy - 1.0), 365.25 - np.abs(doy - 1.0))
     texture = (
         100.0
-        - 8.0 * (day_label == 0)
+        - 8.0 * (labels == 0)
         - 6.0 * np.exp(-0.5 * ((doy - 227.0) / 14.0) ** 2)
         - 7.0 * np.exp(-0.5 * (newyear_dist / 10.0) ** 2)
         + mob_noise
@@ -533,7 +528,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
             suppression[t] = level
     mobility = np.maximum(texture * suppression, 12.0)
 
-    u, w, h, g = _dispatch_factors(config, tmax, humidity, day_label, mobility)
+    u, w, h, g = _dispatch_factors(config, tmax, humidity, labels, mobility)
     lam = config.base_rate * u * w * h * g
     counts_all = np.maximum(np.rint(lam + count_noise * np.sqrt(lam)), 0.0).astype(np.int64)
 
@@ -555,7 +550,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
         records.append(
             DailyRecord(
                 date=d, tmax=float(tmax[t]), humidity=float(humidity[t]),
-                day_label=int(day_label[t]), ead=ead, mobility=float(mobility[t]),
+                day_label=int(labels[t]), ead=ead, mobility=float(mobility[t]),
             )
         )
 

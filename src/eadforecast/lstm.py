@@ -39,7 +39,8 @@ Appleyard et al. 2016, arXiv:1604.01946):
   folded into the i/o/f rows of W (halving a float is exact), so a single
   tanh over all 4H rows and two in-place steps give the three sigmoid gates
   and the candidate. Saturation is exact and silent: |z| >= 38 gives
-  sigmoid(z) of exactly 0 or 1, and no exp can overflow.
+  sigmoid(z) of exactly 0 or 1, and no exp can overflow. A sigmoid head is
+  computed the same way, with the halving done on z.
 - Blocked backward. The factors of the backward step that depend only on the
   forward pass (sigma' = sigma (1 - sigma), 1 - m^2, 1 - tanh(c)^2 and their
   products with m, c_prev, i, o and tanh(c); see `_backward_factors`) are
@@ -54,7 +55,13 @@ Appleyard et al. 2016, arXiv:1604.01946):
   batch once (the column blocks also gate-major, for the weight gradient)
   and the flat gradient; `train` and `run_forecast` make one and reuse it,
   so no step allocates. A forward pass copies each LSTM layer's W into its
-  buffer with the i/o/f rows halved; nothing else copies weights.
+  buffer with the i/o/f rows halved; nothing else copies weights. The
+  forward cache is the workspace and, per LSTM layer, its input x, its
+  outputs s and its buffers; the gates, c and tanh(c) stay in the buffers,
+  and the forward and backward passes both cut their (T, rows, B) views of
+  a call with `_LayerBuffers.views`. The dense layers' z and outputs are
+  read back from their buffers at the batch's size. The returned outputs
+  are a view of the workspace too.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,10 +262,10 @@ class _LayerBuffers:
     Per-step arrays are feature-major, (rows, B), so that every gate's block
     of a step is one contiguous (H, B) array: numpy runs an elementwise op on
     a strided view several times slower than on a contiguous one. The arrays
-    are flat and viewed per call as (T, rows, B), so a smaller batch gets
-    contiguous views of the same memory; only dpre and xs_rows, which the
-    weight-gradient matmul reads, are gate-major, (rows, T, B). The backward
-    arrays are allocated on the first backward pass.
+    are flat and viewed per call as (T, rows, B) (`views`), so a smaller
+    batch gets contiguous views of the same memory; only dpre and xs_rows,
+    which the weight-gradient matmul reads, are gate-major, (rows, T, B).
+    The backward arrays are allocated on the first backward pass.
     """
 
     def __init__(self, hidden: int, inp: int, batch: int, steps: int):
@@ -277,6 +284,14 @@ class _LayerBuffers:
         (1 + tanh(z/2)) / 2, and halving a float is exact."""
         np.copyto(self.W, p.W)
         self.W[: 3 * self.hidden] *= 0.5
+
+    def views(self, T: int, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays of a call at T steps and B windows, feature-major: the
+        column blocks xs (T+1, I+H+1, B), the gates after their activations
+        G (T, 4H, B), rows [i|o|f|m], and c and tanh(c) (T, H, B)."""
+        H, k = self.hidden, self.inp + self.hidden + 1
+        return (_view(self.xs, T + 1, k, B), _view(self.gates, T, 4 * H, B),
+                _view(self.c, T, H, B), _view(self.tanh_c, T, H, B))
 
     @functools.cached_property
     def block(self) -> int:
@@ -299,26 +314,17 @@ class _LayerBuffers:
         }
 
 
-def _lstm_forward_batch(
-    p: LstmCellParams, x: np.ndarray, lagged_m: bool, buf: _LayerBuffers | None = None
-) -> dict:
-    """x: (T, B, I). Returns a cache with gates, cell states, and outputs,
-    each as a (T, B, ...) view.
-
-    The cache lives in buf (fresh buffers if None): it is valid until the
-    next forward pass through the same buffers.
-    """
+def _lstm_forward_batch(p: LstmCellParams, x: np.ndarray, lagged_m: bool, buf: _LayerBuffers) -> dict:
+    """x: (T, B, I). Returns the layer's cache: its input x, its outputs s
+    as a (T, B, H) view and buf, which holds the gates and cell states (see
+    buf.views) until the next forward pass through it."""
     T, B, I = x.shape
     H = p.hidden_size
-    if buf is None:
-        buf = _LayerBuffers(H, I, B, T)
     buf.load(p)
-    xs = _view(buf.xs, T + 1, I + H + 1, B)
+    xs, G, C, TC = buf.views(T, B)
     np.copyto(xs[:T, :I], x.transpose(0, 2, 1))
     xs[:T, -1] = 1.0
     xs[0, I : I + H] = 0.0
-    G = _view(buf.gates, T, 4 * H, B)  # post-activation [i | o | f | m]
-    C, TC = _view(buf.c, T, H, B), _view(buf.tanh_c, T, H, B)
     S = xs[1:, I : I + H]  # s_t is the state input of step t+1
     cand = _view(buf.cand, H, B)
     for t in range(T):
@@ -342,16 +348,7 @@ def _lstm_forward_batch(
             c += cand
         np.tanh(c, out=TC[t])
         np.multiply(g[H : 2 * H], TC[t], out=S[t])
-
-    def rows(a):  # (T, rows, B) -> (T, B, rows)
-        return a.transpose(0, 2, 1)
-
-    return {
-        "x": x, "gates": rows(G),
-        "i": rows(G[:, :H]), "o": rows(G[:, H : 2 * H]),
-        "f": rows(G[:, 2 * H : 3 * H]), "m": rows(G[:, 3 * H :]),
-        "c": rows(C), "tanh_c": rows(TC), "s": rows(S), "buffers": buf,
-    }
+    return {"x": x, "s": S.transpose(0, 2, 1), "buffers": buf}
 
 
 def _times_previous(dst: np.ndarray, seq: np.ndarray, t0: int, t1: int) -> None:
@@ -423,9 +420,7 @@ def _lstm_backward_batch(
     T, B, I = x.shape
     H = p.hidden_size
     h4, k = 4 * H, I + H + 1
-    G = _view(buf.gates, T, h4, B)
-    C, TC = _view(buf.c, T, H, B), _view(buf.tanh_c, T, H, B)
-    xs = _view(buf.xs, T + 1, k, B)
+    xs, G, C, TC = buf.views(T, B)
     arrays = buf.backward
     WT = arrays["WT"]
     np.copyto(WT, p.W[:, : I + H].T)
@@ -471,25 +466,21 @@ def _lstm_backward_batch(
     return dxs[:, :I].transpose(0, 2, 1) if need_dx else None
 
 
-def sigmoid(x) -> np.ndarray:
-    """Elementwise logistic function, overflow-safe for large |x|.
-
-    Pre-activations are clipped to +-500 before exponentiation, which keeps
-    exp finite while leaving every representable output unchanged.
-    """
-    z = np.clip(np.asarray(x, dtype=np.float64), -500.0, 500.0)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 class _DenseBuffers:
     """Work arrays of one dense layer for up to `batch` rows, flat and viewed
     per call as (B, width) like _LayerBuffers'. The backward arrays are
     allocated on the first backward pass."""
 
     def __init__(self, layer: DenseLayerParams, batch: int):
-        self.batch = batch
+        self.batch, self.activation = batch, layer.activation
         self.out, self.inp = layer.W.shape
         self.z, self.r = np.empty((2, batch * self.out))  # pre-activation, output
+
+    def views(self, B: int) -> tuple[np.ndarray, np.ndarray]:
+        """z and the layer's output at B rows, (B, out) each; the output of
+        an identity layer is z."""
+        z = _view(self.z, B, self.out)
+        return z, z if self.activation == "identity" else _view(self.r, B, self.out)
 
     @functools.cached_property
     def backward(self) -> dict:
@@ -500,18 +491,22 @@ class _DenseBuffers:
         }
 
 
-def _dense_forward(
-    layer: DenseLayerParams, h: np.ndarray, buf: _DenseBuffers
-) -> tuple[np.ndarray, np.ndarray]:
-    """(z, output) of the layer for h (B, inp), z = h W^T + b, in buf."""
-    B = h.shape[0]
-    z = np.matmul(h, layer.W.T, out=_view(buf.z, B, buf.out))
+def _dense_forward(layer: DenseLayerParams, h: np.ndarray, buf: _DenseBuffers) -> np.ndarray:
+    """The layer's output for h (B, inp), the activation of z = h W^T + b,
+    in buf."""
+    z, out = buf.views(h.shape[0])
+    np.matmul(h, layer.W.T, out=z)
     z += layer.b
     if layer.activation == "rectifier":
-        return z, np.maximum(z, 0.0, out=_view(buf.r, B, buf.out))
-    if layer.activation == "sigmoid":
-        return z, sigmoid(z)
-    return z, z
+        np.maximum(z, 0.0, out=out)
+    elif layer.activation == "sigmoid":
+        # 1/2 + 1/2 tanh(z/2), as the gates compute it: saturation is exact
+        # and silent, and no exp can overflow.
+        np.multiply(z, 0.5, out=out)
+        np.tanh(out, out=out)
+        out *= 0.5
+        out += 0.5
+    return out
 
 
 def _dense_backward(
@@ -565,24 +560,14 @@ class Workspace:
         return np.empty(self.steps * self.lstm2.hidden * self.batch)
 
 
-@dataclass
-class NetworkCache:
-    """Intermediates captured by forward_batch, consumed by backward_batch."""
-
-    X: np.ndarray
-    lstm1: dict = field(repr=False, default=None)
-    lstm2: dict = field(repr=False, default=None)
-    fc: dict = field(repr=False, default=None)
-    y: np.ndarray = None
-    ws: Workspace = field(repr=False, default=None)
-
-
 def forward_batch(
     model: ForecastModel, X, ws: Workspace | None = None
-) -> tuple[np.ndarray, NetworkCache]:
+) -> tuple[np.ndarray, tuple[Workspace, dict, dict]]:
     """Forward pass for a batch of windows. X: (B, L, F) -> (B, K).
 
-    The outputs and the cache are held in ws (a fresh workspace if None)."""
+    The outputs are held in ws (a fresh workspace if None). The cache for
+    backward_batch is (ws, lstm1's cache, lstm2's cache); the dense layers'
+    intermediates are read back from ws."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[1] < 1:
         raise ConfigError(f"expected a (batch, lookback, features) array, got {X.shape}")
@@ -600,40 +585,33 @@ def forward_batch(
     x = X.transpose(1, 0, 2)  # (T, B, F)
     c1 = _lstm_forward_batch(model.lstm1, x, model.lagged_m, ws.lstm1)
     c2 = _lstm_forward_batch(model.lstm2, c1["s"], model.lagged_m, ws.lstm2)
-    h = c2["s"][-1]  # (B, H2)
-    z1, r1 = _dense_forward(model.fc1, h, ws.fc1)
-    z2, r2 = _dense_forward(model.fc2, r1, ws.fc2)
-    z3, y = _dense_forward(model.head, r2, ws.head)
-    cache = NetworkCache(
-        X=X,
-        lstm1=c1,
-        lstm2=c2,
-        fc={"h": h, "z1": z1, "r1": r1, "z2": z2, "r2": r2, "z3": z3},
-        y=y,
-        ws=ws,
-    )
-    return y, cache
+    r1 = _dense_forward(model.fc1, c2["s"][-1], ws.fc1)
+    r2 = _dense_forward(model.fc2, r1, ws.fc2)
+    return _dense_forward(model.head, r2, ws.head), (ws, c1, c2)
 
 
-def backward_batch(model: ForecastModel, cache: NetworkCache, dY: np.ndarray) -> ForecastModel:
+def backward_batch(
+    model: ForecastModel, cache: tuple[Workspace, dict, dict], dY: np.ndarray
+) -> ForecastModel:
     """Backward pass: dY is the gradient of the scalar loss w.r.t. the batch
     outputs (B, K). Returns the summed parameter gradients as the cache's
     workspace's `grads`, the model over its flat `grad`."""
-    if cache is None or cache.fc is None:
+    if cache is None:
         raise ConfigError("backward_batch needs the cache from forward_batch")
-    ws, fc = cache.ws, cache.fc
+    ws, c1, c2 = cache
     g = ws.grads
-    dr2 = _dense_backward(model.head, fc["r2"], fc["z3"], cache.y, dY, g.head, ws.head)
-    dr1 = _dense_backward(model.fc2, fc["r1"], fc["z2"], fc["r2"], dr2, g.fc2, ws.fc2)
-    dh = _dense_backward(model.fc1, fc["h"], fc["z1"], fc["r1"], dr1, g.fc1, ws.fc1)
+    T, B, _ = c2["x"].shape
+    h = c2["s"][-1]
+    (z1, r1), (z2, r2), (z3, y) = ws.fc1.views(B), ws.fc2.views(B), ws.head.views(B)
+    dr2 = _dense_backward(model.head, r2, z3, y, dY, g.head, ws.head)
+    dr1 = _dense_backward(model.fc2, r1, z2, r2, dr2, g.fc2, ws.fc2)
+    dh = _dense_backward(model.fc1, h, z1, r1, dr1, g.fc1, ws.fc1)
 
-    T, B, _ = cache.lstm2["x"].shape
     ds2 = _view(ws.ds2, T, model.lstm2.hidden_size, B)
     ds2[:-1] = 0.0
     ds2[-1] = dh.T
-    dx2 = _lstm_backward_batch(
-        model.lstm2, cache.lstm2, ds2.transpose(0, 2, 1), model.lagged_m, g.lstm2)
-    _lstm_backward_batch(model.lstm1, cache.lstm1, dx2, model.lagged_m, g.lstm1, need_dx=False)
+    dx2 = _lstm_backward_batch(model.lstm2, c2, ds2.transpose(0, 2, 1), model.lagged_m, g.lstm2)
+    _lstm_backward_batch(model.lstm1, c1, dx2, model.lagged_m, g.lstm1, need_dx=False)
     return g
 
 

@@ -1,6 +1,7 @@
 """Oracles the package is checked against: central-difference gradients
 for the analytic gradients, a step-by-step backward pass and gate-major
-copies for the bits of an LSTM layer's weight gradient, the per-window
+copies for the bits of an LSTM layer's weight gradient (and the gate and
+cell views of a layer's forward cache they read), the per-window
 scaling path for the windows training gathers by index, and the per-date
 collection of overlapping forecasts for their aggregate."""
 
@@ -44,6 +45,19 @@ def finite_diff_gradient(
     return grad
 
 
+def layer_arrays(cache: dict) -> dict:
+    """The forward arrays of an LSTM layer from its cache, each a (T, B, rows)
+    view of the layer's buffers: the gates after their activations, all four
+    ("gates", rows i, o, f, m) and one by one ("i", "o", "f", "m"), the cell
+    states "c", "tanh_c" and the outputs "s"."""
+    T, B, _ = cache["x"].shape
+    _, G, C, TC = cache["buffers"].views(T, B)
+    H = C.shape[1]
+    arrays = {"gates": G, "i": G[:, :H], "o": G[:, H : 2 * H], "f": G[:, 2 * H : 3 * H],
+              "m": G[:, 3 * H :], "c": C, "tanh_c": TC}
+    return {"s": cache["s"], **{k: a.transpose(0, 2, 1) for k, a in arrays.items()}}
+
+
 def lstm_backward_by_steps(
     cache: dict, W: np.ndarray, ds_ext: np.ndarray, lagged_m: bool, need_dx: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -65,9 +79,9 @@ def lstm_backward_by_steps(
     F_m = (1 - m^2) i and P = (1 - tanh(c)^2) o. With lagged_m, F_i uses
     m_prev, and a_m at step t is the next step's dc times (1 - m_t^2) i_{t+1}.
     """
-    G = cache["gates"].transpose(0, 2, 1)  # (T, 4H, B)
-    C, TC = cache["c"].transpose(0, 2, 1), cache["tanh_c"].transpose(0, 2, 1)
-    T, h4, B = G.shape
+    T, B, _ = cache["x"].shape
+    _, G, C, TC = cache["buffers"].views(T, B)  # (T, 4H, B), (T, H, B), (T, H, B)
+    h4 = G.shape[1]
     H = h4 // 4
     I = W.shape[1] - H - 1
     WT = np.ascontiguousarray(W[:, : I + H].T)

@@ -19,7 +19,7 @@ from eadforecast.data import (
     DailyRecord,
     FeatureMask,
     SynthConfig,
-    build_calendar_labels,
+    day_label,
     fill_mobility,
     load_dataset,
     load_ead_csv,
@@ -99,14 +99,14 @@ class TestLoaders:
 
 class TestCalendarLabels:
     def test_saturday_is_off(self):
-        assert build_calendar_labels([dt.date(2020, 1, 4)], set()) == [0]
+        assert day_label(dt.date(2020, 1, 4), set()) == 0
 
     def test_midweek_holiday_is_off(self):
         wednesday = dt.date(2020, 1, 8)
-        assert build_calendar_labels([wednesday], {wednesday}) == [0]
+        assert day_label(wednesday, {wednesday}) == 0
 
     def test_plain_tuesday_is_working(self):
-        assert build_calendar_labels([dt.date(2020, 1, 7)], set()) == [1]
+        assert day_label(dt.date(2020, 1, 7), set()) == 1
 
 
 class TestMerge:
