@@ -15,10 +15,19 @@ batch 8 and seed 0:
 - ablate: `ablate --epochs 1`;
 - horizon: `horizon --horizons 3,7 --epochs 1`;
 - lagged_xent: `train --eq5-lagged-m --loss xent` at 2 epochs;
-- config: `train --config config/config.yaml --epochs 1`, the one run that
+- config: `train --config config/config.yaml --epochs 1`, a run that
   reads a config file (CONFIG below: data paths relative to the file, the
   `squared_error` loss alias and the file-only settings `shuffle: false`
   and `baseline_month: 2019-12`).
+- sparse: `train --epochs 1`, `forecast` and `evaluate`, each given
+  `--config sparse/config.yaml` (SPARSE_CONFIG below), on `sparse_data/`,
+  a copy of the dataset whose `mobility.csv` keeps only the days 1, 6, 11,
+  16, 21, 26 and 31 of each month from 2019-09-16 to 2020-02-11. With
+  `baseline_month: 2019-08` every run fills mobility: July and August at
+  the baseline (100), 2019-09-01..15 on the line from the baseline to the
+  first observation, the 4-5 days between observations on the line
+  between them, and 2020-02-12..29 at the last observation. The synthetic
+  `mobility.csv` lists every day, so no other run fills one.
 
 Each output line is `sha256  path`, the path relative to the run
 directory, sorted by path. Two checkouts write the same bytes exactly when
@@ -38,6 +47,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -58,6 +68,18 @@ training: {batch_size: 8, seed: 0, loss: squared_error, shuffle: false}
 baseline_month: '2019-12'
 out: .
 """
+SPARSE_CONFIG = """\
+data:
+  weather: ../sparse_data/weather.csv
+  ead: ../sparse_data/ead.csv
+  mobility: ../sparse_data/mobility.csv
+  holidays: ../sparse_data/holidays.txt
+train: {start: 2019-07-01, end: 2019-12-31}
+test: {start: 2020-01-01, end: 2020-02-29}
+training: {batch_size: 8, seed: 0}
+baseline_month: '2019-08'
+out: .
+"""
 
 
 def runs(work: Path) -> list[list[str]]:
@@ -69,7 +91,7 @@ def runs(work: Path) -> list[list[str]]:
     def cli(command: str, out: str, *extra: str) -> list[str]:
         return [command, *paths, *SPANS, *COMMON, "--out", str(work / out), *extra]
 
-    train = work / "train"
+    train, sparse = work / "train", work / "sparse"
     return [
         ["synth", "--seed", "0", "--start", "2019-07-01", "--end", "2020-02-29",
          "--out", str(data)],
@@ -83,19 +105,44 @@ def runs(work: Path) -> list[list[str]]:
         cli("horizon", "horizon", "--horizons", "3,7", "--epochs", "1"),
         cli("train", "lagged_xent", "--epochs", "2", "--eq5-lagged-m", "--loss", "xent"),
         ["train", "--config", str(work / "config" / "config.yaml"), "--epochs", "1"],
+        ["train", "--config", str(sparse / "config.yaml"), "--epochs", "1"],
+        ["forecast", "--config", str(sparse / "config.yaml"),
+         "--checkpoint", str(sparse / "checkpoint.bin")],
+        ["evaluate", "--config", str(sparse / "config.yaml"),
+         "--predictions", str(sparse / "predictions.csv")],
     ]
+
+
+def write_sparse_copy(data: Path, dest: Path) -> None:
+    """Copy the dataset in data to dest, its mobility.csv cut to the days
+    1, 6, ..., 31 of each month from 2019-09-16 to 2020-02-11."""
+    dest.mkdir()
+    for name in ("weather.csv", "ead.csv", "holidays.txt"):
+        shutil.copyfile(data / name, dest / name)
+    header, *rows = (data / "mobility.csv").read_text().splitlines(keepends=True)
+    kept = [row for row in rows
+            if "2019-09-16" <= row[:10] <= "2020-02-11" and int(row[8:10]) % 5 == 1]
+    (dest / "mobility.csv").write_text(header + "".join(kept))
 
 
 def pinned_digests(checkout: Path, work: Path) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    (work / "config").mkdir()
-    (work / "config" / "config.yaml").write_text(CONFIG)
-    for args in runs(work):
+    for name, text in (("config", CONFIG), ("sparse", SPARSE_CONFIG)):
+        (work / name).mkdir()
+        (work / name / "config.yaml").write_text(text)
+
+    def run(args: list[str]) -> None:
         proc = subprocess.run([sys.executable, "-m", "eadforecast.cli", *args],
                               env=env, capture_output=True, text=True)
         if proc.returncode:
             sys.stderr.write(proc.stderr)
             raise SystemExit(f"{args[0]} exited {proc.returncode}")
+
+    synth, *rest = runs(work)
+    run(synth)
+    write_sparse_copy(work / "data", work / "sparse_data")
+    for args in rest:
+        run(args)
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work)}"
             for p in sorted(work.rglob("*")) if p.is_file()]
 

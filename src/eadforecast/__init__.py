@@ -7,7 +7,7 @@ with known ground truth, training with Adam, evaluation metrics, and a CLI
 for the training / ablation / multi-horizon study scenarios.
 """
 
-from .data import DailyRecord, FeatureMask, SynthConfig, synth_generate
+from .data import Days, FeatureMask, SynthConfig, synth_generate
 from .lstm import (
     DenseLayerParams,
     ForecastModel,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "DailyRecord",
+    "Days",
     "DenseLayerParams",
     "EvalReport",
     "FeatureMask",

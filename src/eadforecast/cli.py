@@ -179,12 +179,8 @@ class RunConfig:
         return data_mod.FeatureMask.from_names(self.features)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, loss=self.loss,
-            lr=self.lr, seed=self.seed, shuffle=self.shuffle,
-            log_every=max(self.epochs // 10, 1),
-            progress=lambda e, l: log.info("epoch %d  loss %.6g", e, l),
-        )
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, loss=self.loss,
+                           lr=self.lr, seed=self.seed, shuffle=self.shuffle)
 
     def digest_payload(self) -> dict:
         """What the run digest covers: every setting but the paths, with
@@ -252,26 +248,28 @@ def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def load_records(cfg: RunConfig) -> list[data_mod.DailyRecord]:
-    records = data_mod.load_dataset(
+def load_records(cfg: RunConfig) -> data_mod.Days:
+    """The configured dataset as a day table, its mobility filled when the
+    mobility feature is on."""
+    days = data_mod.load_dataset(
         cfg.weather, cfg.ead,
         mobility_path=cfg.mobility if "mobility" in cfg.features else None,
         holidays_path=cfg.holidays,
     )
     if "mobility" in cfg.features:
-        records = data_mod.fill_mobility(records, baseline_month=cfg.baseline_month)
-    return records
+        days = data_mod.fill_mobility(days, baseline_month=cfg.baseline_month)
+    return days
 
 
-def _slice_records(records, start: dt.date, end: dt.date):
-    return [r for r in records if start <= r.date <= end]
+def _slice_records(days: data_mod.Days, start: dt.date, end: dt.date) -> data_mod.Days:
+    return days.between(start, end)
 
 
-def run_training(cfg: RunConfig, records) -> tuple[object, object, list[float]]:
+def run_training(cfg: RunConfig, days) -> tuple[object, object, list[float]]:
     """Fit the scaler on training windows only, then train the network."""
-    train_records = _slice_records(records, cfg.train_start, cfg.train_end)
     windows = data_mod.make_windows(
-        train_records, cfg.lookback, cfg.horizon, cfg.mask(), cfg.group
+        _slice_records(days, cfg.train_start, cfg.train_end),
+        cfg.lookback, cfg.horizon, cfg.mask(), cfg.group,
     )
     scaler = fit_scaler(windows)
     X, Y = apply_scaler(scaler, windows)
@@ -286,32 +284,28 @@ def run_training(cfg: RunConfig, records) -> tuple[object, object, list[float]]:
     return model, scaler, history
 
 
-def run_forecast(model, scaler, records, cfg: RunConfig, start: dt.date, end: dt.date):
+def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.date):
     """Per-anchor K-day predictions on the count scale.
 
     An anchor is the first predicted day; its window covers the L preceding
-    days, which must all be present in the records. Anchors go through the
+    days, which must all be in the day table. Anchors go through the
     network FORECAST_CHUNK at a time on one BLAS thread, through one
     workspace.
     """
     if start > end:
         raise ConfigError("forecast span is empty")
-    by_date = {r.date: idx for idx, r in enumerate(records)}
-    anchors, rows = [], []
-    day = start
-    while day <= end:
-        idx = by_date.get(day)
-        if idx is None or idx < cfg.lookback:
-            raise DataError(
-                f"not enough history before {day.isoformat()}: "
-                f"need {cfg.lookback} prior days in the dataset"
-            )
-        anchors.append(day)
-        rows.append(idx)
-        day += dt.timedelta(days=1)
+    first, last = days.offset(start), days.offset(end)
+    if first < cfg.lookback or last >= len(days):
+        # The first anchor short of history, or the first past the last day.
+        day = days.date(first if first < cfg.lookback else max(first, len(days)))
+        raise DataError(
+            f"not enough history before {day.isoformat()}: "
+            f"need {cfg.lookback} prior days in the dataset"
+        )
+    anchors = [days.date(row) for row in range(first, last + 1)]
     # Scaled once and gathered by row, as training's apply_scaler does.
-    features = scaler.transform_features(data_mod.feature_matrix(records, cfg.mask()))
-    window_rows = data_mod.window_rows(rows, cfg.lookback)
+    features = scaler.transform_features(data_mod.feature_matrix(days, cfg.mask()))
+    window_rows = data_mod.window_rows(np.arange(first, last + 1), cfg.lookback)
     y = np.empty((len(anchors), model.horizon))
     # Full chunks, then the tail one anchor at a time, so that whatever the
     # span length only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
@@ -496,24 +490,27 @@ class Evaluation:
     estimate: np.ndarray
 
 
-def run_evaluation(records, forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
-    """Aggregate forecasts per date, compare with actuals, emit report + charts."""
+def run_evaluation(days, forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
+    """Aggregate forecasts per date, compare with actuals, emit report + charts.
+    Dates after the table's last day are left out; dates before its first
+    day are a DataError."""
     if not forecasts:
         raise DataError("no forecasts to evaluate")
     agg = horizon_aggregate(forecasts)
-    actual_by_date = {r.date: r for r in records}
-    actual_dates = [d for d in agg.dates if d in actual_by_date]
-    if not actual_dates:
+    # agg.dates are consecutive: those with actuals are positions lo..hi-1.
+    first = days.offset(agg.dates[0])
+    lo, hi = max(-first, 0), min(len(days) - first, len(agg.dates))
+    if lo >= hi:
         raise DataError("predictions and dataset do not overlap in time")
-    last_actual = max(actual_by_date)
-    missing = [d.isoformat() for d in agg.dates if d not in actual_by_date and d <= last_actual]
-    if missing:
-        shown = ", ".join(missing[:10])
+    if lo:
+        shown = ", ".join(d.isoformat() for d in agg.dates[: min(lo, 10)])
         raise DataError(f"dates in predictions have no matching actuals: {shown}")
 
-    idx = [i for i, d in enumerate(agg.dates) if d in actual_by_date]
+    idx = list(range(hi))
+    rows = slice(first, first + hi)
+    actual_dates = agg.dates[:hi]
     est = agg.mean[idx]
-    act = np.array([actual_by_date[d].ead[group] for d in actual_dates], dtype=np.float64)
+    act = days.counts[group][rows]
     rep = evaluate_series(act, est, group=group, scenario=scenario)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -524,15 +521,13 @@ def run_evaluation(records, forecasts, group: str, scenario: str, out_dir: Path)
         {"actual": act, "estimated": est},
         f"Daily dispatch counts ({group}, {scenario})" if scenario else f"Daily dispatch counts ({group})",
     )
-    tmax = np.array([actual_by_date[d].tmax for d in actual_dates])
-    humidity = np.array([actual_by_date[d].humidity for d in actual_dates])
     report_mod.render_scatter_fit(
-        out_dir / "fit_temperature.svg", tmax,
+        out_dir / "fit_temperature.svg", days.tmax[rows],
         {"actual": act, "estimated": est},
         "Dispatch counts vs daily maximum temperature", "max temperature (degC)",
     )
     report_mod.render_scatter_fit(
-        out_dir / "fit_humidity.svg", humidity,
+        out_dir / "fit_humidity.svg", days.humidity[rows],
         {"actual": act, "estimated": est},
         "Dispatch counts vs daily average humidity", "relative humidity (%)",
     )
@@ -569,10 +564,10 @@ def cmd_synth(args) -> None:
 def cmd_train(args) -> None:
     cfg = build_run_config(args)
     cfg.validate()
-    records = load_records(cfg)
+    days = load_records(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, scaler, history = run_training(cfg, records)
+    model, scaler, history = run_training(cfg, days)
     write_history_csv(out / "loss_history.csv", history)
     meta = {name: getattr(cfg, name) for name in (*CHECKPOINT_SETTINGS, "seed", "loss", "init")}
     meta["train_span"] = [cfg.train_start.isoformat(), cfg.train_end.isoformat()]
@@ -619,8 +614,8 @@ def cmd_forecast(args) -> None:
     end = _coerce_date(args.end, "end") if args.end is not None else cfg.test_end
     if start is None or end is None:
         raise ConfigError("forecast span is not configured; pass --start/--end")
-    records = load_records(cfg)
-    forecasts = run_forecast(ckpt.model, ckpt.scaler, records, cfg, start, end)
+    days = load_records(cfg)
+    forecasts = run_forecast(ckpt.model, ckpt.scaler, days, cfg, start, end)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(out / "predictions.csv", forecasts)
@@ -631,19 +626,19 @@ def cmd_forecast(args) -> None:
 def cmd_evaluate(args) -> None:
     cfg = build_run_config(args)
     cfg.validate(need_spans=False)
-    records = load_records(cfg)
+    days = load_records(cfg)
     forecasts = read_predictions_csv(args.predictions)
-    rep = run_evaluation(records, forecasts, cfg.group, args.scenario or "", Path(cfg.out)).report
+    rep = run_evaluation(days, forecasts, cfg.group, args.scenario or "", Path(cfg.out)).report
     log.info("group=%s cc=%.4f mae=%.4f", rep.group, rep.cc, rep.mae)
 
 
-def run_variant(cfg: RunConfig, records, scenario: str, out_dir: Path) -> Evaluation:
+def run_variant(cfg: RunConfig, days, scenario: str, out_dir: Path) -> Evaluation:
     """Train on cfg's train span, forecast its test span and evaluate the
     forecasts into out_dir: the step each ablation variant and each horizon
     of the horizon study runs."""
-    model, scaler, _ = run_training(cfg, records)
-    forecasts = run_forecast(model, scaler, records, cfg, cfg.test_start, cfg.test_end)
-    ev = run_evaluation(records, forecasts, cfg.group, scenario, out_dir)
+    model, scaler, _ = run_training(cfg, days)
+    forecasts = run_forecast(model, scaler, days, cfg, cfg.test_start, cfg.test_end)
+    ev = run_evaluation(days, forecasts, cfg.group, scenario, out_dir)
     log.info("%-16s cc=%.4f mae=%.4f", scenario, ev.report.cc, ev.report.mae)
     return ev
 
@@ -652,11 +647,11 @@ def run_ablation(cfg: RunConfig):
     """Train one variant per excluded feature and score each on the test span."""
     if set(cfg.features) != set(data_mod.FEATURE_ORDER):
         raise ConfigError("ablation requires all four features to be available")
-    records = load_records(cfg)
+    days = load_records(cfg)
     results = []
     for name, excluded in ABLATION_VARIANTS:
         vcfg = replace(cfg, features=tuple(f for f in cfg.features if f != excluded))
-        ev = run_variant(vcfg, records, name, Path(cfg.out) / "ablate" / name)
+        ev = run_variant(vcfg, days, name, Path(cfg.out) / "ablate" / name)
         results.append((name, ev.report, relative_errors(ev.actual, ev.estimate)[0]))
     return results
 
@@ -679,9 +674,9 @@ def cmd_ablate(args) -> None:
 
 def run_horizon_study(cfg: RunConfig, horizons):
     """Train and score one model per horizon K on the test span."""
-    records = load_records(cfg)
+    days = load_records(cfg)
     return [
-        (int(k), run_variant(replace(cfg, horizon=int(k)), records, f"horizon_{k}",
+        (int(k), run_variant(replace(cfg, horizon=int(k)), days, f"horizon_{k}",
                              Path(cfg.out) / f"horizon_{k}"))
         for k in horizons
     ]

@@ -1,9 +1,13 @@
 """Dataset ingestion and preparation.
 
 Handles the four on-disk formats (weather.csv, ead.csv, mobility.csv,
-holidays.txt), merges them into a gap-free daily record list, fills sparse
-mobility coverage, slices lookback windows, and generates desk-scale
-synthetic datasets with a known ground truth.
+holidays.txt) and merges them into one day table (`Days`): a first day
+and one array per column, day i being start + i, so the days are
+consecutive by construction and a gap in the sources is refused, never
+represented. `fill_mobility` completes the table's sparse mobility
+column, `make_windows` slices lookback windows from it by day offset,
+and `synth_generate` builds a desk-scale synthetic table with a known
+ground truth.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ import csv
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+import re
+from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +28,39 @@ from .errors import ConfigError, DataError
 
 GROUPS = ("all", "children", "adult", "elderly", "outdoor", "indoor")
 FEATURE_ORDER = ("temperature", "humidity", "day_label", "mobility")
+# Feature name -> the Days column it reads.
+_FEATURE_COLUMNS = {"temperature": "tmax", "humidity": "humidity", "day_label": "day_label",
+                   "mobility": "mobility"}
 
 
-@dataclass
-class DailyRecord:
-    """One calendar day of fused covariates and dispatch counts."""
+@dataclass(frozen=True, eq=False)
+class Days:
+    """Consecutive calendar days of fused covariates and dispatch counts,
+    one float64 array per column; day i is start + i."""
 
-    date: dt.date
-    tmax: float
-    humidity: float
-    day_label: int  # 1 = working day, 0 = weekend or holiday
-    ead: dict[str, int]
-    mobility: float | None = None  # percent of baseline; None until filled
+    start: dt.date
+    tmax: np.ndarray  # daily maximum temperature, degC
+    humidity: np.ndarray  # daily average relative humidity, percent
+    day_label: np.ndarray  # 1 = working day, 0 = weekend or holiday
+    mobility: np.ndarray  # percent of baseline; NaN until fill_mobility
+    counts: dict[str, np.ndarray]  # dispatch counts of each of GROUPS
+
+    def __len__(self) -> int:
+        return len(self.tmax)
+
+    def date(self, i) -> dt.date:
+        return self.start + dt.timedelta(days=int(i))
+
+    def offset(self, day: dt.date) -> int:
+        """The index day has, or would have, in the table."""
+        return (day - self.start).days
+
+    def between(self, first: dt.date, last: dt.date) -> "Days":
+        """The table's days from first to last (none if it holds none)."""
+        lo = max(self.offset(first), 0)
+        cut = slice(lo, max(self.offset(last) + 1, lo))
+        return Days(self.date(lo), self.tmax[cut], self.humidity[cut], self.day_label[cut],
+                    self.mobility[cut], {g: c[cut] for g, c in self.counts.items()})
 
 
 @dataclass(frozen=True)
@@ -143,6 +171,8 @@ def load_ead_csv(path) -> dict[dt.date, dict[str, int]]:
             value = _number(cell, int, path, line_no, f"count for {name}")
             if value < 0:
                 raise DataError(f"{path}:{line_no}: negative count for {name}")
+            if value > 2**53:  # the day table holds counts as float64, exact up to 2**53
+                raise DataError(f"{path}:{line_no}: count for {name} above 2**53")
             counts[name] = value
         if day in out:
             raise DataError(f"{path}:{line_no}: duplicate date {day.isoformat()}")
@@ -187,9 +217,15 @@ def load_holidays(path) -> set[dt.date]:
     return out
 
 
-def day_label(day: dt.date, holidays: set[dt.date]) -> int:
-    """1 for a working day, 0 for a Saturday, a Sunday or a listed holiday."""
-    return 0 if day.weekday() >= 5 or day in holidays else 1
+def _day_range(start: dt.date, n: int) -> np.ndarray:
+    """The n days from start as datetime64[D]."""
+    return np.datetime64(start, "D") + np.arange(n)
+
+
+def day_labels(start: dt.date, n: int, holidays) -> np.ndarray:
+    """The labels of the n days from start: 1.0 for a working day, 0.0 for
+    a Saturday, a Sunday or a listed holiday."""
+    return np.is_busday(_day_range(start, n), holidays=sorted(holidays)).astype(np.float64)
 
 
 def merge(
@@ -197,37 +233,38 @@ def merge(
     ead: dict[dt.date, dict[str, int]],
     mobility: dict[dt.date, float] | None,
     holidays: set[dt.date],
-) -> list[DailyRecord]:
+) -> Days:
     """Date-join the sources over the intersection span of weather and EAD.
 
     Every date in the intersection must be present in both; gaps are reported
-    explicitly. Mobility stays sparse (None where unobserved) until
+    explicitly. Mobility stays sparse (NaN where unobserved) until
     fill_mobility completes it.
     """
     start = max(min(weather), min(ead))
     end = min(max(weather), max(ead))
     if start > end:
         raise DataError("weather and EAD files do not overlap in time")
-    mobility = mobility or {}
-    missing: list[str] = []
-    records: list[DailyRecord] = []
-    day, one_day = start, dt.timedelta(days=1)
-    while day <= end:
-        sky, counts = weather.get(day), ead.get(day)
-        if sky is None or counts is None:
-            gaps = [name for name, got in (("weather", sky), ("ead", counts)) if got is None]
-            missing.append(f"{day.isoformat()} ({'/'.join(gaps)})")
-        else:
-            # The record takes the loader's count dict as it is, not a copy.
-            tmax, humidity = sky
-            records.append(DailyRecord(
-                day, tmax, humidity, day_label(day, holidays), counts, mobility.get(day)))
-        day += one_day
-    if missing:
+    dates = _day_range(start, (end - start).days + 1).tolist()
+    sky, counts = list(map(weather.get, dates)), list(map(ead.get, dates))
+    if None in sky or None in counts:
+        missing = []
+        for day, w, e in zip(dates, sky, counts):
+            gaps = [name for name, got in (("weather", w), ("ead", e)) if got is None]
+            if gaps:
+                missing.append(f"{day.isoformat()} ({'/'.join(gaps)})")
         shown = ", ".join(missing[:10])
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise DataError(f"date gaps in the merged span: {shown}{more}")
-    return records
+    n = len(dates)
+
+    def columns(rows, width: int) -> np.ndarray:
+        flat = np.fromiter(chain.from_iterable(rows), np.float64, n * width)
+        return flat.reshape(n, width).T.copy()
+
+    tmax, humidity = columns(sky, 2)
+    return Days(start, tmax, humidity, day_labels(start, n, holidays),
+                np.fromiter(map((mobility or {}).get, dates, repeat(math.nan)), np.float64, n),
+                dict(zip(GROUPS, columns(map(operator.itemgetter(*GROUPS), counts), len(GROUPS)))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,64 +273,60 @@ def merge(
 
 
 def month_end(month: str) -> dt.date:
-    """The last day of a YYYY-MM month; ValueError if month is not one."""
-    year, number = (int(part) for part in month.split("-"))
+    """The last day of a YYYY-MM month (two-digit month 01-12); ValueError
+    if month is not one."""
+    if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", month):
+        raise ValueError(f"not a YYYY-MM month: {month!r}")
+    year, number = int(month[:4]), int(month[5:])
     if number == 12:
         return dt.date(year, 12, 31)
     return dt.date(year, number + 1, 1) - dt.timedelta(days=1)
 
 
-def fill_mobility(
-    records: list[DailyRecord], baseline_month: str | None = None
-) -> list[DailyRecord]:
-    """Complete the sparse mobility series.
+def fill_mobility(days: Days, baseline_month: str | None = None) -> Days:
+    """Complete the sparse mobility column.
 
     Policy: every date up to the end of the baseline month that precedes the
     first observation is at baseline (100.0); the stretch from the baseline
     month's end to the first observation is linearly interpolated; interior
     gaps interpolate between their observed neighbors; trailing gaps hold the
     last observed value. Without a baseline month, leading gaps hold the
-    first observation backward.
+    first observation backward. Observed days keep their values.
     """
-    if not records:
-        raise DataError("fill_mobility called with no records")
-    anchors: list[tuple[dt.date, float]] = [
-        (r.date, float(r.mobility)) for r in records if r.mobility is not None
-    ]
-    baseline_end: dt.date | None = None
+    if not len(days):
+        raise DataError("fill_mobility called with no days")
+    baseline_end: int | None = None  # the day offset of the baseline month's last day
     if baseline_month is not None:
         try:
-            baseline_end = month_end(baseline_month)
+            baseline_end = days.offset(month_end(baseline_month))
         except ValueError:
             raise ConfigError(f"bad baseline month {baseline_month!r}; expected YYYY-MM") from None
-    if not anchors:
+    gap = np.isnan(days.mobility)
+    # The known points (day offset, value) the filled days are read from.
+    at = np.flatnonzero(~gap)
+    value = days.mobility[at]
+    if not at.size:
         if baseline_end is None:
             raise DataError("no mobility observations and no baseline month configured")
-        anchors = [(baseline_end, 100.0)]
-    elif baseline_end is not None and anchors[0][0] > baseline_end:
-        anchors.insert(0, (baseline_end, 100.0))
+        at, value = np.array([baseline_end]), np.array([100.0])
+    elif baseline_end is not None and at[0] > baseline_end:
+        at, value = np.r_[baseline_end, at], np.r_[100.0, value]
 
-    def value_at(day: dt.date) -> float:
-        if day <= anchors[0][0]:
-            # Leading region: baseline if configured, else hold backward.
-            if baseline_end is not None and day <= baseline_end:
-                return 100.0
-            return anchors[0][1]
-        for (d0, v0), (d1, v1) in zip(anchors, anchors[1:]):
-            if d0 < day <= d1:
-                frac = (day - d0).days / (d1 - d0).days
-                return v0 + (v1 - v0) * frac
-        return anchors[-1][1]  # trailing hold
-
-    # Observed days keep their records; a filled day gets a new one.
-    filled = []
-    for r in records:
-        if r.mobility is None:
-            r = DailyRecord(r.date, r.tmax, r.humidity, r.day_label, r.ead, value_at(r.date))
-        if r.mobility <= 0:
-            raise DataError(f"{r.date.isoformat()}: filled mobility is not positive")
-        filled.append(r)
-    return filled
+    t = np.arange(len(days))
+    j = np.searchsorted(at, t)  # at[j - 1] < t <= at[j]
+    filled = np.full(len(days), value[-1])  # trailing hold
+    lead = j == 0
+    filled[lead] = value[0]
+    if baseline_end is not None:
+        filled[lead & (t <= baseline_end)] = 100.0
+    mid = np.flatnonzero((j > 0) & (j < len(at)))
+    t0, t1, v0, v1 = at[j[mid] - 1], at[j[mid]], value[j[mid] - 1], value[j[mid]]
+    filled[mid] = v0 + (v1 - v0) * ((mid - t0) / (t1 - t0))
+    filled = np.where(gap, filled, days.mobility)
+    bad = np.flatnonzero(filled <= 0)
+    if bad.size:
+        raise DataError(f"{days.date(bad[0]).isoformat()}: filled mobility is not positive")
+    return replace(days, mobility=filled)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +334,12 @@ def fill_mobility(
 # ---------------------------------------------------------------------------
 
 
-def feature_matrix(records: list[DailyRecord], mask: FeatureMask) -> np.ndarray:
+def feature_matrix(days: Days, mask: FeatureMask) -> np.ndarray:
     """Per-day feature rows in canonical column order filtered by mask."""
     cols = mask.columns()
-    rows = np.empty((len(records), len(cols)))
-    for j, name in enumerate(cols):
-        if name == "temperature":
-            rows[:, j] = [r.tmax for r in records]
-        elif name == "humidity":
-            rows[:, j] = [r.humidity for r in records]
-        elif name == "day_label":
-            rows[:, j] = [r.day_label for r in records]
-        else:
-            values = [r.mobility for r in records]
-            if any(v is None for v in values):
-                raise DataError("mobility feature requested but series has gaps; run fill_mobility")
-            rows[:, j] = values
-    return rows
+    if "mobility" in cols and np.isnan(days.mobility).any():
+        raise DataError("mobility feature requested but series has gaps; run fill_mobility")
+    return np.column_stack([getattr(days, _FEATURE_COLUMNS[name]) for name in cols])
 
 
 def window_rows(anchor_rows, L: int) -> np.ndarray:
@@ -327,7 +349,7 @@ def window_rows(anchor_rows, L: int) -> np.ndarray:
 
 
 def make_windows(
-    records: list[DailyRecord], L: int, K: int, mask: FeatureMask, group: str = "all"
+    days: Days, L: int, K: int, mask: FeatureMask, group: str = "all"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stride-1 lookback windows as (features, rows, targets): the (days, F)
     feature matrix, the (N, L) rows of each window's inputs (days [a-L, a-1]
@@ -336,68 +358,68 @@ def make_windows(
         raise ConfigError(f"unknown group {group!r}; valid: {list(GROUPS)}")
     if L < 1 or K < 1:
         raise ConfigError("lookback and horizon must be >= 1")
-    n = len(records)
+    n = len(days)
     if n < L + K:
         raise DataError(f"span of {n} days is too short for lookback {L} + horizon {K}")
-    counts = np.array([r.ead[group] for r in records], dtype=np.float64)
-    targets = np.lib.stride_tricks.sliding_window_view(counts[L:], K)
-    return feature_matrix(records, mask), window_rows(np.arange(L, n - K + 1), L), targets
+    targets = np.lib.stride_tricks.sliding_window_view(days.counts[group][L:], K)
+    return feature_matrix(days, mask), window_rows(np.arange(L, n - K + 1), L), targets
 
 
 # ---------------------------------------------------------------------------
 # Synthetic dataset generator
 # ---------------------------------------------------------------------------
+#
+# Daily dispatch intensity is a product of a temperature U-curve, a
+# working-day factor, a mild humidity bump, and a monotone mobility factor
+# normalized to 1 at the 100% baseline. Mobility sits near baseline with
+# weekly/seasonal texture and rare disruption episodes until
+# PANDEMIC_START, collapses during the emergency window, then partially
+# recovers.
+
+COMFORT_TEMP = 22.0
+TEMP_CURVATURE = 0.0024  # per degC^2 around COMFORT_TEMP
+OFFDAY_FACTOR = 0.93
+HUMIDITY_BUMP = 0.06
+HUMIDITY_CENTER = 66.0
+HUMIDITY_WIDTH = 12.0
+MOBILITY_GAMMA = 0.30  # dispatch ~ (mobility/100)^gamma
+TEMP_MEAN = 16.0
+TEMP_AMPLITUDE = 11.0
+TEMP_PEAK_DOY = 218  # early August
+TEMP_AR = 0.88
+TEMP_NOISE = 0.8
+HUMIDITY_MEAN = 66.0
+HUMIDITY_AMPLITUDE = 12.0
+HUMIDITY_PEAK_DOY = 170
+HUMIDITY_NOISE = 3.0
+PANDEMIC_START = dt.date(2020, 1, 15)
+SOE_START = dt.date(2020, 4, 18)
+SOE_END = dt.date(2020, 5, 25)
+SOE_LEVEL = 0.38  # mobility multiplier during the emergency window
+PRE_SOE_LEVEL = 0.78  # reached just before the emergency window
+RECOVERY_LEVEL = 0.80  # reached by the last day
+# Storm/closure-style disruptions in the pre-pandemic years, each
+# multiplying mobility by its depth (overlapping episodes compound). The
+# mix of short hits and multi-week episodes lets the count/mobility
+# response be observed across its whole range, including persistent
+# suppression (windows that sit entirely inside a long episode). A few a
+# year at most, so pre-pandemic mobility still averages near baseline
+# (above 90).
+EVENTS_PER_YEAR = (1, 3)
+EVENT_DAYS = (4, 28)
+EVENT_DEPTH = (0.28, 0.80)
+AGE_FRACTIONS = (0.08, 0.38)  # children, adult; elderly = rest
+OUTDOOR_FRACTION = 0.16
 
 
 @dataclass
 class SynthConfig:
-    """Knobs for the synthetic desk-scale dataset.
-
-    Daily dispatch intensity is a product of a temperature U-curve, a
-    working-day factor, a mild humidity bump, and a monotone mobility factor
-    normalized to 1 at the 100% baseline. Mobility sits near baseline with
-    weekly/seasonal texture and rare disruption episodes until
-    pandemic_start, collapses during the emergency window, then partially
-    recovers.
-    """
+    """The synthetic dataset's span and mean daily dispatch rate; the rest
+    of the generator is fixed by the module constants above."""
 
     start: dt.date = dt.date(2014, 4, 1)
     end: dt.date = dt.date(2020, 8, 19)
     base_rate: float = 180.0
-    comfort_temp: float = 22.0
-    temp_curvature: float = 0.0024  # per degC^2 around comfort_temp
-    offday_factor: float = 0.93
-    humidity_bump: float = 0.06
-    humidity_center: float = 66.0
-    humidity_width: float = 12.0
-    mobility_gamma: float = 0.30  # dispatch ~ (mobility/100)^gamma
-    temp_mean: float = 16.0
-    temp_amplitude: float = 11.0
-    temp_peak_doy: int = 218  # early August
-    temp_ar: float = 0.88
-    temp_noise: float = 0.8
-    humidity_mean: float = 66.0
-    humidity_amplitude: float = 12.0
-    humidity_peak_doy: int = 170
-    humidity_noise: float = 3.0
-    pandemic_start: dt.date = dt.date(2020, 1, 15)
-    soe_start: dt.date = dt.date(2020, 4, 18)
-    soe_end: dt.date = dt.date(2020, 5, 25)
-    soe_level: float = 0.38  # mobility multiplier during the emergency window
-    pre_soe_level: float = 0.78  # reached just before the emergency window
-    recovery_level: float = 0.80  # reached by `end`
-    # Storm/closure-style disruptions in the pre-pandemic years, each
-    # multiplying mobility by its depth (overlapping episodes compound). The
-    # mix of short hits and multi-week episodes lets the count/mobility
-    # response be observed across its whole range, including persistent
-    # suppression (windows that sit entirely inside a long episode). A few a
-    # year at most, so pre-pandemic mobility still averages near baseline
-    # (above 90).
-    events_per_year: tuple[int, int] = (1, 3)
-    event_days: tuple[int, int] = (4, 28)
-    event_depth: tuple[float, float] = (0.28, 0.80)
-    age_fractions: tuple[float, float] = (0.08, 0.38)  # children, adult; elderly = rest
-    outdoor_fraction: float = 0.16
 
     def validate(self) -> None:
         if self.start >= self.end:
@@ -415,7 +437,7 @@ HOLIDAY_RULES = (
 
 @dataclass
 class SynthResult:
-    records: list[DailyRecord]
+    days: Days
     holidays: set[dt.date]
     truth: dict = field(repr=False, default=None)
 
@@ -424,26 +446,22 @@ def _seasonal(doy: np.ndarray, mean: float, amp: float, peak: int) -> np.ndarray
     return mean + amp * np.cos(2.0 * np.pi * (doy - peak) / 365.25)
 
 
-def _dispatch_factors(cfg: SynthConfig, tmax, humidity, day_label, mobility):
-    u = 1.0 + cfg.temp_curvature * (np.asarray(tmax) - cfg.comfort_temp) ** 2
-    w = np.where(np.asarray(day_label) == 1, 1.0, cfg.offday_factor)
-    h = 1.0 + cfg.humidity_bump * np.exp(
-        -(((np.asarray(humidity) - cfg.humidity_center) / cfg.humidity_width) ** 2)
+def _dispatch_factors(tmax, humidity, day_label, mobility):
+    u = 1.0 + TEMP_CURVATURE * (np.asarray(tmax) - COMFORT_TEMP) ** 2
+    w = np.where(np.asarray(day_label) == 1, 1.0, OFFDAY_FACTOR)
+    h = 1.0 + HUMIDITY_BUMP * np.exp(
+        -(((np.asarray(humidity) - HUMIDITY_CENTER) / HUMIDITY_WIDTH) ** 2)
     )
-    g = (np.asarray(mobility) / 100.0) ** cfg.mobility_gamma
+    g = (np.asarray(mobility) / 100.0) ** MOBILITY_GAMMA
     return u, w, h, g
 
 
 def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
     """Generate a complete daily dataset plus its ground-truth intensity."""
     config.validate()
-    dates = []
-    day = config.start
-    while day <= config.end:
-        dates.append(day)
-        day += dt.timedelta(days=1)
-    n = len(dates)
-    doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
+    n = (config.end - config.start).days + 1
+    dates = _day_range(config.start, n)
+    doy = (dates - dates.astype("datetime64[Y]")).astype(np.float64) + 1.0
 
     holidays = {
         dt.date(year, m, d)
@@ -451,12 +469,12 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
         for (m, d) in HOLIDAY_RULES
         if config.start <= dt.date(year, m, d) <= config.end
     }
-    labels = np.array([day_label(d, holidays) for d in dates], dtype=np.int64)
+    labels = day_labels(config.start, n, holidays)
 
     rng = np.random.default_rng(seed)
     # Fixed draw order keeps the dataset reproducible per seed.
-    temp_innov = rng.normal(0.0, config.temp_noise, size=n)
-    hum_noise = rng.normal(0.0, config.humidity_noise, size=n)
+    temp_innov = rng.normal(0.0, TEMP_NOISE, size=n)
+    hum_noise = rng.normal(0.0, HUMIDITY_NOISE, size=n)
     mob_innov = rng.normal(0.0, 1.2, size=n)
     count_noise = rng.normal(0.0, 1.0, size=n)
 
@@ -464,13 +482,12 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
     anomaly = np.empty(n)
     a = 0.0
     for t in range(n):
-        a = config.temp_ar * a + temp_innov[t]
+        a = TEMP_AR * a + temp_innov[t]
         anomaly[t] = a
-    tmax = _seasonal(doy, config.temp_mean, config.temp_amplitude, config.temp_peak_doy) + anomaly
+    tmax = _seasonal(doy, TEMP_MEAN, TEMP_AMPLITUDE, TEMP_PEAK_DOY) + anomaly
 
     humidity = np.clip(
-        _seasonal(doy, config.humidity_mean, config.humidity_amplitude, config.humidity_peak_doy)
-        + hum_noise,
+        _seasonal(doy, HUMIDITY_MEAN, HUMIDITY_AMPLITUDE, HUMIDITY_PEAK_DOY) + hum_noise,
         20.0,
         98.0,
     )
@@ -490,85 +507,60 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
         - 7.0 * np.exp(-0.5 * (newyear_dist / 10.0) ** 2)
         + mob_noise
     )
-    # Disruption episodes (pre-pandemic only; see SynthConfig.events_per_year);
-    # dispatch follows through the mobility factor. Drawn after all other
-    # noise, so their settings leave weather and the noise series unchanged.
-    date_index = {d: t for t, d in enumerate(dates)}
+    # Disruption episodes (pre-pandemic only; see EVENTS_PER_YEAR); dispatch
+    # follows through the mobility factor. Drawn after all other noise, so
+    # their settings leave weather and the noise series unchanged.
     events = []
-    for year in range(config.start.year, min(config.end.year, config.pandemic_start.year) + 1):
-        for _ in range(int(rng.integers(config.events_per_year[0], config.events_per_year[1] + 1))):
+    for year in range(config.start.year, min(config.end.year, PANDEMIC_START.year) + 1):
+        for _ in range(int(rng.integers(EVENTS_PER_YEAR[0], EVENTS_PER_YEAR[1] + 1))):
             start_doy = int(rng.integers(1, 340))
-            duration = int(rng.integers(config.event_days[0], config.event_days[1] + 1))
-            depth = float(rng.uniform(*config.event_depth))
-            try:
-                first = dt.date(year, 1, 1) + dt.timedelta(days=start_doy - 1)
-            except OverflowError:
+            duration = int(rng.integers(EVENT_DAYS[0], EVENT_DAYS[1] + 1))
+            depth = float(rng.uniform(*EVENT_DEPTH))
+            first = dt.date(year, 1, 1) + dt.timedelta(days=start_doy - 1)
+            if first + dt.timedelta(days=duration - 1) >= PANDEMIC_START:
                 continue
-            days = [first + dt.timedelta(days=j) for j in range(duration)]
-            if any(d >= config.pandemic_start for d in days):
-                continue
-            hit = [date_index[d] for d in days if d in date_index]
-            if hit:
+            lo = (first - config.start).days
+            hit = slice(max(lo, 0), min(lo + duration, n))
+            if hit.start < hit.stop:
                 texture[hit] *= depth
-                events.append([days[0].isoformat(), duration, depth])
-    suppression = np.ones(n)
-    for t, d in enumerate(dates):
-        if d < config.pandemic_start:
-            continue
-        if d < config.soe_start:
-            span = (config.soe_start - config.pandemic_start).days
-            frac = (d - config.pandemic_start).days / span
-            suppression[t] = 1.0 + (config.pre_soe_level - 1.0) * frac
-        elif d <= config.soe_end:
-            suppression[t] = config.soe_level
-        else:
-            span = max((config.end - config.soe_end).days, 1)
-            frac = (d - config.soe_end).days / span
-            level = config.soe_level + (config.recovery_level - config.soe_level) * min(frac * 2.0, 1.0)
-            suppression[t] = level
+                events.append([first.isoformat(), duration, depth])
+    # Suppression: 1 before PANDEMIC_START, a linear ramp down to
+    # PRE_SOE_LEVEL, SOE_LEVEL through the emergency window, then a recovery
+    # towards RECOVERY_LEVEL over the first half of the remaining days.
+    t = np.arange(n)
+    p, s0, s1 = ((day - config.start).days for day in (PANDEMIC_START, SOE_START, SOE_END))
+    ramp = 1.0 + (PRE_SOE_LEVEL - 1.0) * ((t - p) / (s0 - p))
+    recovery = SOE_LEVEL + (RECOVERY_LEVEL - SOE_LEVEL) * np.minimum(
+        (t - s1) / max(n - 1 - s1, 1) * 2.0, 1.0)
+    suppression = np.select([t < p, t < s0, t <= s1], [1.0, ramp, SOE_LEVEL], recovery)
     mobility = np.maximum(texture * suppression, 12.0)
 
-    u, w, h, g = _dispatch_factors(config, tmax, humidity, labels, mobility)
+    u, w, h, g = _dispatch_factors(tmax, humidity, labels, mobility)
     lam = config.base_rate * u * w * h * g
-    counts_all = np.maximum(np.rint(lam + count_noise * np.sqrt(lam)), 0.0).astype(np.int64)
-
-    child_frac, adult_frac = config.age_fractions
-    records = []
-    for t, d in enumerate(dates):
-        total = int(counts_all[t])
-        children = int(round(child_frac * total))
-        adult = int(round(adult_frac * total))
-        elderly = total - children - adult
-        outdoor = int(round(config.outdoor_fraction * total))
-        indoor = total - outdoor
-        ead = {
-            "all": total, "children": children, "adult": adult,
-            "elderly": elderly, "outdoor": outdoor, "indoor": indoor,
-        }
-        if elderly < 0 or indoor < 0:
-            raise ConfigError("group fractions produce negative counts")
-        records.append(
-            DailyRecord(
-                date=d, tmax=float(tmax[t]), humidity=float(humidity[t]),
-                day_label=int(labels[t]), ead=ead, mobility=float(mobility[t]),
-            )
-        )
+    total = np.maximum(np.rint(lam + count_noise * np.sqrt(lam)), 0.0)
+    children, adult = (np.rint(frac * total) for frac in AGE_FRACTIONS)
+    outdoor = np.rint(OUTDOOR_FRACTION * total)
+    counts = {
+        "all": total, "children": children, "adult": adult,
+        "elderly": total - children - adult, "outdoor": outdoor, "indoor": total - outdoor,
+    }
 
     truth = {
         "seed": seed,
         "base_rate": config.base_rate,
-        "comfort_temp": config.comfort_temp,
-        "temp_curvature": config.temp_curvature,
-        "offday_factor": config.offday_factor,
-        "mobility_gamma": config.mobility_gamma,
-        "age_fractions": list(config.age_fractions),
-        "outdoor_fraction": config.outdoor_fraction,
+        "comfort_temp": COMFORT_TEMP,
+        "temp_curvature": TEMP_CURVATURE,
+        "offday_factor": OFFDAY_FACTOR,
+        "mobility_gamma": MOBILITY_GAMMA,
+        "age_fractions": list(AGE_FRACTIONS),
+        "outdoor_fraction": OUTDOOR_FRACTION,
         "events": events,
-        "dates": [d.isoformat() for d in dates],
-        "lambda_all": [float(v) for v in lam],
-        "mobility": [float(v) for v in mobility],
+        "dates": np.datetime_as_string(dates).tolist(),
+        "lambda_all": lam.tolist(),
+        "mobility": mobility.tolist(),
     }
-    return SynthResult(records=records, holidays=holidays, truth=truth)
+    days = Days(config.start, tmax, humidity, labels, mobility, counts)
+    return SynthResult(days=days, holidays=holidays, truth=truth)
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +581,15 @@ def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:
         "holidays": out / "holidays.txt",
         "truth": out / "ground_truth.json",
     }
-    weather_lines = ["date,tmax_c,humidity_pct"]
-    ead_lines = ["date," + ",".join(GROUPS)]
-    mobility_lines = ["date,mobility_pct"]
-    for r in result.records:
-        iso = r.date.isoformat()
-        weather_lines.append(f"{iso},{r.tmax!r},{r.humidity!r}")
-        ead_lines.append(iso + "," + ",".join(str(r.ead[g]) for g in GROUPS))
-        if r.mobility is not None:
-            mobility_lines.append(f"{iso},{r.mobility!r}")
+    days = result.days
+    iso = np.datetime_as_string(_day_range(days.start, len(days))).tolist()
+    counts = np.column_stack([days.counts[g] for g in GROUPS]).astype(np.int64).tolist()
+    weather_lines = ["date,tmax_c,humidity_pct"] + [
+        f"{d},{t!r},{h!r}" for d, t, h in zip(iso, days.tmax.tolist(), days.humidity.tolist())]
+    ead_lines = ["date," + ",".join(GROUPS)] + [
+        d + "," + ",".join(map(str, row)) for d, row in zip(iso, counts)]
+    mobility_lines = ["date,mobility_pct"] + [
+        f"{d},{m!r}" for d, m in zip(iso, days.mobility.tolist()) if not math.isnan(m)]
     atomic_write_text(paths["weather"], "\n".join(weather_lines) + "\n")
     atomic_write_text(paths["ead"], "\n".join(ead_lines) + "\n")
     atomic_write_text(paths["mobility"], "\n".join(mobility_lines) + "\n")
@@ -611,7 +603,7 @@ def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:
 
 def load_dataset(
     weather_path, ead_path, mobility_path=None, holidays_path=None
-) -> list[DailyRecord]:
+) -> Days:
     """Load and merge the on-disk dataset; mobility stays sparse."""
     weather = load_weather_csv(weather_path)
     ead = load_ead_csv(ead_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -14,6 +15,7 @@ from .lstm import ForecastModel, Workspace, backward_batch, forward_batch
 # Not called here; perfbench/layers.py times training.model_to_vector while it lists it.
 from .lstm import model_to_vector  # noqa: F401
 
+log = logging.getLogger("eadforecast")
 
 # Adam's decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
@@ -146,8 +148,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     shuffle: bool = True
-    log_every: int = 0  # epochs between progress callbacks; 0 disables
-    progress: object = field(default=None, repr=False)  # callable(epoch, loss)
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -167,8 +167,8 @@ def train(
     X: (N, L, F) inputs, Y: (N, K) targets, both already scaled. Gradients are
     averaged within each batch so the learning rate is batch-size independent.
     Returns the trained model, a copy (the caller's model is not changed),
-    and the mean batch loss per epoch. Fully deterministic for a given
-    config.seed.
+    and the mean batch loss per epoch, which is logged every tenth of the
+    epochs. Fully deterministic for a given config.seed.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -186,6 +186,7 @@ def train(
     state = AdamState.zeros(theta.size, alpha=config.lr)
     ws = Workspace(model, min(config.batch_size, n), X.shape[1])
     history: list[float] = []
+    log_every = max(config.epochs // 10, 1)
     for epoch in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         epoch_losses = []
@@ -201,6 +202,6 @@ def train(
             _adam_update_flat(theta, ws.grad, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
-        if config.log_every and config.progress and (epoch + 1) % config.log_every == 0:
-            config.progress(epoch + 1, history[-1])
+        if (epoch + 1) % log_every == 0:
+            log.info("epoch %d  loss %.6g", epoch + 1, history[-1])
     return model, history

@@ -2,16 +2,19 @@
 for the analytic gradients, a step-by-step backward pass and gate-major
 copies for the bits of an LSTM layer's weight gradient (and the gate and
 cell views of a layer's forward cache they read), the per-window
-scaling path for the windows training gathers by index, and the per-date
-collection of overlapping forecasts for their aggregate."""
+scaling path for the windows training gathers by index, the day-by-day
+mobility fill for the array one, and the per-date collection of
+overlapping forecasts for their aggregate."""
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from typing import Callable
 
 import numpy as np
 
+from eadforecast.data import month_end
 from eadforecast.errors import ConfigError, NumericalError
 
 
@@ -126,12 +129,12 @@ def weight_gradient_by_copies(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return rows_a.reshape(h4, T * B) @ rows_x.reshape(k, T * B).T
 
 
-# Feature name -> DailyRecord attribute.
+# Feature name -> data.Days column.
 _FEATURE_ATTR = {"temperature": "tmax", "humidity": "humidity", "day_label": "day_label",
                  "mobility": "mobility"}
 
 
-def per_window_scaled(records, L: int, K: int, columns, group: str):
+def per_window_scaled(days, L: int, K: int, columns, group: str):
     """Scaled training windows built one window at a time.
 
     Each stride-1 window gets its own copy of its L input days and K target
@@ -140,10 +143,10 @@ def per_window_scaled(records, L: int, K: int, columns, group: str):
     X (N, L, F), Y (N, K) and the bounds (feature_min, feature_max,
     target_min, target_max).
     """
-    days = np.array([[getattr(r, _FEATURE_ATTR[c]) for c in columns] for r in records], dtype=np.float64)
-    counts = np.array([r.ead[group] for r in records], dtype=np.float64)
+    rows = np.stack([getattr(days, _FEATURE_ATTR[c]) for c in columns], axis=1)
+    counts = days.counts[group]
     windows = [
-        (days[a - L : a].copy(), counts[a : a + K].copy()) for a in range(L, len(records) - K + 1)
+        (rows[a - L : a].copy(), counts[a : a + K].copy()) for a in range(L, len(days) - K + 1)
     ]
     inputs = np.concatenate([x for x, _ in windows], axis=0)
     targets = np.concatenate([y for _, y in windows])
@@ -156,6 +159,31 @@ def per_window_scaled(records, L: int, K: int, columns, group: str):
             X[n, :, j] = (x[:, j] - fmin[j]) / (fmax[j] - fmin[j]) if fmax[j] > fmin[j] else 0.5
         Y[n] = (y - tmin) / (tmax - tmin) if tmax > tmin else 0.5
     return X, Y, (fmin, fmax, tmin, tmax)
+
+
+def fill_mobility_by_days(days, baseline_month) -> list[float]:
+    """The mobility column data.fill_mobility makes of days' sparse one,
+    computed day by day on dates: observed days keep their values, days up
+    to the baseline month's end before the first observation are 100, a day
+    between two known points (observations, and the baseline month's end at
+    100 if it precedes the first observation) is on the line between them,
+    and the other leading and trailing days hold the nearest known value."""
+    dates = [days.start + dt.timedelta(days=i) for i in range(len(days))]
+    observed = days.mobility.tolist()
+    known = [(d, m) for d, m in zip(dates, observed) if not math.isnan(m)]
+    baseline_end = None if baseline_month is None else month_end(baseline_month)
+    if baseline_end is not None and (not known or known[0][0] > baseline_end):
+        known.insert(0, (baseline_end, 100.0))
+
+    def value_at(day: dt.date) -> float:
+        if day <= known[0][0]:
+            return 100.0 if baseline_end is not None and day <= baseline_end else known[0][1]
+        for (d0, v0), (d1, v1) in zip(known, known[1:]):
+            if d0 < day <= d1:
+                return v0 + (v1 - v0) * ((day - d0).days / (d1 - d0).days)
+        return known[-1][1]
+
+    return [value_at(d) if math.isnan(m) else m for d, m in zip(dates, observed)]
 
 
 def per_date_values(forecasts) -> dict[dt.date, list[float]]:

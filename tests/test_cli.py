@@ -4,6 +4,7 @@ exit codes, report formats, and the scenario commands."""
 import csv
 import datetime as dt
 import json
+import logging
 import os
 import re
 import subprocess
@@ -34,13 +35,7 @@ from eadforecast.training import fit_scaler
 def dataset(tmp_path_factory):
     """Small two-season dataset with the pandemic regime in the test year."""
     root = tmp_path_factory.mktemp("data")
-    cfg = SynthConfig(
-        start=dt.date(2018, 1, 1),
-        end=dt.date(2020, 5, 31),
-        pandemic_start=dt.date(2020, 1, 15),
-        soe_start=dt.date(2020, 4, 18),
-        soe_end=dt.date(2020, 5, 25),
-    )
+    cfg = SynthConfig(start=dt.date(2018, 1, 1), end=dt.date(2020, 5, 31))
     result = synth_generate(cfg, seed=11)
     paths = write_dataset(result, root)
     return root, paths
@@ -92,13 +87,18 @@ class TestSynthCommand:
 
 
 class TestTrainCommand:
-    def test_train_writes_checkpoint_and_history(self, dataset, tmp_path):
+    def test_train_writes_checkpoint_and_history(self, dataset, tmp_path, caplog):
         cfg = base_config(dataset, tmp_path / "run")
-        assert main(["train", "--config", str(cfg)]) == 0
+        with caplog.at_level(logging.INFO, logger="eadforecast"):
+            assert main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "run" / "checkpoint.bin").exists()
         history = (tmp_path / "run" / "loss_history.csv").read_text().splitlines()
         assert history[0] == "epoch,loss"
         assert len(history) == 4  # header + 3 epochs
+        # 3 epochs log every max(3 // 10, 1) = 1 epoch, each loss as written.
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch")]
+        assert logged == [f"epoch {i}  loss {float(line.split(',')[1]):.6g}"
+                          for i, line in enumerate(history[1:], start=1)]
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -409,6 +409,10 @@ def rewrite_checkpoint(src: Path, dst: Path, section: str, key, value) -> None:
     dst.write_bytes(ckpt_io.MAGIC + len(text).to_bytes(8, "little") + text + blob[start + length :])
 
 
+# Strings that are not a YYYY-MM month with a two-digit month 01-12.
+BAD_MONTHS = ["2020-13", "2020/01", "", "2020-00", "2020-0"]
+
+
 class TestMalformedCheckpoint:
     # The trained checkpoint: input_dim 4 (all features), K=1, L=7.
     @pytest.mark.parametrize("section,key,value", [
@@ -452,7 +456,7 @@ class TestMalformedCheckpoint:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "predictions.csv").exists()
 
-    @pytest.mark.parametrize("month", ["2020-13", "2020/01", ""])
+    @pytest.mark.parametrize("month", BAD_MONTHS)
     def test_baseline_month_not_yyyy_mm_exits_2(self, trained, tmp_path, month):
         # A string the mobility fill cannot read is the checkpoint's fault.
         cfg, out = trained
@@ -462,10 +466,12 @@ class TestMalformedCheckpoint:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "predictions.csv").exists()
 
-    @pytest.mark.parametrize("command", ["train", "forecast"])
-    def test_config_file_baseline_month_not_yyyy_mm_exits_1(self, trained, tmp_path, command):
+    @pytest.mark.parametrize("command,month", [
+        pytest.param(command, month, id=command if month == "2020-13" else f"{command}-{month}")
+        for month in BAD_MONTHS for command in ("train", "forecast")])
+    def test_config_file_baseline_month_not_yyyy_mm_exits_1(self, trained, tmp_path, command, month):
         cfg, out = trained
-        doc = {**yaml.safe_load(cfg.read_text()), "baseline_month": "2020-13", "out": str(tmp_path)}
+        doc = {**yaml.safe_load(cfg.read_text()), "baseline_month": month, "out": str(tmp_path)}
         bad = tmp_path / "config.yaml"
         bad.write_text(yaml.safe_dump(doc))
         extra = ["--checkpoint", str(out / "checkpoint.bin")] if command == "forecast" else []
@@ -480,57 +486,72 @@ class TestMalformedCheckpoint:
 
 
 def forecast_setup(dataset, horizon):
-    """An untrained K-step model with a scaler fitted on 2018, and the records."""
+    """An untrained K-step model with a scaler fitted on 2018, and the day table."""
     _, paths = dataset
     cfg = RunConfig(weather=paths["weather"], ead=paths["ead"], mobility=paths["mobility"],
                     holidays=paths["holidays"], lookback=7, horizon=horizon)
-    records = load_records(cfg)
-    scaler = fit_scaler(make_windows(records[:365], cfg.lookback, horizon, cfg.mask(), cfg.group))
+    days = load_records(cfg)
+    scaler = fit_scaler(make_windows(days.between(days.start, days.date(364)), cfg.lookback,
+                                     horizon, cfg.mask(), cfg.group))
     model = init_params(ModelSpec(input_dim=len(cfg.features), horizon=horizon), seed=horizon)
-    return model, scaler, records, cfg
+    return model, scaler, days, cfg
 
 
-def per_anchor_forecast(model, scaler, records, cfg, start, end):
+def per_anchor_forecast(model, scaler, days, cfg, start, end):
     """Reference: one forward pass per anchor over its own scaled window."""
-    by_date = {r.date: idx for idx, r in enumerate(records)}
-    features = feature_matrix(records, cfg.mask())
+    features = feature_matrix(days, cfg.mask())
     out = []
-    day = start
-    while day <= end:
-        idx = by_date[day]
+    for idx in range(days.offset(start), days.offset(end) + 1):
         y, _ = forward_batch(model, scaler.transform_features(features[None, idx - cfg.lookback : idx]))
-        out.append((day, scaler.invert_target(y[0])))
-        day += dt.timedelta(days=1)
+        out.append((days.date(idx), scaler.invert_target(y[0])))
     return out
 
 
 class TestRunForecast:
     @pytest.mark.parametrize("horizon", [1, 28])
     def test_batched_matches_per_anchor_loop(self, dataset, horizon):
-        model, scaler, records, cfg = forecast_setup(dataset, horizon)
+        model, scaler, days, cfg = forecast_setup(dataset, horizon)
         # 74 anchors: two full chunks and a tail taken one anchor at a time.
         start, end = dt.date(2019, 1, 1), dt.date(2019, 3, 15)
-        got = run_forecast(model, scaler, records, cfg, start, end)
+        got = run_forecast(model, scaler, days, cfg, start, end)
         assert len(got) > 2 * FORECAST_CHUNK and len(got) % FORECAST_CHUNK > 1
-        want = per_anchor_forecast(model, scaler, records, cfg, start, end)
+        want = per_anchor_forecast(model, scaler, days, cfg, start, end)
         assert [d for d, _ in got] == [d for d, _ in want]
         for (_, g), (_, w) in zip(got, want):
             assert g.shape == (horizon,)
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
-    def test_missing_day_inside_span_names_it(self, dataset):
-        model, scaler, records, cfg = forecast_setup(dataset, 3)
-        gap = records[400].date
-        with pytest.raises(DataError, match=f"not enough history before {gap.isoformat()}"):
-            run_forecast(model, scaler, records[:400] + records[401:], cfg,
-                         records[380].date, records[420].date)
+    def test_missing_day_inside_span_names_it(self, dataset, trained, tmp_path, capsys):
+        # A day table has no gaps: a day missing from weather.csv inside the
+        # forecast span is refused where the files are merged.
+        _, paths = dataset
+        cfg, out = trained
+        weather = tmp_path / "weather.csv"
+        weather.write_text("".join(line for line in paths["weather"].read_text().splitlines(True)
+                                   if not line.startswith("2020-02-10,")))
+        assert main(["forecast", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+                     "--weather", str(weather), "--out", str(tmp_path / "run")]) == 2
+        assert "date gaps in the merged span: 2020-02-10 (weather)" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("first,last,named", [(6, 10, 6), (-3, 10, -3), (700, 900, 882),
+                                                  (900, 910, 900)])
+    def test_first_anchor_without_history_or_data_is_named(self, dataset, first, last, named):
+        # L=7: anchor 7 is the first with 7 days before it; the table's
+        # last day is 881, so 882 is the first anchor past it.
+        model, scaler, days, cfg = forecast_setup(dataset, 3)
+        assert len(days) == 882
+        with pytest.raises(DataError, match=f"not enough history before {days.date(named)}:"):
+            run_forecast(model, scaler, days, cfg, days.date(first), days.date(last))
+        for edge in (7, 880):
+            assert len(run_forecast(model, scaler, days, cfg, days.date(edge), days.date(edge + 1))) == 2
 
     def test_forward_passes_run_on_one_blas_thread_and_count_is_restored(self, dataset, monkeypatch):
         api = lstm_mod._openblas_threads_api()
         if api is None:
             pytest.skip("numpy's bundled OpenBLAS thread-count functions are absent")
         get, set_ = api
-        model, scaler, records, cfg = forecast_setup(dataset, 3)
+        model, scaler, days, cfg = forecast_setup(dataset, 3)
         seen = []
         forward_batch = lstm_mod.forward_batch
 
@@ -543,17 +564,16 @@ class TestRunForecast:
         try:
             set_(2)
             before = get()
-            run_forecast(model, scaler, records, cfg, records[30].date, records[100].date)
+            run_forecast(model, scaler, days, cfg, days.date(30), days.date(100))
             assert seen and set(seen) == {1}
             assert get() == before
-            with pytest.raises(DataError):
-                run_forecast(model, scaler, records[:400] + records[401:], cfg,
-                             records[380].date, records[420].date)
+            with pytest.raises(DataError):  # a span past the last day
+                run_forecast(model, scaler, days, cfg, days.date(len(days) - 20), days.date(len(days)))
             assert get() == before
             # An error inside the pinned block: the model expects 3 features, not 4.
             narrow = init_params(ModelSpec(input_dim=3, horizon=3))
             with pytest.raises(ConfigError):
-                run_forecast(narrow, scaler, records, cfg, records[30].date, records[100].date)
+                run_forecast(narrow, scaler, days, cfg, days.date(30), days.date(100))
             assert get() == before
         finally:
             set_(installed)
@@ -615,7 +635,7 @@ def forecast_subprocess(dataset, tmp_path, threads):
     """Forecast 875 anchors with an untrained K=28 model in a fresh process
     under OPENBLAS_NUM_THREADS=threads; returns the output directory and
     TIMED_FORECAST's timing of run_forecast."""
-    model, scaler, records, _ = forecast_setup(dataset, 28)
+    model, scaler, days, _ = forecast_setup(dataset, 28)
     ckpt = tmp_path / "checkpoint.bin"
     ckpt_io.save_checkpoint(ckpt, model, scaler, {
         "features": ["temperature", "humidity", "day_label", "mobility"],
@@ -628,8 +648,8 @@ def forecast_subprocess(dataset, tmp_path, threads):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", TIMED_FORECAST, "forecast", "--config", str(cfg),
-         "--checkpoint", str(ckpt), "--start", records[7].date.isoformat(),
-         "--end", records[-1].date.isoformat(), "--out", str(out)],
+         "--checkpoint", str(ckpt), "--start", days.date(7).isoformat(),
+         "--end", days.date(len(days) - 1).isoformat(), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -742,12 +762,12 @@ class TestEvaluateCommand:
 
     def test_perfect_predictions_score_perfectly(self, dataset, tmp_path):
         root, paths = dataset
-        records = load_dataset(paths["weather"], paths["ead"],
-                               mobility_path=paths["mobility"], holidays_path=paths["holidays"])
+        days = load_dataset(paths["weather"], paths["ead"],
+                            mobility_path=paths["mobility"], holidays_path=paths["holidays"])
         lines = ["anchor_date,step,target_date,value"]
-        for r in records[:60]:
-            iso = r.date.isoformat()
-            lines.append(f"{iso},1,{iso},{float(r.ead['all'])!r}")
+        for i in range(60):
+            iso = days.date(i).isoformat()
+            lines.append(f"{iso},1,{iso},{float(days.counts['all'][i])!r}")
         preds = tmp_path / "perfect.csv"
         preds.write_text("\n".join(lines) + "\n")
         cfg = base_config(dataset, tmp_path / "run")
@@ -761,17 +781,39 @@ class TestEvaluateCommand:
 
     def test_constant_predictions_numerical_failure(self, dataset, tmp_path):
         root, paths = dataset
-        records = load_dataset(paths["weather"], paths["ead"],
-                               mobility_path=paths["mobility"], holidays_path=paths["holidays"])
+        days = load_dataset(paths["weather"], paths["ead"],
+                            mobility_path=paths["mobility"], holidays_path=paths["holidays"])
         lines = ["anchor_date,step,target_date,value"]
-        for r in records[:30]:
-            iso = r.date.isoformat()
+        for i in range(30):
+            iso = days.date(i).isoformat()
             lines.append(f"{iso},1,{iso},100.0")
         preds = tmp_path / "flat.csv"
         preds.write_text("\n".join(lines) + "\n")
         cfg = base_config(dataset, tmp_path / "run")
         assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
                      "--out", str(tmp_path / "run")]) == 3
+
+    @pytest.mark.parametrize("first,count,code,message", [
+        ("2017-11-01", 30, 2, "predictions and dataset do not overlap in time"),
+        ("2017-12-30", 9, 2, "dates in predictions have no matching actuals: 2017-12-30, 2017-12-31"),
+        ("2020-05-17", 20, 0, ""),
+    ], ids=["before", "into", "past_the_end"])
+    def test_dates_outside_the_dataset(self, dataset, tmp_path, capsys, first, count, code, message):
+        # The dataset holds 2018-01-01 .. 2020-05-31: dates before it are
+        # refused, dates after it are left out of the scores.
+        start = dt.date.fromisoformat(first)
+        preds = tmp_path / "preds.csv"
+        preds.write_text("anchor_date,step,target_date,value\n" + "".join(
+            f"{d},1,{d},{100.0 + 7 * n % 23!r}\n"
+            for n, d in enumerate(start + dt.timedelta(days=i) for i in range(count))))
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "run")]) == code
+        assert message in capsys.readouterr().err
+        if code == 0:
+            svg = (tmp_path / "run" / "timeline.svg").read_text()
+            points = re.search(r'points="([^"]*)"', svg).group(1).split()
+            assert len(points) == 15  # 2020-05-17 .. 2020-05-31
 
     def test_disjoint_predictions_data_error(self, dataset, tmp_path):
         preds = tmp_path / "early.csv"

@@ -6,20 +6,22 @@ import contextlib
 import datetime as dt
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eadforecast import data as data_mod
 from eadforecast.cli import RunConfig, main
 from eadforecast.data import (
     FEATURE_ORDER,
     GROUPS,
-    DailyRecord,
+    Days,
     FeatureMask,
     SynthConfig,
-    day_label,
+    day_labels,
     fill_mobility,
     load_dataset,
     load_ead_csv,
@@ -34,7 +36,7 @@ from eadforecast.data import (
 )
 from eadforecast.errors import ConfigError, DataError
 from eadforecast.training import apply_scaler, fit_scaler
-from tests.oracles import per_window_scaled
+from tests.oracles import fill_mobility_by_days, per_window_scaled
 
 
 def write(path, text):
@@ -87,6 +89,12 @@ class TestLoaders:
         with pytest.raises(DataError, match="negative"):
             load_ead_csv(path)
 
+    def test_ead_count_above_2_53_rejected(self, tmp_path):
+        path = ead_csv(tmp_path, [f"2020-01-01,100,10,{2**53},50,20,80",
+                                  f"2020-01-02,100,10,{2**53 + 1},50,20,80"])
+        with pytest.raises(DataError, match=":3: count for adult above"):
+            load_ead_csv(path)
+
     def test_mobility_sparse_ok(self, tmp_path):
         path = write(tmp_path / "mobility.csv", "date,mobility_pct\n2020-04-18,42.5\n")
         out = load_mobility_csv(path)
@@ -99,14 +107,19 @@ class TestLoaders:
 
 class TestCalendarLabels:
     def test_saturday_is_off(self):
-        assert day_label(dt.date(2020, 1, 4), set()) == 0
+        assert day_labels(dt.date(2020, 1, 4), 1, set())[0] == 0
 
     def test_midweek_holiday_is_off(self):
         wednesday = dt.date(2020, 1, 8)
-        assert day_label(wednesday, {wednesday}) == 0
+        assert day_labels(wednesday, 1, {wednesday})[0] == 0
 
     def test_plain_tuesday_is_working(self):
-        assert day_label(dt.date(2020, 1, 7), set()) == 1
+        assert day_labels(dt.date(2020, 1, 7), 1, set())[0] == 1
+
+    def test_a_week_from_monday(self):
+        monday = dt.date(2020, 1, 6)
+        assert day_labels(monday, 7, {monday + dt.timedelta(days=2)}).tolist() == [
+            1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0]
 
 
 class TestMerge:
@@ -120,9 +133,17 @@ class TestMerge:
 
     def test_three_day_merge(self, tmp_path):
         w, e = self.rows(3)
-        records = load_dataset(weather_csv(tmp_path, w), ead_csv(tmp_path, e))
-        assert len(records) == 3
-        assert records[0].ead["all"] == 100
+        w[1] = "2020-01-02,-2.5,71.5"
+        e[2] = "2020-01-03,7,1,2,4,3,4"
+        days = load_dataset(weather_csv(tmp_path, w), ead_csv(tmp_path, e))
+        assert len(days) == 3 and days.start == dt.date(2020, 1, 1)
+        assert days.tmax.tolist() == [10.0, -2.5, 10.0]
+        assert days.humidity.tolist() == [60.0, 71.5, 60.0]
+        assert days.day_label.tolist() == [1.0, 1.0, 1.0]  # Wednesday .. Friday
+        assert np.isnan(days.mobility).all()
+        assert {g: c.tolist() for g, c in days.counts.items()} == {
+            "all": [100, 100, 7], "children": [10, 10, 1], "adult": [40, 40, 2],
+            "elderly": [50, 50, 4], "outdoor": [20, 20, 3], "indoor": [80, 80, 4]}
 
     def test_gap_reported(self, tmp_path):
         w, e = self.rows(3)
@@ -135,68 +156,75 @@ class TestMerge:
         # leaves earlier days to fill_mobility.
         w, e = self.rows(5)
         mob = write(tmp_path / "mobility.csv", "date,mobility_pct\n2020-01-04,80.0\n2020-01-05,60.0\n")
-        records = load_dataset(weather_csv(tmp_path, w), ead_csv(tmp_path, e), mobility_path=mob)
-        assert [r.mobility for r in records] == [None, None, None, 80.0, 60.0]
+        days = load_dataset(weather_csv(tmp_path, w), ead_csv(tmp_path, e), mobility_path=mob)
+        assert np.array_equal(days.mobility, [np.nan, np.nan, np.nan, 80.0, 60.0], equal_nan=True)
 
 
-def plain_records(dates, mobility):
-    return [
-        DailyRecord(
-            date=d, tmax=10.0, humidity=60.0, day_label=1,
-            ead={g: 10 for g in ("all", "children", "adult", "elderly", "outdoor", "indoor")},
-            mobility=m,
-        )
-        for d, m in zip(dates, mobility)
-    ]
+def plain_days(start, mobility):
+    """A table of len(mobility) days from start: 10 degC, 60 %, working
+    days, 10 dispatches in every group, and mobility as given (None: NaN)."""
+    n = len(mobility)
+    return Days(start, np.full(n, 10.0), np.full(n, 60.0), np.ones(n),
+                np.array([np.nan if m is None else m for m in mobility], dtype=np.float64),
+                {g: np.full(n, 10.0) for g in GROUPS})
 
 
 def date_range(start, days):
     return [start + dt.timedelta(days=n) for n in range(days)]
 
 
+class TestDays:
+    def test_between_clips_to_the_table(self):
+        days = plain_days(dt.date(2020, 5, 1), [float(m) for m in range(1, 11)])
+        cut = days.between(dt.date(2020, 4, 20), dt.date(2020, 5, 3))
+        assert cut.start == dt.date(2020, 5, 1) and cut.mobility.tolist() == [1.0, 2.0, 3.0]
+        cut = days.between(dt.date(2020, 5, 9), dt.date(2020, 6, 3))
+        assert cut.start == dt.date(2020, 5, 9) and cut.mobility.tolist() == [9.0, 10.0]
+        assert all(len(c) == 2 for c in (cut.tmax, cut.humidity, cut.day_label, *cut.counts.values()))
+        for first, last in [(dt.date(2020, 4, 1), dt.date(2020, 4, 30)),
+                            (dt.date(2020, 5, 11), dt.date(2020, 5, 20)),
+                            (dt.date(2020, 5, 5), dt.date(2020, 5, 4))]:
+            assert len(days.between(first, last)) == 0
+
+    def test_date_and_offset(self):
+        days = plain_days(dt.date(2020, 2, 27), [1.0] * 4)
+        assert [days.date(i) for i in range(4)] == date_range(dt.date(2020, 2, 27), 4)
+        assert days.offset(dt.date(2020, 3, 1)) == 3 and days.offset(dt.date(2020, 2, 25)) == -2
+
+
 class TestFillMobility:
     def test_interior_gap_midpoint(self):
-        dates = date_range(dt.date(2020, 5, 1), 3)
-        records = plain_records(dates, [80.0, None, 60.0])
-        filled = fill_mobility(records)
-        assert filled[1].mobility == 70.0
+        filled = fill_mobility(plain_days(dt.date(2020, 5, 1), [80.0, None, 60.0]))
+        assert filled.mobility[1] == 70.0
 
     def test_january_baseline_is_100(self):
-        dates = date_range(dt.date(2020, 1, 1), 31)
-        records = plain_records(dates, [None] * 31)
-        filled = fill_mobility(records, baseline_month="2020-01")
-        assert all(r.mobility == 100.0 for r in filled)
+        filled = fill_mobility(plain_days(dt.date(2020, 1, 1), [None] * 31), baseline_month="2020-01")
+        assert (filled.mobility == 100.0).all()
 
     def test_baseline_to_first_observation_interpolates(self):
         # Anchor at Jan 31 (100) to Apr 18 (40): Mar 5 is 34 of 78 days in,
         # so 100 + (40-100)*34/78.
-        dates = date_range(dt.date(2020, 1, 1), 200)
         mobility = [None] * 200
-        idx_apr18 = (dt.date(2020, 4, 18) - dates[0]).days
-        mobility[idx_apr18] = 40.0
-        filled = fill_mobility(plain_records(dates, mobility), baseline_month="2020-01")
-        idx_mar5 = (dt.date(2020, 3, 5) - dates[0]).days
+        mobility[(dt.date(2020, 4, 18) - dt.date(2020, 1, 1)).days] = 40.0
+        filled = fill_mobility(plain_days(dt.date(2020, 1, 1), mobility), baseline_month="2020-01")
+        idx_mar5 = (dt.date(2020, 3, 5) - dt.date(2020, 1, 1)).days
         expected = 100.0 + (40.0 - 100.0) * 34.0 / 78.0
-        assert filled[idx_mar5].mobility == pytest.approx(expected, abs=1e-12)
-        assert filled[10].mobility == 100.0  # leading January day
+        assert filled.mobility[idx_mar5] == pytest.approx(expected, abs=1e-12)
+        assert filled.mobility[10] == 100.0  # leading January day
 
     def test_trailing_hold(self):
-        dates = date_range(dt.date(2020, 5, 1), 4)
-        filled = fill_mobility(plain_records(dates, [70.0, None, None, None]))
-        assert [r.mobility for r in filled] == [70.0, 70.0, 70.0, 70.0]
+        filled = fill_mobility(plain_days(dt.date(2020, 5, 1), [70.0, None, None, None]))
+        assert filled.mobility.tolist() == [70.0, 70.0, 70.0, 70.0]
 
     def test_no_observations_no_baseline_rejected(self):
-        dates = date_range(dt.date(2020, 5, 1), 3)
         with pytest.raises(DataError):
-            fill_mobility(plain_records(dates, [None, None, None]))
+            fill_mobility(plain_days(dt.date(2020, 5, 1), [None, None, None]))
 
     def test_piecewise_linear_between_observations(self):
         # Second difference vanishes strictly between observation points.
-        dates = date_range(dt.date(2020, 2, 1), 30)
         mobility = [None] * 30
         mobility[0], mobility[12], mobility[29] = 90.0, 54.0, 71.0
-        filled = fill_mobility(plain_records(dates, mobility))
-        values = np.array([r.mobility for r in filled])
+        values = fill_mobility(plain_days(dt.date(2020, 2, 1), mobility)).mobility
         for seg in (values[0:13], values[12:30]):
             assert np.allclose(np.diff(seg, n=2), 0.0, atol=1e-9)
 
@@ -204,7 +232,8 @@ class TestFillMobility:
     def test_invariants(self, data):
         # Observed values are kept, unobserved baseline-month days before the
         # first observation are 100, every other filled day lies between its
-        # known neighbours (or holds the nearest one), and all are positive.
+        # known neighbours (or holds the nearest one), all are positive, and
+        # each equals the day-by-day fill's value bit for bit.
         span = data.draw(st.integers(1, 60), "span")
         start = data.draw(st.dates(dt.date(2019, 10, 1), dt.date(2020, 4, 1)), "start")
         dates = date_range(start, span)
@@ -213,7 +242,8 @@ class TestFillMobility:
         month = data.draw(st.none() | st.sampled_from(["2019-09", "2019-12", "2020-01", "2020-03"]),
                           "baseline month")
         assume(month is not None or any(m is not None for m in mobility))
-        filled = [r.mobility for r in fill_mobility(plain_records(dates, mobility), month)]
+        filled = fill_mobility(plain_days(start, mobility), month).mobility.tolist()
+        assert filled == fill_mobility_by_days(plain_days(start, mobility), month)
         known = {d: m for d, m in zip(dates, mobility) if m is not None}
         baseline_end = None if month is None else month_end(month)
         if baseline_end is not None and (not known or min(known) > baseline_end):
@@ -234,12 +264,26 @@ class TestFillMobility:
             else:
                 assert min(neighbours) <= got <= max(neighbours)
 
-    def test_only_filled_days_get_new_records(self):
-        records = plain_records(date_range(dt.date(2020, 5, 1), 3), [80.0, None, 60.0])
-        filled = fill_mobility(records)
-        assert filled[0] is records[0] and filled[2] is records[2]
-        assert filled[1] is not records[1] and records[1].mobility is None
-        assert filled[1].ead is records[1].ead
+    def test_returns_a_new_table_and_leaves_its_input(self):
+        days = plain_days(dt.date(2020, 5, 1), [80.0, None, 60.0])
+        filled = fill_mobility(days)
+        assert filled.mobility.tolist() == [80.0, 70.0, 60.0]
+        assert np.array_equal(days.mobility, [80.0, np.nan, 60.0], equal_nan=True)
+        assert filled.start == days.start and filled.tmax is days.tmax
+        assert filled.counts is days.counts
+
+    @pytest.mark.parametrize("month", ["2020-00", "2020-0", "2020-13", "2020-1", "20-01", "2020/01",
+                                       "", " 2020-01", "2020-01 ", "２０２０-01", "0000-01"])
+    def test_baseline_month_not_yyyy_mm_is_refused(self, month):
+        with pytest.raises(ValueError):
+            month_end(month)
+        with pytest.raises(ConfigError, match="bad baseline month"):
+            fill_mobility(plain_days(dt.date(2020, 5, 1), [80.0]), baseline_month=month)
+
+    def test_month_end(self):
+        assert [month_end(m) for m in ("2020-01", "2020-02", "2019-02", "2020-12", "9999-12")] == [
+            dt.date(2020, 1, 31), dt.date(2020, 2, 29), dt.date(2019, 2, 28), dt.date(2020, 12, 31),
+            dt.date(9999, 12, 31)]
 
 
 # Cells of fuzzed dataset rows: arbitrary text, near-misses of valid values
@@ -321,15 +365,15 @@ class TestFuzzedRows:
 
 
 class TestMakeWindows:
-    def records(self, days):
-        return plain_records(date_range(dt.date(2020, 1, 1), days), [100.0] * days)
+    def table(self, days):
+        return plain_days(dt.date(2020, 1, 1), [100.0] * days)
 
     def test_count_span10_l7_k1(self):
-        _, rows, targets = make_windows(self.records(10), 7, 1, FeatureMask())
+        _, rows, targets = make_windows(self.table(10), 7, 1, FeatureMask())
         assert rows.shape == (3, 7) and targets.shape == (3, 1)
 
     def test_count_span10_l7_k3(self):
-        _, rows, targets = make_windows(self.records(10), 7, 3, FeatureMask())
+        _, rows, targets = make_windows(self.table(10), 7, 3, FeatureMask())
         assert rows.shape == (1, 7) and targets.shape == (1, 3)
 
     def test_count_formula_property(self):
@@ -338,35 +382,31 @@ class TestMakeWindows:
             span = int(rng.integers(2, 40))
             L = int(rng.integers(1, span))
             K = int(rng.integers(1, span - L + 1))
-            _, rows, targets = make_windows(self.records(span), L, K, FeatureMask())
+            _, rows, targets = make_windows(self.table(span), L, K, FeatureMask())
             assert len(rows) == len(targets) == span - L - K + 1
 
     def test_mask_drops_column(self):
         mask = FeatureMask(temperature=True, humidity=True, day_label=True, mobility=False)
-        features, rows, _ = make_windows(self.records(10), 7, 1, mask)
+        features, rows, _ = make_windows(self.table(10), 7, 1, mask)
         assert features[rows][0].shape == (7, 3)
 
     def test_span_too_short(self):
         with pytest.raises(DataError):
-            make_windows(self.records(5), 7, 1, FeatureMask())
+            make_windows(self.table(5), 7, 1, FeatureMask())
 
     def test_targets_follow_inputs(self):
-        records = self.records(12)
-        for i, r in enumerate(records):
-            r.ead["all"] = i
-        _, rows, targets = make_windows(records, 7, 3, FeatureMask())
+        days = self.table(12)
+        days = replace(days, counts={**days.counts, "all": np.arange(12.0)})
+        _, rows, targets = make_windows(days, 7, 3, FeatureMask())
         assert np.array_equal(targets[0], [7.0, 8.0, 9.0])
         assert np.array_equal(rows[0], np.arange(7))
 
     def test_round_trip_bit_exact(self):
-        records = self.records(12)
         rng = np.random.default_rng(1)
-        for r in records:
-            r.tmax = float(rng.normal(15, 9))
-            r.humidity = float(rng.uniform(30, 90))
-        features, rows, _ = make_windows(records, 7, 1, FeatureMask())
-        assert features[rows][0][0, 0] == records[0].tmax
-        assert features[rows][-1][-1, 1] == records[-2].humidity
+        days = replace(self.table(12), tmax=rng.normal(15, 9, 12), humidity=rng.uniform(30, 90, 12))
+        features, rows, _ = make_windows(days, 7, 1, FeatureMask())
+        assert features[rows][0][0, 0] == days.tmax[0]
+        assert features[rows][-1][-1, 1] == days.humidity[-2]
 
     @given(st.data())
     def test_scaled_windows_match_the_per_window_path(self, data):
@@ -381,16 +421,19 @@ class TestMakeWindows:
         levels = st.sampled_from(data.draw(st.lists(
             st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 110.0), min_size=1, max_size=4),
             "levels"))
-        records = self.records(span)
-        for r in records:
-            r.tmax, r.humidity, r.mobility = (data.draw(levels) for _ in range(3))
-            r.day_label = data.draw(st.integers(0, 1))
-            r.ead[group] = data.draw(st.integers(0, 3))
-        windows = make_windows(records, L, K, mask, group)
+
+        def column(values):
+            return np.array(data.draw(st.lists(values, min_size=span, max_size=span)), dtype=np.float64)
+
+        days = self.table(span)
+        days = replace(days, tmax=column(levels), humidity=column(levels), mobility=column(levels),
+                       day_label=column(st.integers(0, 1)),
+                       counts={**days.counts, group: column(st.integers(0, 3))})
+        windows = make_windows(days, L, K, mask, group)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # constant columns
             scaler = fit_scaler(windows)
-            want_X, want_Y, want_bounds = per_window_scaled(records, L, K, mask.columns(), group)
+            want_X, want_Y, want_bounds = per_window_scaled(days, L, K, mask.columns(), group)
         X, Y = apply_scaler(scaler, windows)
         bounds = (scaler.feature_min, scaler.feature_max, scaler.target_min, scaler.target_max)
         for got, want in zip((X, Y, *bounds), (want_X, want_Y, *want_bounds)):
@@ -402,43 +445,35 @@ class TestSynthGenerate:
     SEEDS = range(6)
 
     def test_deterministic(self):
-        a = synth_generate(SynthConfig(end=dt.date(2015, 3, 31)), seed=3)
-        b = synth_generate(SynthConfig(end=dt.date(2015, 3, 31)), seed=3)
-        assert all(
-            ra.tmax == rb.tmax and ra.ead == rb.ead and ra.mobility == rb.mobility
-            for ra, rb in zip(a.records, b.records)
-        )
+        a = synth_generate(SynthConfig(end=dt.date(2015, 3, 31)), seed=3).days
+        b = synth_generate(SynthConfig(end=dt.date(2015, 3, 31)), seed=3).days
+        assert np.array_equal(a.tmax, b.tmax) and np.array_equal(a.mobility, b.mobility)
+        assert all(np.array_equal(a.counts[g], b.counts[g]) for g in GROUPS)
 
     def test_group_sums(self):
-        result = synth_generate(SynthConfig(end=dt.date(2015, 3, 31)), seed=0)
-        for r in result.records:
-            assert r.ead["children"] + r.ead["adult"] + r.ead["elderly"] == r.ead["all"]
-            assert r.ead["outdoor"] + r.ead["indoor"] == r.ead["all"]
+        counts = synth_generate(SynthConfig(end=dt.date(2015, 3, 31)), seed=0).days.counts
+        assert np.array_equal(counts["children"] + counts["adult"] + counts["elderly"], counts["all"])
+        assert np.array_equal(counts["outdoor"] + counts["indoor"], counts["all"])
+        assert all((c >= 0).all() and (c == np.rint(c)).all() for c in counts.values())
 
     def test_mobility_factor_normalized_at_baseline(self):
-        from eadforecast.data import _dispatch_factors
-
-        cfg = SynthConfig()
-        _, _, _, g = _dispatch_factors(cfg, 20.0, 60.0, 1, 100.0)
+        _, _, _, g = data_mod._dispatch_factors(20.0, 60.0, 1, 100.0)
         assert g == pytest.approx(1.0, abs=1e-15)
 
     def test_u_shape_present_pre_pandemic(self):
         # Counts correlate positively with distance from the comfort
         # temperature before the pandemic regime starts.
-        cfg = SynthConfig()
-        result = synth_generate(cfg, seed=0)
-        pre = [r for r in result.records if r.date < cfg.pandemic_start]
-        dist = np.array([abs(r.tmax - cfg.comfort_temp) for r in pre])
-        counts = np.array([r.ead["all"] for r in pre], dtype=float)
-        corr = np.corrcoef(dist, counts)[0, 1]
+        days = synth_generate(SynthConfig(), seed=0).days
+        pre = slice(0, days.offset(data_mod.PANDEMIC_START))
+        dist = np.abs(days.tmax[pre] - data_mod.COMFORT_TEMP)
+        corr = np.corrcoef(dist, days.counts["all"][pre])[0, 1]
         assert corr > 0.3
 
     def test_pandemic_mobility_is_suppressed(self):
-        cfg = SynthConfig()
         for seed in self.SEEDS:
-            result = synth_generate(cfg, seed=seed)
-            soe = [r.mobility for r in result.records if cfg.soe_start <= r.date <= cfg.soe_end]
-            pre = [r.mobility for r in result.records if r.date < cfg.pandemic_start]
+            days = synth_generate(SynthConfig(), seed=seed).days
+            soe = days.between(data_mod.SOE_START, data_mod.SOE_END).mobility
+            pre = days.mobility[: days.offset(data_mod.PANDEMIC_START)]
             assert 15.0 < np.mean(soe) < 45.0, f"seed {seed}"
             assert np.mean(pre) > 90.0, f"seed {seed}"
 
@@ -453,14 +488,14 @@ class TestSynthGenerate:
             for first_iso, duration, _ in synth_generate(cfg, seed=seed).truth["events"]:
                 first = dt.date.fromisoformat(first_iso)
                 last = first + dt.timedelta(days=duration - 1)
-                assert last < cfg.pandemic_start
+                assert last < data_mod.PANDEMIC_START
                 spans.append((last - max(first, cfg.start)).days + 1)
             assert max(spans, default=0) >= lookback, f"seed {seed}: episode days {spans}"
 
     def test_default_span(self):
-        result = synth_generate(SynthConfig(), seed=0)
-        assert result.records[0].date == dt.date(2014, 4, 1)
-        assert result.records[-1].date == dt.date(2020, 8, 19)
+        days = synth_generate(SynthConfig(), seed=0).days
+        assert days.start == dt.date(2014, 4, 1)
+        assert days.date(len(days) - 1) == dt.date(2020, 8, 19)
 
     def test_invalid_span(self):
         with pytest.raises(ConfigError):
@@ -470,24 +505,22 @@ class TestSynthGenerate:
 class TestWriteReadRoundTrip:
     def test_values_survive_bit_exactly(self, tmp_path):
         result = synth_generate(SynthConfig(end=dt.date(2014, 12, 31)), seed=5)
-        paths = write_dataset(result, tmp_path)
-        records = load_dataset(
+        paths, original = write_dataset(result, tmp_path), result.days
+        loaded = load_dataset(
             paths["weather"], paths["ead"],
             mobility_path=paths["mobility"], holidays_path=paths["holidays"],
         )
-        assert len(records) == len(result.records)
-        for original, loaded in zip(result.records, records):
-            assert loaded.tmax == original.tmax
-            assert loaded.humidity == original.humidity
-            assert loaded.mobility == original.mobility
-            assert loaded.ead == original.ead
-            assert loaded.day_label == original.day_label
+        assert loaded.start == original.start and len(loaded) == len(original)
+        for name in ("tmax", "humidity", "mobility", "day_label"):
+            got, want = getattr(loaded, name), getattr(original, name)
+            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+        assert all(loaded.counts[g].tobytes() == original.counts[g].tobytes() for g in GROUPS)
 
     def test_one_year_row_count(self, tmp_path):
         result = synth_generate(
             SynthConfig(start=dt.date(2016, 1, 1), end=dt.date(2016, 12, 31)), seed=0
         )
-        assert len(result.records) == 366  # leap year
+        assert len(result.days) == 366  # leap year
 
 
 class TestStrictNumerals:

@@ -344,8 +344,14 @@ class TestNetworkBackward:
             Y = rng.normal(size=(1, 1))
             assert check_gradients(model, X, Y) < 1e-5
 
-    @pytest.mark.parametrize("lagged", [False, True])
-    def test_directional_derivatives_match_central_differences(self, lagged):
+    @pytest.mark.parametrize("lagged,block_bytes,block_steps", [
+        pytest.param(False, lstm.BACKWARD_BLOCK_BYTES, 5, id="False"),
+        pytest.param(True, lstm.BACKWARD_BLOCK_BYTES, 5, id="True"),
+        pytest.param(False, 128, 2, id="False-2-step-blocks"),
+        pytest.param(True, 128, 2, id="True-2-step-blocks"),
+    ])
+    def test_directional_derivatives_match_central_differences(
+            self, lagged, block_bytes, block_steps, monkeypatch):
         # Along a unit direction v, the central difference of the loss has
         # an error set by h and the loss, not by the size of any gradient
         # entry, so the bound is in the scale of the whole gradient g:
@@ -353,7 +359,11 @@ class TestNetworkBackward:
         # drawn within lstm1's W, within lstm2's W and over all of theta.
         # Over 400 draws the engine stayed below 2.3e-5 of the bound; a_t
         # negated, a_o negated, or (lagged) a_m taken with the step's own dc
-        # exceeded it on every draw whose LSTM gradient is not zero.
+        # exceeded it on every draw whose LSTM gradient is not zero. At 128
+        # bytes (8 doubles a step) the 5-step backward runs in blocks of two
+        # steps, so its factors cross block boundaries (c_prev, m_prev and,
+        # lagged, the next step's i).
+        monkeypatch.setattr(lstm, "BACKWARD_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(100 + lagged)
         spec = ModelSpec(
             input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=1, lagged_m=lagged
@@ -362,6 +372,7 @@ class TestNetworkBackward:
         while checked < 4:
             model = random_model(rng, spec)
             X, Y = rng.normal(size=(1, 5, 2)), rng.normal(size=(1, 1))
+            assert Workspace(model, 1, 5).lstm1.block == block_steps
             g = loss_and_grads(model, X, Y)[1].theta
             n1, n2 = model.lstm1.W.size, model.lstm2.W.size
             if not g[: n1 + n2].any():
