@@ -29,13 +29,22 @@ batch 8 and seed 0:
   between them, and 2020-02-12..29 at the last observation. The synthetic
   `mobility.csv` lists every day, so no other run fills one.
 
-Each output line is `sha256  path`, the path relative to the run
-directory, sorted by path. Two checkouts write the same bytes exactly when
-their outputs are the same text:
+The output starts with the environment key, two `# ` lines naming the
+numpy version and the configuration string of numpy's bundled OpenBLAS
+(the bytes are only claimed for one build). Each line after it is
+`sha256  path`, the path relative to the run directory, sorted by path.
+Two checkouts write the same bytes exactly when their outputs are the same
+text:
 
     python bench/pinned_outputs.py ../parent > parent.txt
     python bench/pinned_outputs.py . > change.txt
     diff parent.txt change.txt
+
+`tests/data/pinned_sha256.txt` is this output for the current checkout
+under `OPENBLAS_NUM_THREADS=2`, and `tests/test_pinned_outputs.py`
+requires it; a change that moves bytes on purpose regenerates it with
+
+    OPENBLAS_NUM_THREADS=2 python bench/pinned_outputs.py . > tests/data/pinned_sha256.txt
 
 The run directory is a temporary one, removed at the end, unless --keep
 names a directory (it must not exist yet). A run that exits non-zero stops
@@ -45,6 +54,7 @@ the script with its stderr and exit status 1.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import shutil
@@ -80,6 +90,23 @@ training: {batch_size: 8, seed: 0}
 baseline_month: '2019-08'
 out: .
 """
+
+
+def environment_key() -> list[str]:
+    """The numpy version and the configuration string of numpy's bundled
+    OpenBLAS ("none" without it), as the output's `# ` lines."""
+    import numpy
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        config = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_config64_
+    except (ImportError, OSError, AttributeError):
+        blas = "none"
+    else:
+        config.restype = ctypes.c_char_p
+        blas = config().decode().strip()
+    return [f"# numpy {numpy.__version__}", f"# {blas}"]
 
 
 def runs(work: Path) -> list[list[str]]:
@@ -161,7 +188,7 @@ def main() -> None:
     else:
         with tempfile.TemporaryDirectory() as tmp:
             lines = pinned_digests(checkout, Path(tmp))
-    print("\n".join(lines))
+    print("\n".join(environment_key() + lines))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ with known ground truth, training with Adam, evaluation metrics, and a CLI
 for the training / ablation / multi-horizon study scenarios.
 """
 
-from .data import Days, FeatureMask, SynthConfig, synth_generate
+from .data import Days, SynthConfig, synth_generate
 from .lstm import (
     DenseLayerParams,
     ForecastModel,
@@ -25,7 +25,6 @@ __all__ = [
     "Days",
     "DenseLayerParams",
     "EvalReport",
-    "FeatureMask",
     "ForecastModel",
     "LstmCellParams",
     "MinMaxScaler",

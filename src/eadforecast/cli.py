@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import importlib.resources
-import json
 import logging
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -92,7 +91,7 @@ def _as_features(value, key) -> tuple[str, ...]:
     are refused."""
     if not (isinstance(value, list) and all(isinstance(f, str) for f in value)):
         raise ConfigError(f"{key} must be a list of names, got {value!r}")
-    return data_mod.FeatureMask.from_names(value).columns()
+    return data_mod.feature_names(value)
 
 
 def _split_features(text: str, name) -> tuple[str, ...]:
@@ -175,8 +174,10 @@ class RunConfig:
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError("lookback and horizon must be >= 1")
 
-    def mask(self) -> data_mod.FeatureMask:
-        return data_mod.FeatureMask.from_names(self.features)
+    def mask(self) -> tuple[str, ...]:
+        """cfg.features, for the benchmark (perfbench/worker.py), which passes
+        cfg.mask() to make_windows."""
+        return self.features
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, loss=self.loss,
@@ -269,7 +270,7 @@ def run_training(cfg: RunConfig, days) -> tuple[object, object, list[float]]:
     """Fit the scaler on training windows only, then train the network."""
     windows = data_mod.make_windows(
         _slice_records(days, cfg.train_start, cfg.train_end),
-        cfg.lookback, cfg.horizon, cfg.mask(), cfg.group,
+        cfg.lookback, cfg.horizon, cfg.features, cfg.group,
     )
     scaler = fit_scaler(windows)
     X, Y = apply_scaler(scaler, windows)
@@ -304,7 +305,7 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
         )
     anchors = [days.date(row) for row in range(first, last + 1)]
     # Scaled once and gathered by row, as training's apply_scaler does.
-    features = scaler.transform_features(data_mod.feature_matrix(days, cfg.mask()))
+    features = scaler.transform_features(data_mod.feature_matrix(days, cfg.features))
     window_rows = data_mod.window_rows(np.arange(first, last + 1), cfg.lookback)
     y = np.empty((len(anchors), model.horizon))
     # Full chunks, then the tail one anchor at a time, so that whatever the

@@ -1,13 +1,14 @@
 """Dataset ingestion and preparation.
 
-Handles the four on-disk formats (weather.csv, ead.csv, mobility.csv,
-holidays.txt) and merges them into one day table (`Days`): a first day
-and one array per column, day i being start + i, so the days are
-consecutive by construction and a gap in the sources is refused, never
-represented. `fill_mobility` completes the table's sparse mobility
-column, `make_windows` slices lookback windows from it by day offset,
-and `synth_generate` builds a desk-scale synthetic table with a known
-ground truth.
+Reads the four on-disk formats (weather.csv, ead.csv, mobility.csv,
+holidays.txt) into one day table (`Days`): a first day and one array per
+column, day i being start + i, so the days are consecutive by
+construction and a gap in the sources is refused, never represented. The
+three CSV files go through one reader, `read_dated_csv`, declared once
+per file by a `DatedCsv`. `fill_mobility` completes the table's sparse
+mobility column, `make_windows` slices lookback windows from it by day
+offset, and `synth_generate` builds a desk-scale synthetic table with a
+known ground truth.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-import math
-import operator
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import atomic_write_text
 
 GROUPS = ("all", "children", "adult", "elderly", "outdoor", "indoor")
 FEATURE_ORDER = ("temperature", "humidity", "day_label", "mobility")
@@ -63,140 +62,138 @@ class Days:
                     self.mobility[cut], {g: c[cut] for g, c in self.counts.items()})
 
 
+def feature_names(names) -> tuple[str, ...]:
+    """The feature set named by names, in the canonical order FEATURE_ORDER;
+    unknown, repeated or no names are a ConfigError."""
+    names = list(names)
+    unknown = [n for n in names if n not in FEATURE_ORDER]
+    if unknown:
+        raise ConfigError(f"unknown feature(s) {unknown}; valid: {list(FEATURE_ORDER)}")
+    if not names:
+        raise ConfigError("the feature list must name at least one feature")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"feature names repeat in {names}")
+    return tuple(name for name in FEATURE_ORDER if name in names)
+
+
+# ---------------------------------------------------------------------------
+# Input files
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class FeatureMask:
-    temperature: bool = True
-    humidity: bool = True
-    day_label: bool = True
-    mobility: bool = True
+class DatedCsv:
+    """A date-keyed CSV input: a `date` column of ISO dates, one row per day
+    in any order, then value columns whose cells are all of one kind, float
+    or int (a count, 0 to 2**53, which float64 holds exactly). checks are
+    the row checks in the order they apply, each (bad-row mask of the (rows,
+    columns) values, message formatted with the row's values); label names
+    a column in a message about one of its cells."""
 
-    def columns(self) -> tuple[str, ...]:
-        cols = tuple(name for name in FEATURE_ORDER if getattr(self, name))
-        if not cols:
-            raise ConfigError("feature mask must enable at least one feature")
-        return cols
+    columns: tuple[str, ...]
+    kind: type
+    checks: tuple = ()
+    label: str = "{}"
 
-    @classmethod
-    def from_names(cls, names) -> "FeatureMask":
-        names = list(names)
-        unknown = [n for n in names if n not in FEATURE_ORDER]
-        if unknown:
-            raise ConfigError(f"unknown feature(s) {unknown}; valid: {list(FEATURE_ORDER)}")
-        if not names:
-            raise ConfigError("feature mask must enable at least one feature")
-        if len(set(names)) < len(names):
-            raise ConfigError(f"feature names repeat in {names}")
-        return cls(**{name: name in names for name in FEATURE_ORDER})
+    @property
+    def header(self) -> list[str]:
+        return ["date", *self.columns]
 
 
-# ---------------------------------------------------------------------------
-# CSV loaders
-# ---------------------------------------------------------------------------
+WEATHER_CSV = DatedCsv(("tmax_c", "humidity_pct"), float, (
+    (lambda v: ~np.isfinite(v).all(axis=1), "non-finite value"),
+    (lambda v: ~((v[:, 1] >= 0.0) & (v[:, 1] <= 100.0)), "humidity {1} outside [0, 100]"),
+))
+EAD_CSV = DatedCsv(GROUPS, int, label="count for {}")
+MOBILITY_CSV = DatedCsv(("mobility_pct",), float, (
+    (lambda v: ~(np.isfinite(v) & (v > 0.0))[:, 0], "mobility must be a positive number"),
+))
 
 
-def _parse_date(text: str, path: Path, line_no: int) -> dt.date:
+def _cell_fault(cell: str, kind, what: str) -> str | None:
+    """What is wrong with a value cell of a DatedCsv kind in the column named
+    what, or None. Python reads more numerals than a CSV file should hold:
+    the digit-group underscores of 1_0 and non-ASCII digits such as
+    full-width ５０ are refused too."""
     try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise DataError(f"{path}:{line_no}: bad date {text!r}: {exc}") from None
+        value = kind(cell)
+    except ValueError:
+        value = None
+    if value is None or "_" in cell or not cell.isascii():
+        return f"bad {what} {cell!r}"
+    if kind is int and value < 0:
+        return f"negative {what}"
+    if kind is int and value > 2**53:
+        return f"{what} above 2**53"
+    return None
 
 
-def _number(cell: str, kind, path: Path, line_no: int, what: str):
-    """kind(cell), kind being float or int, or a DataError. Python reads
-    more numerals than a CSV file should hold: the digit-group underscores
-    of 1_0 and non-ASCII digits such as full-width ５０ are refused too."""
-    if "_" not in cell and cell.isascii():
-        try:
-            return kind(cell)
-        except ValueError:
-            pass
-    raise DataError(f"{path}:{line_no}: bad {what} {cell!r}")
-
-
-def _open_rows(path: Path, expected_header: list[str]):
-    path = Path(path)
+def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
+    """The rows after the first, which must be header."""
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    if [h.strip() for h in rows[0]] != header:
+        raise DataError(f"{path}: bad header {rows[0]}; expected {header}")
+    return rows[1:]
+
+
+def read_dated_csv(path, spec: DatedCsv) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a spec file as their dates' day numbers (proleptic
+    ordinals, in file order) and their values, a float64 (rows, columns)
+    array. A malformed file is a DataError that names the line of its first
+    faulty row, as a row-by-row reader would: within a row, its width and
+    date are checked first, then its cells in order, then spec.checks, then
+    whether its date repeats an earlier row's."""
+    path = Path(path)
+    rows = _read_rows(path, spec.header)
+    cols, days, cells = len(spec.columns), [], []
+    n, fault = len(rows), None  # the first faulty row (or the row count) and its fault
+    for i, row in enumerate(rows):
+        if len(row) != cols + 1:
+            n, fault = i, f"expected {cols + 1} fields, got {len(row)}"
+            break
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        if [h.strip() for h in header] != expected_header:
-            raise DataError(
-                f"{path}: bad header {header}; expected {expected_header}"
-            )
-        try:
-            yield from ((line_no, row) for line_no, row in enumerate(reader, start=2))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
-
-
-def load_weather_csv(path) -> dict[dt.date, tuple[float, float]]:
-    """date -> (tmax_c, humidity_pct)."""
-    path = Path(path)
-    out: dict[dt.date, tuple[float, float]] = {}
-    for line_no, row in _open_rows(path, ["date", "tmax_c", "humidity_pct"]):
-        if len(row) != 3:
-            raise DataError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-        day = _parse_date(row[0], path, line_no)
-        tmax = _number(row[1], float, path, line_no, "tmax_c")
-        humidity = _number(row[2], float, path, line_no, "humidity_pct")
-        if not (math.isfinite(tmax) and math.isfinite(humidity)):
-            raise DataError(f"{path}:{line_no}: non-finite value")
-        if not 0.0 <= humidity <= 100.0:
-            raise DataError(f"{path}:{line_no}: humidity {humidity} outside [0, 100]")
-        if day in out:
-            raise DataError(f"{path}:{line_no}: duplicate date {day.isoformat()}")
-        out[day] = (tmax, humidity)
-    if not out:
-        raise DataError(f"{path}: no data rows")
-    return out
-
-
-def load_ead_csv(path) -> dict[dt.date, dict[str, int]]:
-    """date -> group counts for all six groups."""
-    path = Path(path)
-    header = ["date"] + list(GROUPS)
-    out: dict[dt.date, dict[str, int]] = {}
-    for line_no, row in _open_rows(path, header):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-        day = _parse_date(row[0], path, line_no)
-        counts: dict[str, int] = {}
-        for name, cell in zip(GROUPS, row[1:]):
-            value = _number(cell, int, path, line_no, f"count for {name}")
-            if value < 0:
-                raise DataError(f"{path}:{line_no}: negative count for {name}")
-            if value > 2**53:  # the day table holds counts as float64, exact up to 2**53
-                raise DataError(f"{path}:{line_no}: count for {name} above 2**53")
-            counts[name] = value
-        if day in out:
-            raise DataError(f"{path}:{line_no}: duplicate date {day.isoformat()}")
-        out[day] = counts
-    if not out:
-        raise DataError(f"{path}: no data rows")
-    return out
-
-
-def load_mobility_csv(path) -> dict[dt.date, float]:
-    """Sparse date -> mobility percent; missing dates are allowed."""
-    path = Path(path)
-    out: dict[dt.date, float] = {}
-    for line_no, row in _open_rows(path, ["date", "mobility_pct"]):
-        if len(row) != 2:
-            raise DataError(f"{path}:{line_no}: expected 2 fields, got {len(row)}")
-        day = _parse_date(row[0], path, line_no)
-        value = _number(row[1], float, path, line_no, "mobility_pct")
-        if not math.isfinite(value) or value <= 0.0:
-            raise DataError(f"{path}:{line_no}: mobility must be a positive number")
-        if day in out:
-            raise DataError(f"{path}:{line_no}: duplicate date {day.isoformat()}")
-        out[day] = value
-    return out
+            days.append(dt.date.fromisoformat(row[0].strip()).toordinal())
+        except ValueError as exc:
+            n, fault = i, f"bad date {row[0]!r}: {exc}"
+            break
+        cells += row[1:]
+    # All cells at once; a fault is then found cell by cell.
+    text = "".join(cells)
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError
+        values = list(map(spec.kind, cells))
+        faulty = spec.kind is int and not 0 <= min(values, default=0) <= max(values, default=0) <= 2**53
+    except ValueError:
+        faulty = True
+    if faulty:
+        for i, cell in enumerate(cells):
+            if found := _cell_fault(cell, spec.kind, spec.label.format(spec.columns[i % cols])):
+                n, fault = i // cols, found
+                break
+        values = list(map(spec.kind, cells[: n * cols]))
+    values = np.array(values, dtype=np.float64).reshape(n, cols)
+    bad = np.array([refused(values) for refused, _ in spec.checks], bool).reshape(len(spec.checks), n)
+    if (bad_rows := np.flatnonzero(bad.any(axis=0))).size:
+        n = bad_rows[0]
+        fault = spec.checks[bad[:, n].argmax()][1].format(*values[n].tolist())
+    days = np.array(days[:n], dtype=np.int64)
+    order = np.argsort(days, kind="stable")
+    repeats = order[1:][days[order[1:]] == days[order[:-1]]]
+    if repeats.size:
+        n = repeats.min()
+        fault = f"duplicate date {dt.date.fromordinal(days[n]).isoformat()}"
+    if fault is not None:
+        raise DataError(f"{path}:{n + 2}: {fault}")
+    return days, values
 
 
 def load_holidays(path) -> set[dt.date]:
@@ -213,7 +210,10 @@ def load_holidays(path) -> set[dt.date]:
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
-        out.add(_parse_date(text, path, line_no))
+        try:
+            out.add(dt.date.fromisoformat(text))
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: bad date {text!r}: {exc}") from None
     return out
 
 
@@ -226,45 +226,6 @@ def day_labels(start: dt.date, n: int, holidays) -> np.ndarray:
     """The labels of the n days from start: 1.0 for a working day, 0.0 for
     a Saturday, a Sunday or a listed holiday."""
     return np.is_busday(_day_range(start, n), holidays=sorted(holidays)).astype(np.float64)
-
-
-def merge(
-    weather: dict[dt.date, tuple[float, float]],
-    ead: dict[dt.date, dict[str, int]],
-    mobility: dict[dt.date, float] | None,
-    holidays: set[dt.date],
-) -> Days:
-    """Date-join the sources over the intersection span of weather and EAD.
-
-    Every date in the intersection must be present in both; gaps are reported
-    explicitly. Mobility stays sparse (NaN where unobserved) until
-    fill_mobility completes it.
-    """
-    start = max(min(weather), min(ead))
-    end = min(max(weather), max(ead))
-    if start > end:
-        raise DataError("weather and EAD files do not overlap in time")
-    dates = _day_range(start, (end - start).days + 1).tolist()
-    sky, counts = list(map(weather.get, dates)), list(map(ead.get, dates))
-    if None in sky or None in counts:
-        missing = []
-        for day, w, e in zip(dates, sky, counts):
-            gaps = [name for name, got in (("weather", w), ("ead", e)) if got is None]
-            if gaps:
-                missing.append(f"{day.isoformat()} ({'/'.join(gaps)})")
-        shown = ", ".join(missing[:10])
-        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
-        raise DataError(f"date gaps in the merged span: {shown}{more}")
-    n = len(dates)
-
-    def columns(rows, width: int) -> np.ndarray:
-        flat = np.fromiter(chain.from_iterable(rows), np.float64, n * width)
-        return flat.reshape(n, width).T.copy()
-
-    tmax, humidity = columns(sky, 2)
-    return Days(start, tmax, humidity, day_labels(start, n, holidays),
-                np.fromiter(map((mobility or {}).get, dates, repeat(math.nan)), np.float64, n),
-                dict(zip(GROUPS, columns(map(operator.itemgetter(*GROUPS), counts), len(GROUPS)))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +295,12 @@ def fill_mobility(days: Days, baseline_month: str | None = None) -> Days:
 # ---------------------------------------------------------------------------
 
 
-def feature_matrix(days: Days, mask: FeatureMask) -> np.ndarray:
-    """Per-day feature rows in canonical column order filtered by mask."""
-    cols = mask.columns()
-    if "mobility" in cols and np.isnan(days.mobility).any():
+def feature_matrix(days: Days, features) -> np.ndarray:
+    """Per-day rows of the named features, in canonical column order."""
+    features = feature_names(features)
+    if "mobility" in features and np.isnan(days.mobility).any():
         raise DataError("mobility feature requested but series has gaps; run fill_mobility")
-    return np.column_stack([getattr(days, _FEATURE_COLUMNS[name]) for name in cols])
+    return np.column_stack([getattr(days, _FEATURE_COLUMNS[name]) for name in features])
 
 
 def window_rows(anchor_rows, L: int) -> np.ndarray:
@@ -349,11 +310,12 @@ def window_rows(anchor_rows, L: int) -> np.ndarray:
 
 
 def make_windows(
-    days: Days, L: int, K: int, mask: FeatureMask, group: str = "all"
+    days: Days, L: int, K: int, features, group: str = "all"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stride-1 lookback windows as (features, rows, targets): the (days, F)
-    feature matrix, the (N, L) rows of each window's inputs (days [a-L, a-1]
-    for anchor a) and the (N, K) group counts of days [a, a+K-1]."""
+    matrix of the named features, the (N, L) rows of each window's inputs
+    (days [a-L, a-1] for anchor a) and the (N, K) group counts of days
+    [a, a+K-1]."""
     if group not in GROUPS:
         raise ConfigError(f"unknown group {group!r}; valid: {list(GROUPS)}")
     if L < 1 or K < 1:
@@ -362,7 +324,7 @@ def make_windows(
     if n < L + K:
         raise DataError(f"span of {n} days is too short for lookback {L} + horizon {K}")
     targets = np.lib.stride_tricks.sliding_window_view(days.counts[group][L:], K)
-    return feature_matrix(days, mask), window_rows(np.arange(L, n - K + 1), L), targets
+    return feature_matrix(days, features), window_rows(np.arange(L, n - K + 1), L), targets
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +526,23 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
 
 
 # ---------------------------------------------------------------------------
-# Dataset writers (formats mirrored by the loaders above)
+# Dataset writers
 # ---------------------------------------------------------------------------
+
+
+def write_dated_csv(path, spec: DatedCsv, start: dt.date, values: np.ndarray) -> None:
+    """Write the (days, columns) values of the days from start as a spec
+    file that read_dated_csv reads back bit for bit: a float cell as its
+    repr, a count as its digits, and no row for a day with a NaN."""
+    listed = ~np.isnan(values).any(axis=1)
+    iso = np.datetime_as_string(_day_range(start, len(values))[listed]).tolist()
+    rows = (values[listed].astype(np.int64) if spec.kind is int else values[listed]).tolist()
+    lines = [",".join(spec.header), *(d + "," + ",".join(map(repr, row)) for d, row in zip(iso, rows))]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:
     """Write weather/ead/mobility/holidays files plus the ground-truth JSON."""
-    from .fileio import atomic_write_text
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -582,17 +553,10 @@ def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:
         "truth": out / "ground_truth.json",
     }
     days = result.days
-    iso = np.datetime_as_string(_day_range(days.start, len(days))).tolist()
-    counts = np.column_stack([days.counts[g] for g in GROUPS]).astype(np.int64).tolist()
-    weather_lines = ["date,tmax_c,humidity_pct"] + [
-        f"{d},{t!r},{h!r}" for d, t, h in zip(iso, days.tmax.tolist(), days.humidity.tolist())]
-    ead_lines = ["date," + ",".join(GROUPS)] + [
-        d + "," + ",".join(map(str, row)) for d, row in zip(iso, counts)]
-    mobility_lines = ["date,mobility_pct"] + [
-        f"{d},{m!r}" for d, m in zip(iso, days.mobility.tolist()) if not math.isnan(m)]
-    atomic_write_text(paths["weather"], "\n".join(weather_lines) + "\n")
-    atomic_write_text(paths["ead"], "\n".join(ead_lines) + "\n")
-    atomic_write_text(paths["mobility"], "\n".join(mobility_lines) + "\n")
+    for name, spec, columns in (("weather", WEATHER_CSV, [days.tmax, days.humidity]),
+                                ("ead", EAD_CSV, [days.counts[g] for g in GROUPS]),
+                                ("mobility", MOBILITY_CSV, [days.mobility])):
+        write_dated_csv(paths[name], spec, days.start, np.column_stack(columns))
     atomic_write_text(
         paths["holidays"],
         "\n".join(d.isoformat() for d in sorted(result.holidays)) + "\n",
@@ -604,9 +568,44 @@ def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:
 def load_dataset(
     weather_path, ead_path, mobility_path=None, holidays_path=None
 ) -> Days:
-    """Load and merge the on-disk dataset; mobility stays sparse."""
-    weather = load_weather_csv(weather_path)
-    ead = load_ead_csv(ead_path)
-    mobility = load_mobility_csv(mobility_path) if mobility_path else None
+    """The day table of the on-disk dataset over the span where weather and
+    EAD both have days; mobility stays sparse (NaN where unobserved) until
+    fill_mobility completes it, and its days outside the span are ignored.
+    Each file is read and checked in turn before the span is: every day of
+    the span must be in both weather and EAD, and the days missing from
+    either are reported."""
+    weather = read_dated_csv(weather_path, WEATHER_CSV)
+    if not len(weather[0]):
+        raise DataError(f"{weather_path}: no data rows")
+    ead = read_dated_csv(ead_path, EAD_CSV)
+    if not len(ead[0]):
+        raise DataError(f"{ead_path}: no data rows")
+    mobility = read_dated_csv(mobility_path, MOBILITY_CSV) if mobility_path else None
     holidays = load_holidays(holidays_path) if holidays_path else set()
-    return merge(weather, ead, mobility, holidays)
+    first = int(max(weather[0].min(), ead[0].min()))
+    n = min(weather[0].max(), ead[0].max()) - first + 1
+    if n < 1:
+        raise DataError("weather and EAD files do not overlap in time")
+
+    def on_span(days, values) -> np.ndarray:
+        """The (columns, n) values of the span's days; NaN where not listed."""
+        out = np.full((values.shape[1], n), np.nan)
+        at = days - first
+        keep = (at >= 0) & (at < n)
+        out[:, at[keep]] = values[keep].T
+        return out
+
+    (tmax, humidity), counts = on_span(*weather), on_span(*ead)
+    missing = np.isnan(tmax), np.isnan(counts[0])
+    gaps = np.flatnonzero(missing[0] | missing[1])
+    if gaps.size:
+        shown = ", ".join(
+            f"{dt.date.fromordinal(first + i).isoformat()} "
+            f"({'/'.join(name for name, gap in zip(('weather', 'ead'), missing) if gap[i])})"
+            for i in gaps[:10].tolist())
+        more = f" and {gaps.size - 10} more" if gaps.size > 10 else ""
+        raise DataError(f"date gaps in the merged span: {shown}{more}")
+    start = dt.date.fromordinal(first)
+    return Days(start, tmax, humidity, day_labels(start, n, holidays),
+                np.full(n, np.nan) if mobility is None else on_span(*mobility)[0],
+                dict(zip(GROUPS, counts)))

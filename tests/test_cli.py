@@ -492,14 +492,14 @@ def forecast_setup(dataset, horizon):
                     holidays=paths["holidays"], lookback=7, horizon=horizon)
     days = load_records(cfg)
     scaler = fit_scaler(make_windows(days.between(days.start, days.date(364)), cfg.lookback,
-                                     horizon, cfg.mask(), cfg.group))
+                                     horizon, cfg.features, cfg.group))
     model = init_params(ModelSpec(input_dim=len(cfg.features), horizon=horizon), seed=horizon)
     return model, scaler, days, cfg
 
 
 def per_anchor_forecast(model, scaler, days, cfg, start, end):
     """Reference: one forward pass per anchor over its own scaled window."""
-    features = feature_matrix(days, cfg.mask())
+    features = feature_matrix(days, cfg.features)
     out = []
     for idx in range(days.offset(start), days.offset(end) + 1):
         y, _ = forward_batch(model, scaler.transform_features(features[None, idx - cfg.lookback : idx]))
@@ -588,8 +588,9 @@ class TestRunForecast:
     def test_forecast_uses_one_cpu_under_two_blas_threads(self, dataset, tmp_path):
         # Contention from other processes only lowers CPU time per wall
         # second; a thread of the process itself can raise it. The OpenBLAS
-        # pool's worker spins ~0.06 CPU-seconds when the pool starts (during
-        # `import numpy`), and after any product run on two threads. On
+        # pool's worker spins ~0.1 CPU-seconds when the pool starts (during
+        # `import numpy`), and after any product run on two threads, so
+        # TIMED_FORECAST first waits for the other threads to go idle. On
         # failure the message holds each thread's CPU seconds before and
         # after run_forecast, which tells such a thread from the main one.
         _, timing = forecast_subprocess(dataset, tmp_path, "2")
@@ -599,7 +600,9 @@ class TestRunForecast:
 # Runs the forecast command and prints, as JSON, the CPU and wall seconds of
 # run_forecast and each thread's CPU seconds (user + system, from
 # /proc/self/task/*/stat; None where the thread did not exist) before and
-# after it.
+# after it. Before it times run_forecast it waits, for 2 s at most, until no
+# thread but the main one gains CPU time over 0.1 s, and reports that wait
+# as "settle".
 TIMED_FORECAST = """
 import json, os, sys, time
 from eadforecast import cli
@@ -616,14 +619,29 @@ def thread_cpu():
         out[tid] = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
     return out
 
+def others():
+    return sum(t for tid, t in thread_cpu().items() if tid != str(os.getpid()))
+
+def settle(limit=2.0):
+    start = time.perf_counter()
+    last = others()
+    while time.perf_counter() - start < limit:
+        time.sleep(0.1)
+        now = others()
+        if now == last:
+            break
+        last = now
+    return time.perf_counter() - start
+
 def timed(*args):
+    waited = settle()
     before = thread_cpu()
     cpu, wall = time.process_time(), time.perf_counter()
     out = run_forecast(*args)
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     after = thread_cpu()
     threads = {tid: [before.get(tid), after.get(tid)] for tid in {*before, *after}}
-    print(json.dumps({"cpu": cpu, "wall": wall, "threads": threads}))
+    print(json.dumps({"cpu": cpu, "wall": wall, "settle": waited, "threads": threads}))
     return out
 
 cli.run_forecast = timed

@@ -16,21 +16,19 @@ from hypothesis import strategies as st
 from eadforecast import data as data_mod
 from eadforecast.cli import RunConfig, main
 from eadforecast.data import (
+    EAD_CSV,
     FEATURE_ORDER,
     GROUPS,
     Days,
-    FeatureMask,
     SynthConfig,
     day_labels,
+    feature_names,
     fill_mobility,
     load_dataset,
-    load_ead_csv,
     load_holidays,
-    load_mobility_csv,
-    load_weather_csv,
     make_windows,
-    merge,
     month_end,
+    read_dated_csv,
     synth_generate,
     write_dataset,
 )
@@ -44,61 +42,261 @@ def write(path, text):
     return path
 
 
+WEATHER_HEADER = "date,tmax_c,humidity_pct"
+EAD_HEADER = "date,all,children,adult,elderly,outdoor,indoor"
+MOBILITY_HEADER = "date,mobility_pct"
+
+
+def csv_file(path, header, rows):
+    return write(path, "".join(line + "\n" for line in [header, *rows]))
+
+
 def weather_csv(tmp_path, rows):
-    return write(tmp_path / "weather.csv", "date,tmax_c,humidity_pct\n" + "\n".join(rows) + "\n")
+    return csv_file(tmp_path / "weather.csv", WEATHER_HEADER, rows)
 
 
 def ead_csv(tmp_path, rows):
-    header = "date,all,children,adult,elderly,outdoor,indoor\n"
-    return write(tmp_path / "ead.csv", header + "\n".join(rows) + "\n")
+    return csv_file(tmp_path / "ead.csv", EAD_HEADER, rows)
 
 
-class TestLoaders:
-    def test_weather_roundtrip(self, tmp_path):
-        path = weather_csv(tmp_path, ["2020-01-01,10.5,60.0", "2020-01-02,-2.25,71.5"])
-        out = load_weather_csv(path)
-        assert out[dt.date(2020, 1, 2)] == (-2.25, 71.5)
+def dataset_rows(days, start=dt.date(2020, 1, 1)):
+    """Weather and EAD rows of `days` consecutive days from start (a
+    Wednesday): 10 degC, 60 %, and counts 100,10,40,50,20,80."""
+    dates = [(start + dt.timedelta(days=n)).isoformat() for n in range(days)]
+    return [f"{d},10.0,60.0" for d in dates], [f"{d},100,10,40,50,20,80" for d in dates]
 
-    def test_weather_bad_row_reports_line(self, tmp_path):
-        path = weather_csv(tmp_path, ["2020-01-01,10.5,60.0", "2020-01-02,oops,71.5"])
-        with pytest.raises(DataError, match=":3:"):
-            load_weather_csv(path)
 
-    def test_weather_humidity_range(self, tmp_path):
-        path = weather_csv(tmp_path, ["2020-01-01,10.5,160.0"])
-        with pytest.raises(DataError, match="humidity"):
-            load_weather_csv(path)
+def load_rows(tmp_path, weather, ead, mobility=None, holidays=None):
+    """load_dataset over files of these rows; mobility and holidays are left
+    out when None."""
+    return load_dataset(
+        weather_csv(tmp_path, weather), ead_csv(tmp_path, ead),
+        None if mobility is None else csv_file(tmp_path / "mobility.csv", MOBILITY_HEADER, mobility),
+        None if holidays is None else write(tmp_path / "holidays.txt", holidays),
+    )
 
-    def test_duplicate_date_rejected(self, tmp_path):
-        path = weather_csv(tmp_path, ["2020-01-01,10.5,60.0", "2020-01-01,11.0,61.0"])
-        with pytest.raises(DataError, match="duplicate"):
-            load_weather_csv(path)
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = write(tmp_path / "weather.csv", "day,tmax,rh\n2020-01-01,1,2\n")
-        with pytest.raises(DataError, match="header"):
-            load_weather_csv(path)
+# Each case edits the rows of a valid five-day dataset from 2020-01-01
+# (line 2 of a file is its first row) and names the one refusal it gives,
+# {path} being the file's path.
+BAD_ROWS = {
+    "weather_no_rows": ("weather", lambda rows: [], "{path}: no data rows"),
+    "weather_fields": ("weather", lambda rows: [rows[0], rows[1] + ",5"],
+                       "{path}:3: expected 3 fields, got 4"),
+    "weather_blank_line": ("weather", lambda rows: [rows[0], ""], "{path}:3: expected 3 fields, got 0"),
+    "weather_bad_date": ("weather", lambda rows: ["2020-01-32,10.0,60.0"],
+                         "{path}:2: bad date '2020-01-32': "),
+    "weather_bad_number": ("weather", lambda rows: [rows[0], "2020-01-02,oops,71.5"],
+                           "{path}:3: bad tmax_c 'oops'"),
+    "weather_bad_humidity": ("weather", lambda rows: ["2020-01-01,10.0,1_0"],
+                             "{path}:2: bad humidity_pct '1_0'"),
+    "weather_nan": ("weather", lambda rows: [rows[0], "2020-01-02,nan,60.0"], "{path}:3: non-finite value"),
+    "weather_inf_humidity": ("weather", lambda rows: ["2020-01-01,10.0,inf"], "{path}:2: non-finite value"),
+    "weather_humidity_range": ("weather", lambda rows: ["2020-01-01,10.5,160.0"],
+                               "{path}:2: humidity 160.0 outside [0, 100]"),
+    "weather_duplicate": ("weather", lambda rows: [rows[0], rows[1], "2020-01-01,11.0,61.0"],
+                          "{path}:4: duplicate date 2020-01-01"),
+    "ead_no_rows": ("ead", lambda rows: [], "{path}: no data rows"),
+    "ead_fields": ("ead", lambda rows: [rows[0], "2020-01-02,100,10,40,50,20"],
+                   "{path}:3: expected 7 fields, got 6"),
+    "ead_bad_count": ("ead", lambda rows: ["2020-01-01,100,10,4.0,50,20,80"],
+                      "{path}:2: bad count for adult '4.0'"),
+    "ead_negative": ("ead", lambda rows: ["2020-01-01,100,10,40,-50,20,80"],
+                     "{path}:2: negative count for elderly"),
+    "ead_above_2_53": ("ead", lambda rows: [f"2020-01-01,100,10,{2**53},50,20,80",
+                                            f"2020-01-02,100,10,{2**53 + 1},50,20,80"],
+                       "{path}:3: count for adult above 2**53"),
+    "ead_duplicate": ("ead", lambda rows: [*rows, rows[2]], "{path}:7: duplicate date 2020-01-03"),
+    "mobility_fields": ("mobility", lambda rows: ["2020-01-01,80.0,1"], "{path}:2: expected 2 fields, got 3"),
+    "mobility_bad_number": ("mobility", lambda rows: ["2020-01-01,eighty"],
+                            "{path}:2: bad mobility_pct 'eighty'"),
+    "mobility_zero": ("mobility", lambda rows: ["2020-01-01,80.0", "2020-01-02,0"],
+                      "{path}:3: mobility must be a positive number"),
+    "mobility_negative": ("mobility", lambda rows: ["2020-01-01,-5.0"],
+                          "{path}:2: mobility must be a positive number"),
+    "mobility_nan": ("mobility", lambda rows: ["2020-01-01,nan"], "{path}:2: mobility must be a positive number"),
+    "mobility_inf": ("mobility", lambda rows: ["2020-01-01,inf"], "{path}:2: mobility must be a positive number"),
+    "mobility_duplicate": ("mobility", lambda rows: ["2020-01-01,80.0", "2020-01-01,81.0"],
+                           "{path}:3: duplicate date 2020-01-01"),
+    # Several faults: the first faulty row is named, and within a row the
+    # width and date come first, then the cells in order, then the checks,
+    # then a repeated date.
+    "cell_before_width": ("weather", lambda rows: [rows[0], "2020-01-02,oops,60.0", "2020-01-03,1.0"],
+                          "{path}:3: bad tmax_c 'oops'"),
+    "check_before_cell": ("weather", lambda rows: ["2020-01-01,10.0,160.0", "2020-01-02,oops,60.0"],
+                          "{path}:2: humidity 160.0 outside [0, 100]"),
+    "repeat_before_check": ("weather", lambda rows: [rows[0], rows[0], "2020-01-02,nan,60.0"],
+                            "{path}:3: duplicate date 2020-01-01"),
+    "date_before_cell": ("ead", lambda rows: ["2020-13-01,x,1,1,1,1,1"], "{path}:2: bad date '2020-13-01': "),
+    "cells_in_order": ("ead", lambda rows: ["2020-01-01,1,-1,x,1,1,1"], "{path}:2: negative count for children"),
+    "cell_before_repeat": ("mobility", lambda rows: ["2020-01-01,80.0", "2020-01-01,0x10"],
+                           "{path}:3: bad mobility_pct '0x10'"),
+}
 
-    def test_ead_counts(self, tmp_path):
-        path = ead_csv(tmp_path, ["2020-01-01,100,10,40,50,20,80"])
-        out = load_ead_csv(path)
-        assert out[dt.date(2020, 1, 1)]["elderly"] == 50
 
-    def test_ead_negative_rejected(self, tmp_path):
-        path = ead_csv(tmp_path, ["2020-01-01,100,10,40,-50,20,80"])
-        with pytest.raises(DataError, match="negative"):
-            load_ead_csv(path)
+class TestLoadDataset:
+    def test_three_day_table(self, tmp_path):
+        w, e = dataset_rows(3)
+        w[1] = "2020-01-02,-2.5,71.5"
+        e[2] = "2020-01-03,7,1,2,4,3,4"
+        days = load_rows(tmp_path, w, e)
+        assert len(days) == 3 and days.start == dt.date(2020, 1, 1)
+        assert days.tmax.tolist() == [10.0, -2.5, 10.0]
+        assert days.humidity.tolist() == [60.0, 71.5, 60.0]
+        assert days.day_label.tolist() == [1.0, 1.0, 1.0]  # Wednesday .. Friday
+        assert np.isnan(days.mobility).all()
+        assert {g: c.tolist() for g, c in days.counts.items()} == {
+            "all": [100, 100, 7], "children": [10, 10, 1], "adult": [40, 40, 2],
+            "elderly": [50, 50, 4], "outdoor": [20, 20, 3], "indoor": [80, 80, 4]}
+        assert all(c.dtype == np.float64 for c in (days.tmax, days.mobility, *days.counts.values()))
 
-    def test_ead_count_above_2_53_rejected(self, tmp_path):
-        path = ead_csv(tmp_path, [f"2020-01-01,100,10,{2**53},50,20,80",
-                                  f"2020-01-02,100,10,{2**53 + 1},50,20,80"])
-        with pytest.raises(DataError, match=":3: count for adult above"):
-            load_ead_csv(path)
+    def test_span_is_where_weather_and_ead_overlap(self, tmp_path):
+        w, _ = dataset_rows(5)
+        _, e = dataset_rows(5, start=dt.date(2020, 1, 3))
+        days = load_rows(tmp_path, w, e)
+        assert days.start == dt.date(2020, 1, 3) and len(days) == 3
+
+    def test_holidays_label_days_off(self, tmp_path):
+        w, e = dataset_rows(5)
+        days = load_rows(tmp_path, w, e, holidays="2020-01-02\n")
+        assert days.day_label.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]  # Saturday, Sunday
+
+    def test_rows_out_of_date_order_are_accepted(self, tmp_path):
+        w, e = dataset_rows(5)
+        w[1] = "2020-01-02,-2.5,71.5"
+        e[3] = "2020-01-04,7,1,2,4,3,4"
+        mobility = ["2020-01-03,60.0", "2020-01-01,80.0"]
+        ordered = load_rows(tmp_path, w, e, mobility)
+        shuffled = load_rows(tmp_path, w[::-1], [e[2], e[4], e[0], e[3], e[1]], mobility[::-1])
+        assert shuffled.start == ordered.start
+        for name in ("tmax", "humidity", "day_label", "mobility"):
+            assert getattr(shuffled, name).tobytes() == getattr(ordered, name).tobytes(), name
+        assert all(shuffled.counts[g].tobytes() == ordered.counts[g].tobytes() for g in GROUPS)
+        assert np.array_equal(ordered.mobility, [80.0, np.nan, 60.0, np.nan, np.nan], equal_nan=True)
 
     def test_mobility_sparse_ok(self, tmp_path):
-        path = write(tmp_path / "mobility.csv", "date,mobility_pct\n2020-04-18,42.5\n")
-        out = load_mobility_csv(path)
-        assert out == {dt.date(2020, 4, 18): 42.5}
+        w, e = dataset_rows(5)
+        days = load_rows(tmp_path, w, e, ["2020-01-04,42.5"])
+        assert np.array_equal(days.mobility, [np.nan, np.nan, np.nan, 42.5, np.nan], equal_nan=True)
+
+    def test_mobility_suffix_coverage(self, tmp_path):
+        # Sparse mobility covering only the end of the span loads fine and
+        # leaves earlier days to fill_mobility.
+        w, e = dataset_rows(5)
+        days = load_rows(tmp_path, w, e, ["2020-01-04,80.0", "2020-01-05,60.0"])
+        assert np.array_equal(days.mobility, [np.nan, np.nan, np.nan, 80.0, 60.0], equal_nan=True)
+
+    def test_mobility_days_outside_the_span_are_ignored(self, tmp_path):
+        w, e = dataset_rows(3)
+        days = load_rows(tmp_path, w, e, ["2019-12-31,50.0", "2020-01-02,80.0", "2020-01-04,60.0",
+                                          "2021-06-01,70.0"])
+        assert np.array_equal(days.mobility, [np.nan, 80.0, np.nan], equal_nan=True)
+
+    def test_empty_mobility_file_is_allowed(self, tmp_path):
+        w, e = dataset_rows(3)
+        assert np.isnan(load_rows(tmp_path, w, e, []).mobility).all()
+
+    @pytest.mark.parametrize("case", BAD_ROWS)
+    def test_bad_rows_are_refused_naming_the_line(self, tmp_path, case):
+        name, edit, message = BAD_ROWS[case]
+        rows = dict(zip(("weather", "ead"), dataset_rows(5)), mobility=["2020-01-02,80.0"])
+        rows[name] = edit(rows[name])
+        with pytest.raises(DataError) as err:
+            load_rows(tmp_path, rows["weather"], rows["ead"], rows["mobility"])
+        message, got = message.format(path=tmp_path / f"{name}.csv"), str(err.value)
+        # A bad date's message ends in Python's own reason, left unchecked.
+        assert got == message or message.endswith(": ") and got.startswith(message)
+
+    @pytest.mark.parametrize("name,header", [
+        ("weather", "day,tmax,rh"), ("weather", "date,tmax_c"), ("ead", EAD_HEADER.replace("all,", "")),
+        ("ead", "date,all,adult,children,elderly,outdoor,indoor"), ("mobility", "date,mobility")])
+    def test_bad_header_rejected(self, tmp_path, name, header):
+        w, e = dataset_rows(3)
+        files = {"weather": weather_csv(tmp_path, w), "ead": ead_csv(tmp_path, e),
+                 "mobility": csv_file(tmp_path / "mobility.csv", MOBILITY_HEADER, [])}
+        write(files[name], header + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(files["weather"], files["ead"], files["mobility"])
+        assert str(err.value).startswith(f"{files[name]}: bad header {header.split(',')}; expected ")
+
+    @pytest.mark.parametrize("name", ["weather", "ead", "mobility"])
+    def test_empty_file_and_missing_file(self, tmp_path, name):
+        w, e = dataset_rows(3)
+        files = {"weather": weather_csv(tmp_path, w), "ead": ead_csv(tmp_path, e),
+                 "mobility": csv_file(tmp_path / "mobility.csv", MOBILITY_HEADER, [])}
+        write(files[name], "")
+        with pytest.raises(DataError, match=f"^{files[name]}: empty file$"):
+            load_dataset(files["weather"], files["ead"], files["mobility"])
+        files[name].unlink()
+        with pytest.raises(DataError, match=f"^input file not found: {files[name]}$"):
+            load_dataset(files["weather"], files["ead"], files["mobility"])
+
+    def test_no_overlap_refused(self, tmp_path):
+        w, _ = dataset_rows(3)
+        _, e = dataset_rows(3, start=dt.date(2020, 1, 4))
+        with pytest.raises(DataError, match="^weather and EAD files do not overlap in time$"):
+            load_rows(tmp_path, w, e)
+
+    def test_gap_reported(self, tmp_path):
+        w, e = dataset_rows(3)
+        del w[1]  # drop 2020-01-02 from weather
+        with pytest.raises(DataError, match=r"^date gaps in the merged span: 2020-01-02 \(weather\)$"):
+            load_rows(tmp_path, w, e)
+
+    def test_gaps_name_each_file_and_stop_after_ten(self, tmp_path):
+        # Day n of the 30 is missing from weather if n % 3 == 1, from EAD if
+        # n % 4 == 1. EAD lacks the last day, 29, so the span ends at day 28,
+        # and its gaps are days 1, 4, 5, 7, 9, 10, 13, 16, 17, 19, 21, 22, 25, 28.
+        w, e = dataset_rows(30)
+        days = [dt.date(2020, 1, 1) + dt.timedelta(days=n) for n in range(30)]
+        w = [row for n, row in enumerate(w) if n % 3 != 1]
+        e = [row for n, row in enumerate(e) if n % 4 != 1]
+        with pytest.raises(DataError) as err:
+            load_rows(tmp_path, w, e)
+        shown = [f"{days[1]} (weather/ead)", f"{days[4]} (weather)", f"{days[5]} (ead)",
+                 f"{days[7]} (weather)", f"{days[9]} (ead)", f"{days[10]} (weather)",
+                 f"{days[13]} (weather/ead)", f"{days[16]} (weather)", f"{days[17]} (ead)",
+                 f"{days[19]} (weather)"]
+        assert str(err.value) == f"date gaps in the merged span: {', '.join(shown)} and 4 more"
+
+    def test_ten_gaps_have_no_cut_off(self, tmp_path):
+        w, e = dataset_rows(12)
+        del w[1:11]
+        with pytest.raises(DataError) as err:
+            load_rows(tmp_path, w, e)
+        assert str(err.value) == "date gaps in the merged span: " + ", ".join(
+            f"2020-01-{n:02d} (weather)" for n in range(2, 12))
+
+    def test_files_are_read_in_order_before_the_span_check(self, tmp_path):
+        # Every file has one fault and weather and EAD do not overlap: the
+        # first file in the order weather, EAD, mobility, holidays is named;
+        # with the files mended one by one, the next.
+        w, _ = dataset_rows(3)
+        _, e = dataset_rows(3, start=dt.date(2020, 2, 1))
+        faults = {
+            "weather": (w, [w[0], "2020-01-02,oops,60.0"]),
+            "ead": (e, [e[0], "2020-02-02,1,1,1,1,1"]),
+            "mobility": (["2020-01-01,80.0"], ["2020-01-01,0.0"]),
+            "holidays": ("2020-01-01\n", "2020-13-01\n"),
+        }
+        errors = []
+        for mended in range(5):
+            files = {name: (good if n < mended else bad) for n, (name, (good, bad)) in enumerate(faults.items())}
+            with pytest.raises(DataError) as err:
+                load_rows(tmp_path, files["weather"], files["ead"], files["mobility"], files["holidays"])
+            errors.append(str(err.value))
+        assert errors[0] == f"{tmp_path / 'weather.csv'}:3: bad tmax_c 'oops'"
+        assert errors[1] == f"{tmp_path / 'ead.csv'}:3: expected 7 fields, got 6"
+        assert errors[2] == f"{tmp_path / 'mobility.csv'}:2: mobility must be a positive number"
+        assert errors[3].startswith(f"{tmp_path / 'holidays.txt'}:1: bad date '2020-13-01': ")
+        assert errors[4] == "weather and EAD files do not overlap in time"
+
+    def test_reader_returns_day_numbers_and_values_in_file_order(self, tmp_path):
+        path = ead_csv(tmp_path, ["2020-01-02,7,1,2,4,3,4", f"2019-12-31,{2**53},10,40,50,20,0"])
+        days, values = read_dated_csv(path, EAD_CSV)
+        assert days.tolist() == [dt.date(2020, 1, 2).toordinal(), dt.date(2019, 12, 31).toordinal()]
+        assert values.dtype == np.float64
+        assert values.tolist() == [[7, 1, 2, 4, 3, 4], [2**53, 10, 40, 50, 20, 0]]
 
     def test_holidays_with_comments(self, tmp_path):
         path = write(tmp_path / "holidays.txt", "# new year\n2020-01-01\n\n2020-05-04 # midweek\n")
@@ -120,44 +318,6 @@ class TestCalendarLabels:
         monday = dt.date(2020, 1, 6)
         assert day_labels(monday, 7, {monday + dt.timedelta(days=2)}).tolist() == [
             1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0]
-
-
-class TestMerge:
-    def rows(self, days, start=dt.date(2020, 1, 1)):
-        w, e = [], []
-        for n in range(days):
-            d = (start + dt.timedelta(days=n)).isoformat()
-            w.append(f"{d},10.0,60.0")
-            e.append(f"{d},100,10,40,50,20,80")
-        return w, e
-
-    def test_three_day_merge(self, tmp_path):
-        w, e = self.rows(3)
-        w[1] = "2020-01-02,-2.5,71.5"
-        e[2] = "2020-01-03,7,1,2,4,3,4"
-        days = load_dataset(weather_csv(tmp_path, w), ead_csv(tmp_path, e))
-        assert len(days) == 3 and days.start == dt.date(2020, 1, 1)
-        assert days.tmax.tolist() == [10.0, -2.5, 10.0]
-        assert days.humidity.tolist() == [60.0, 71.5, 60.0]
-        assert days.day_label.tolist() == [1.0, 1.0, 1.0]  # Wednesday .. Friday
-        assert np.isnan(days.mobility).all()
-        assert {g: c.tolist() for g, c in days.counts.items()} == {
-            "all": [100, 100, 7], "children": [10, 10, 1], "adult": [40, 40, 2],
-            "elderly": [50, 50, 4], "outdoor": [20, 20, 3], "indoor": [80, 80, 4]}
-
-    def test_gap_reported(self, tmp_path):
-        w, e = self.rows(3)
-        del w[1]  # drop 2020-01-02 from weather
-        with pytest.raises(DataError, match="2020-01-02"):
-            merge(load_weather_csv(weather_csv(tmp_path, w)), load_ead_csv(ead_csv(tmp_path, e)), None, set())
-
-    def test_mobility_suffix_coverage(self, tmp_path):
-        # Sparse mobility covering only the end of the span merges fine and
-        # leaves earlier days to fill_mobility.
-        w, e = self.rows(5)
-        mob = write(tmp_path / "mobility.csv", "date,mobility_pct\n2020-01-04,80.0\n2020-01-05,60.0\n")
-        days = load_dataset(weather_csv(tmp_path, w), ead_csv(tmp_path, e), mobility_path=mob)
-        assert np.array_equal(days.mobility, [np.nan, np.nan, np.nan, 80.0, 60.0], equal_nan=True)
 
 
 def plain_days(start, mobility):
@@ -364,16 +524,33 @@ class TestFuzzedRows:
         assert code == 2, err.getvalue()
 
 
+class TestFeatureNames:
+    def test_canonical_order(self):
+        assert feature_names(["mobility", "temperature"]) == ("temperature", "mobility")
+        assert feature_names(reversed(FEATURE_ORDER)) == FEATURE_ORDER
+
+    @pytest.mark.parametrize("names,message", [
+        (["temperature", "wind"], r"unknown feature\(s\) \['wind'\]"),
+        ([], "at least one feature"),
+        (["humidity", "humidity"], "feature names repeat"),
+    ])
+    def test_refused(self, names, message):
+        with pytest.raises(ConfigError, match=message):
+            feature_names(names)
+        with pytest.raises(ConfigError, match=message):
+            make_windows(plain_days(dt.date(2020, 1, 1), [100.0] * 10), 7, 1, names)
+
+
 class TestMakeWindows:
     def table(self, days):
         return plain_days(dt.date(2020, 1, 1), [100.0] * days)
 
     def test_count_span10_l7_k1(self):
-        _, rows, targets = make_windows(self.table(10), 7, 1, FeatureMask())
+        _, rows, targets = make_windows(self.table(10), 7, 1, FEATURE_ORDER)
         assert rows.shape == (3, 7) and targets.shape == (3, 1)
 
     def test_count_span10_l7_k3(self):
-        _, rows, targets = make_windows(self.table(10), 7, 3, FeatureMask())
+        _, rows, targets = make_windows(self.table(10), 7, 3, FEATURE_ORDER)
         assert rows.shape == (1, 7) and targets.shape == (1, 3)
 
     def test_count_formula_property(self):
@@ -382,41 +559,42 @@ class TestMakeWindows:
             span = int(rng.integers(2, 40))
             L = int(rng.integers(1, span))
             K = int(rng.integers(1, span - L + 1))
-            _, rows, targets = make_windows(self.table(span), L, K, FeatureMask())
+            _, rows, targets = make_windows(self.table(span), L, K, FEATURE_ORDER)
             assert len(rows) == len(targets) == span - L - K + 1
 
-    def test_mask_drops_column(self):
-        mask = FeatureMask(temperature=True, humidity=True, day_label=True, mobility=False)
-        features, rows, _ = make_windows(self.table(10), 7, 1, mask)
-        assert features[rows][0].shape == (7, 3)
+    def test_features_pick_columns_in_canonical_order(self):
+        days = replace(self.table(10), tmax=np.full(10, 1.0), humidity=np.full(10, 2.0),
+                       day_label=np.full(10, 3.0), mobility=np.full(10, 4.0))
+        features, rows, _ = make_windows(days, 7, 1, ("mobility", "temperature", "day_label"))
+        assert features[rows][0].shape == (7, 3) and features[0].tolist() == [1.0, 3.0, 4.0]
 
     def test_span_too_short(self):
         with pytest.raises(DataError):
-            make_windows(self.table(5), 7, 1, FeatureMask())
+            make_windows(self.table(5), 7, 1, FEATURE_ORDER)
 
     def test_targets_follow_inputs(self):
         days = self.table(12)
         days = replace(days, counts={**days.counts, "all": np.arange(12.0)})
-        _, rows, targets = make_windows(days, 7, 3, FeatureMask())
+        _, rows, targets = make_windows(days, 7, 3, FEATURE_ORDER)
         assert np.array_equal(targets[0], [7.0, 8.0, 9.0])
         assert np.array_equal(rows[0], np.arange(7))
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)
         days = replace(self.table(12), tmax=rng.normal(15, 9, 12), humidity=rng.uniform(30, 90, 12))
-        features, rows, _ = make_windows(days, 7, 1, FeatureMask())
+        features, rows, _ = make_windows(days, 7, 1, FEATURE_ORDER)
         assert features[rows][0][0, 0] == days.tmax[0]
         assert features[rows][-1][-1, 1] == days.humidity[-2]
 
     @given(st.data())
     def test_scaled_windows_match_the_per_window_path(self, data):
-        # Random spans, L, K, masks and groups, with few distinct values per
+        # Random spans, L, K, feature sets and groups, with few distinct values per
         # column so constant columns, ties and signed zeros come up.
         span = data.draw(st.integers(2, 30), "span")
         L = data.draw(st.integers(1, span - 1), "L")
         K = data.draw(st.integers(1, span - L), "K")
-        mask = FeatureMask.from_names(data.draw(
-            st.lists(st.sampled_from(FEATURE_ORDER), min_size=1, max_size=4, unique=True), "mask"))
+        features = feature_names(data.draw(
+            st.lists(st.sampled_from(FEATURE_ORDER), min_size=1, max_size=4, unique=True), "features"))
         group = data.draw(st.sampled_from(GROUPS), "group")
         levels = st.sampled_from(data.draw(st.lists(
             st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 110.0), min_size=1, max_size=4),
@@ -429,11 +607,11 @@ class TestMakeWindows:
         days = replace(days, tmax=column(levels), humidity=column(levels), mobility=column(levels),
                        day_label=column(st.integers(0, 1)),
                        counts={**days.counts, group: column(st.integers(0, 3))})
-        windows = make_windows(days, L, K, mask, group)
+        windows = make_windows(days, L, K, features, group)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # constant columns
             scaler = fit_scaler(windows)
-            want_X, want_Y, want_bounds = per_window_scaled(days, L, K, mask.columns(), group)
+            want_X, want_Y, want_bounds = per_window_scaled(days, L, K, features, group)
         X, Y = apply_scaler(scaler, windows)
         bounds = (scaler.feature_min, scaler.feature_max, scaler.target_min, scaler.target_max)
         for got, want in zip((X, Y, *bounds), (want_X, want_Y, *want_bounds)):

@@ -294,6 +294,20 @@ def loss_and_grads(model, X, Y, loss="mse"):
     return loss_val, backward_batch(model, cache, dY)
 
 
+def live_draws(rng, spec: ModelSpec, count: int):
+    """count draws of (model, X (1, 5, I), Y (1, K)) from rng whose LSTM
+    gradient is not all zero. Draws whose tiny ReLU layers are all dead stop
+    the gradient before the recurrence, so no LSTM error could show in them;
+    they are skipped."""
+    while count:
+        model = random_model(rng, spec)
+        X, Y = rng.normal(size=(1, 5, spec.input_dim)), rng.normal(size=(1, spec.horizon))
+        n_lstm = model.lstm1.W.size + model.lstm2.W.size
+        if loss_and_grads(model, X, Y)[1].theta[:n_lstm].any():
+            count -= 1
+            yield model, X, Y
+
+
 def relative_error(a, n):
     denom = np.maximum.reduce([np.abs(a), np.abs(n), np.full_like(n, 1e-8)])
     return np.abs(a - n) / denom
@@ -337,11 +351,8 @@ class TestNetworkBackward:
         spec = ModelSpec(
             input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=1, lagged_m=lagged
         )
-        for _ in range(4):
-            model = random_model(rng, spec)
+        for model, X, Y in live_draws(rng, spec, 4):
             assert model.theta.size <= 200
-            X = rng.normal(size=(1, 5, 2))
-            Y = rng.normal(size=(1, 1))
             assert check_gradients(model, X, Y) < 1e-5
 
     @pytest.mark.parametrize("lagged,block_bytes,block_steps", [
@@ -368,15 +379,11 @@ class TestNetworkBackward:
         spec = ModelSpec(
             input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=1, lagged_m=lagged
         )
-        h, checked = 1e-5, 0
-        while checked < 4:
-            model = random_model(rng, spec)
-            X, Y = rng.normal(size=(1, 5, 2)), rng.normal(size=(1, 1))
+        h = 1e-5
+        for model, X, Y in live_draws(rng, spec, 4):
             assert Workspace(model, 1, 5).lstm1.block == block_steps
             g = loss_and_grads(model, X, Y)[1].theta
             n1, n2 = model.lstm1.W.size, model.lstm2.W.size
-            if not g[: n1 + n2].any():
-                continue  # dead ReLUs stop the gradient: no LSTM error could show
             for block in (slice(0, n1), slice(n1, n1 + n2), slice(0, g.size)):
                 for _ in range(2):
                     v = np.zeros_like(g)
@@ -387,7 +394,6 @@ class TestNetworkBackward:
 
                     gap = abs(g @ v - (loss_at(h) - loss_at(-h)) / (2 * h))
                     assert gap <= 1e-6 * np.linalg.norm(g) + 1e-9, (gap, np.linalg.norm(g))
-            checked += 1
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_batch_gradient_is_mean_of_window_gradients(self, lagged):
@@ -410,9 +416,7 @@ class TestNetworkBackward:
         spec = ModelSpec(
             input_dim=2, hidden1=2, hidden2=2, fc1=3, fc2=2, horizon=1, lagged_m=lagged
         )
-        for _ in range(3):
-            model = random_model(rng, spec)
-            X, Y = rng.normal(size=(1, 5, 2)), rng.normal(size=(1, 1))
+        for model, X, Y in live_draws(rng, spec, 3):
             assert Workspace(model, 1, 5).lstm1.block == 2
             assert check_gradients(model, X, Y) < 1e-5
 
