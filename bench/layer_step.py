@@ -41,7 +41,9 @@ times) with its samples, median and quartiles. --workloads limits both to
 the named workloads (default: all three).
 
 The output holds both sides side by side and the environment: numpy, BLAS
-name, version and live thread count, nproc.
+name, version and live thread count, nproc, and the configuration string
+OpenBLAS reports at run time (blas_runtime_config), which names the kernels
+that ran rather than those of the build host (blas_config).
 """
 
 from __future__ import annotations
@@ -256,10 +258,13 @@ def perfbench_trace_pairs(sides: dict[str, Path], pairs: int, seconds: float, wo
 
 
 def environment() -> dict:
+    """perfbench's environment record, plus the OpenBLAS configuration of the
+    kernels that ran (its blas_config is the build host's)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import env
+    from pinned_outputs import openblas_runtime_config
 
-    return env.environment()
+    return {**env.environment(), "blas_runtime_config": openblas_runtime_config()}
 
 
 def main() -> None:

@@ -92,21 +92,25 @@ out: .
 """
 
 
-def environment_key() -> list[str]:
-    """The numpy version and the configuration string of numpy's bundled
-    OpenBLAS ("none" without it), as the output's `# ` lines."""
-    import numpy
-
+def openblas_runtime_config() -> str:
+    """The configuration string numpy's bundled OpenBLAS reports at run time,
+    naming the kernels it picked for this CPU ("none" without it)."""
     try:
         from numpy._core import _multiarray_umath
 
         config = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_config64_
     except (ImportError, OSError, AttributeError):
-        blas = "none"
-    else:
-        config.restype = ctypes.c_char_p
-        blas = config().decode().strip()
-    return [f"# numpy {numpy.__version__}", f"# {blas}"]
+        return "none"
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return config().decode().strip()
+
+
+def environment_key() -> list[str]:
+    """The numpy version and openblas_runtime_config(), as the output's `# `
+    lines."""
+    import numpy
+
+    return [f"# numpy {numpy.__version__}", f"# {openblas_runtime_config()}"]
 
 
 def runs(work: Path) -> list[list[str]]:

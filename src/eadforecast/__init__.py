@@ -15,7 +15,7 @@ from .lstm import (
     ModelSpec,
     init_params,
 )
-from .metrics import EvalReport, StatsRow, corr_coeff, descriptive_stats, horizon_aggregate, mae
+from .metrics import EvalReport, Forecasts, StatsRow, corr_coeff, descriptive_stats, horizon_aggregate, mae
 from .training import AdamState, MinMaxScaler, TrainConfig, fit_scaler, train
 
 __version__ = "0.1.0"
@@ -26,6 +26,7 @@ __all__ = [
     "DenseLayerParams",
     "EvalReport",
     "ForecastModel",
+    "Forecasts",
     "LstmCellParams",
     "MinMaxScaler",
     "ModelSpec",

@@ -15,7 +15,7 @@ import importlib.resources
 import logging
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import atomic_write_text
 from .lstm import ModelSpec, init_params
-from .metrics import EvalReport, HorizonSeries, evaluate_series, horizon_aggregate, relative_errors
+from .metrics import EvalReport, Forecasts, HorizonSeries, evaluate_series, horizon_aggregate, relative_errors
 from .training import TrainConfig, apply_scaler, fit_scaler, train
 
 log = logging.getLogger("eadforecast")
@@ -285,8 +285,9 @@ def run_training(cfg: RunConfig, days) -> tuple[object, object, list[float]]:
     return model, scaler, history
 
 
-def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.date):
-    """Per-anchor K-day predictions on the count scale.
+def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.date) -> Forecasts:
+    """The K-day predictions, on the count scale, made at each anchor day
+    from start to end.
 
     An anchor is the first predicted day; its window covers the L preceding
     days, which must all be in the day table. Anchors go through the
@@ -303,77 +304,67 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
             f"not enough history before {day.isoformat()}: "
             f"need {cfg.lookback} prior days in the dataset"
         )
-    anchors = [days.date(row) for row in range(first, last + 1)]
     # Scaled once and gathered by row, as training's apply_scaler does.
     features = scaler.transform_features(data_mod.feature_matrix(days, cfg.features))
     window_rows = data_mod.window_rows(np.arange(first, last + 1), cfg.lookback)
-    y = np.empty((len(anchors), model.horizon))
+    n = last - first + 1
+    y = np.empty((n, model.horizon))
     # Full chunks, then the tail one anchor at a time, so that whatever the
     # span length only two batch shapes (FORECAST_CHUNK and 1) reach BLAS.
-    n_full = len(anchors) - len(anchors) % FORECAST_CHUNK
-    starts = [*range(0, n_full, FORECAST_CHUNK), *range(n_full, len(anchors))]
+    n_full = n - n % FORECAST_CHUNK
+    starts = [*range(0, n_full, FORECAST_CHUNK), *range(n_full, n)]
     ws = lstm_mod.Workspace(model, FORECAST_CHUNK, cfg.lookback)
     with lstm_mod.single_blas_thread():
-        for lo, hi in zip(starts, [*starts[1:], len(anchors)]):
+        for lo, hi in zip(starts, [*starts[1:], n]):
             y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]], ws)
-    return list(zip(anchors, scaler.invert_target(y)))
+    return Forecasts(start, scaler.invert_target(y))
 
 
 PREDICTIONS_HEADER = "anchor_date,step,target_date,value"
-# Characters read_predictions_csv takes from the file per block of lines
-# (~6,000 lines of a K=28 file).
-PREDICTIONS_BLOCK = 1 << 18
+# Lines of predictions.csv per block, rounded down to whole anchors (one at
+# least), that write_predictions_csv formats and read_predictions_csv checks
+# at a time. Blocks keep the per-line temporaries small beside the file's
+# text: writing 2,319 anchors at K=28 (the default dataset's forecast_k28
+# span) peaked at 13.7 MB of Python allocations (tracemalloc) when formatted
+# whole and at 9.2 MB in blocks.
+PREDICTIONS_BLOCK = 1 << 13
 
 
-def _iso_days(first: dt.date, start: int, stop: int) -> list[str]:
-    """ISO text of the days first + start .. first + stop - 1."""
-    return [(first + dt.timedelta(days=d)).isoformat() for d in range(start, stop)]
+def _prediction_columns(first: dt.date, a0: int, a1: int, k: int) -> tuple[list, list, list]:
+    """The anchor, step and target columns of the lines of anchors a0..a1-1,
+    anchor a being the day first + a: K lines per anchor, steps 1..K, the
+    target anchor + step - 1. Each date is formatted once."""
+    iso = [(first + dt.timedelta(days=d)).isoformat() for d in range(a0, a1 + k - 1)]
+    anchors = [*chain.from_iterable(map(repeat, iso[: a1 - a0], repeat(k)))]
+    targets = [*chain.from_iterable(iso[a : a + k] for a in range(a1 - a0))]
+    return anchors, [str(step) for step in range(1, k + 1)] * (a1 - a0), targets
 
 
-def write_predictions_csv(path, forecasts) -> None:
+def write_predictions_csv(path, forecasts: Forecasts) -> None:
     """One line per anchor and step, `anchor_date,step,target_date,value`,
-    the value as repr(float), anchors in the order given."""
-    text = PREDICTIONS_HEADER + "\n"
-    if forecasts:
-        vecs = [np.asarray(vec, dtype=np.float64) for _, vec in forecasts]
-        first = min(anchor for anchor, _ in forecasts)
-        days = [(anchor - first).days for anchor, _ in forecasts]
-        sizes = [len(vec) for vec in vecs]
-        # Each date is an anchor once and a target up to K times; format it once.
-        iso = _iso_days(first, 0, max(days) + max(sizes))
-        mid = [f",{step}," for step in range(1, max(sizes) + 1)]
-        # The repr of a list of floats is their reprs joined by ", ".
-        values = repr(np.concatenate(vecs).tolist())[1:-1].split(", ")
-        anchors = chain.from_iterable(map(repeat, [iso[n] for n in days], sizes))
-        steps = chain.from_iterable(mid[:m] for m in sizes)
-        targets = chain.from_iterable(iso[n : n + m] for n, m in zip(days, sizes))
-        text += "".join(chain.from_iterable(
-            zip(anchors, steps, targets, repeat(","), values, repeat("\n"))))
-    atomic_write_text(path, text)
+    the value as repr(float)."""
+    n, k = forecasts.values.shape
+    size = max(1, PREDICTIONS_BLOCK // k)  # anchors per block
+    comma, newline = repeat(","), repeat("\n")
+    blocks = [PREDICTIONS_HEADER + "\n"]
+    for a0 in range(0, n, size):
+        anchors, steps, targets = _prediction_columns(forecasts.start, a0, min(a0 + size, n), k)
+        values = [*map(repr, forecasts.values[a0 : a0 + size].ravel().tolist())]
+        lines = zip(anchors, comma, steps, comma, targets, comma, values, newline)
+        blocks.append("".join(chain.from_iterable(lines)))
+    atomic_write_text(path, "".join(blocks))
 
 
-def _prediction_blocks(fh):
-    """The rest of fh in blocks of whole lines, each ending in a newline."""
-    tail = ""
-    while chunk := fh.read(PREDICTIONS_BLOCK):
-        text = tail + chunk
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield text[:cut]
-        tail = text[cut:]
-    if tail:
-        yield tail + "\n"
-
-
-def read_predictions_csv(path):
+def read_predictions_csv(path) -> Forecasts:
     """Forecasts as written by write_predictions_csv.
 
     The rows must come in written order: K rows per anchor with steps 1..K
     and target date anchor + step - 1, K taken from the first anchor, and
     each anchor the day after the one before. The first line that departs
     from it, or has a value that is not a number, is a DataError that names
-    it; so is a file that is not UTF-8 text. The file is read in blocks of
-    lines, each checked against the columns the writer would have produced.
+    it; so is a file with no rows, or one that is not UTF-8 text. The file
+    is read in blocks of whole anchors, each checked against the columns
+    the writer joins (_prediction_columns).
     """
     path = Path(path)
     if not path.exists():
@@ -385,75 +376,60 @@ def read_predictions_csv(path):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _read_predictions(path: Path, fh):
+def _read_predictions(path: Path, fh) -> Forecasts:
     header = fh.readline()
     if header.rstrip("\n") != PREDICTIONS_HEADER:
         raise DataError(f"{path}: bad predictions header {header.rstrip()!r}")
-    blocks = _prediction_blocks(fh)
-    text = next(blocks, "")
-    if not text:
-        return []
-    anchor = text[: text.index("\n")].split(",", 1)[0]
+    block = [fh.readline()]
+    if not block[0]:
+        raise DataError(f"{path}: the file has no rows after its header")
+    anchor = block[0].split(",", 1)[0].rstrip("\n")
     try:
         first = dt.date.fromisoformat(anchor)
     except ValueError as exc:
         raise DataError(f"{path}:2: {exc}") from None
-    # K is the number of lines of the first anchor; read on until it ends.
-    prefix, k, pos = anchor + ",", 0, 0
-    while True:
-        while text.startswith(prefix, pos):
-            k, pos = k + 1, text.find("\n", pos) + 1
-        if pos < len(text) or not (more := next(blocks, "")):
-            break
-        text += more
-    k = max(k, 1)  # 0: the first line has no comma, and is refused below
-    step_text = [str(step) for step in range(1, k + 1)]
-    iso: list[str] = []
+    # K is the number of lines of the first anchor.
+    while (line := fh.readline()).startswith(anchor + ","):
+        block.append(line)
+    k = len(block)
+    lines = chain(block, [line] if line else [], fh)
     values = []  # one float64 array per block
-    row = 0  # rows before the block
-    for text in chain([text], blocks):
-        n = text.count("\n")
-        a0, a1 = row // k, (row + n - 1) // k + 1  # the block's anchors
-        iso += _iso_days(first, len(iso), a1 + k - 1)
-        off = row % k
-        # The block's columns; each anchor keeps the newline before it.
-        fields = ("\n" + text.replace("\n", ",\n")).split(",")
-        if not (
-            len(fields) == 4 * n + 1
-            and fields[0::4] == [*chain.from_iterable(
-                repeat("\n" + day, k) for day in iso[a0:a1])][off : off + n] + ["\n"]
-            and fields[1::4] == (step_text * (a1 - a0))[off : off + n]
-            and fields[2::4] == [*chain.from_iterable(
-                iso[a : a + k] for a in range(a0, a1))][off : off + n]
-        ):
-            _refuse_prediction_lines(path, text, row, k, iso)
+    row = 0  # lines before the block
+    # Blocks of whole anchors: only the file's last block can end inside one.
+    while block := [*islice(lines, k * max(1, PREDICTIONS_BLOCK // k))]:
+        n = len(block)
+        # The block's cells. Only the value cells may end in a newline, so
+        # 4n cells whose other columns are the writer's are n lines of 4.
+        fields = ",".join(block).split(",")
+        columns = _prediction_columns(first, row // k, (row + n + k - 1) // k, k)
+        columns = [column[:n] for column in columns]
+        if not (len(fields) == 4 * n and all(fields[i::4] == col for i, col in enumerate(columns))):
+            _refuse_prediction_lines(path, block, row, first, k, columns)
         try:
             values.append(np.fromiter(map(float, fields[3::4]), np.float64, n))
         except ValueError:
-            _refuse_prediction_lines(path, text, row, k, iso)
+            _refuse_prediction_lines(path, block, row, first, k, columns)
         row += n
     if row % k:
         raise DataError(
-            f"{path}:{row + 2}: the file ends at step {row % k} of anchor {iso[row // k]}; "
-            f"every anchor has steps 1..{k}"
+            f"{path}:{row + 2}: the file ends at step {row % k} of anchor "
+            f"{first + dt.timedelta(days=row // k)}; every anchor has steps 1..{k}"
         )
-    y = np.concatenate(values).reshape(-1, k)
-    return [(first + dt.timedelta(days=a), y[a]) for a in range(len(y))]
+    return Forecasts(first, np.concatenate(values).reshape(-1, k))
 
 
-def _refuse_prediction_lines(path, text: str, row: int, k: int, iso: list[str]):
-    """Raise the DataError for the first line of a block (its first line is
-    data row `row`) that is not the row write_predictions_csv writes there."""
-    for i, line in enumerate(text[:-1].split("\n"), start=row):
-        a, s = divmod(i, k)
-        fields, want = line.split(","), [iso[a], str(s + 1), iso[a + s]]
+def _refuse_prediction_lines(path, lines: list[str], row: int, first: dt.date, k: int, columns):
+    """Raise the DataError for the first of these lines (the first is data
+    row `row`) that is not the line of the columns."""
+    for i, (line, *want) in enumerate(zip(lines, *columns), start=row):
+        fields = line.rstrip("\n").split(",")
         where = f"{path}:{i + 2}"
         if len(fields) != 4:
             raise DataError(f"{where}: expected 4 fields, got {len(fields)}")
         if fields[:3] != want:
             raise DataError(
                 f"{where}: row {','.join(fields[:3])} is out of written order; expected "
-                f"{','.join(want)} (anchors one day apart from {iso[0]}, steps 1..{k})"
+                f"{','.join(want)} (anchors one day apart from {first}, steps 1..{k})"
             )
         try:
             float(fields[3])
@@ -480,23 +456,20 @@ def write_history_csv(path, history) -> None:
 @dataclass
 class Evaluation:
     """What run_evaluation scored: the per-date aggregate of the forecasts,
-    the positions in agg.dates of the dates that have actuals, and those
-    dates with their actual and estimated (aggregate mean) counts."""
+    and the dates that have actuals (the first len(dates) of agg.dates) with
+    their actual and estimated (aggregate mean) counts."""
 
     report: EvalReport
     agg: HorizonSeries
-    index: list[int]
     dates: list[dt.date]
     actual: np.ndarray
     estimate: np.ndarray
 
 
-def run_evaluation(days, forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
+def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
     """Aggregate forecasts per date, compare with actuals, emit report + charts.
     Dates after the table's last day are left out; dates before its first
     day are a DataError."""
-    if not forecasts:
-        raise DataError("no forecasts to evaluate")
     agg = horizon_aggregate(forecasts)
     # agg.dates are consecutive: those with actuals are positions lo..hi-1.
     first = days.offset(agg.dates[0])
@@ -507,10 +480,9 @@ def run_evaluation(days, forecasts, group: str, scenario: str, out_dir: Path) ->
         shown = ", ".join(d.isoformat() for d in agg.dates[: min(lo, 10)])
         raise DataError(f"dates in predictions have no matching actuals: {shown}")
 
-    idx = list(range(hi))
     rows = slice(first, first + hi)
     actual_dates = agg.dates[:hi]
-    est = agg.mean[idx]
+    est = agg.mean[:hi]
     act = days.counts[group][rows]
     rep = evaluate_series(act, est, group=group, scenario=scenario)
 
@@ -532,7 +504,7 @@ def run_evaluation(days, forecasts, group: str, scenario: str, out_dir: Path) ->
         {"actual": act, "estimated": est},
         "Dispatch counts vs daily average humidity", "relative humidity (%)",
     )
-    return Evaluation(rep, agg, idx, actual_dates, act, est)
+    return Evaluation(rep, agg, actual_dates, act, est)
 
 
 def copy_reference_metrics(dest: Path) -> None:
@@ -702,7 +674,7 @@ def cmd_horizon(args) -> None:
         write_horizon_csv(out / f"horizon_K{k}.csv", ev.agg)
         report_mod.render_band_chart(
             out / f"horizon_K{k}.svg", ev.dates, ev.actual,
-            ev.estimate, ev.agg.min[ev.index], ev.agg.max[ev.index],
+            ev.estimate, ev.agg.min[: len(ev.dates)], ev.agg.max[: len(ev.dates)],
             f"{k}-day-ahead forecasts (mean with min/max band)",
         )
     atomic_write_text(out / "horizon_report.csv", "\n".join(lines) + "\n")

@@ -128,6 +128,34 @@ def descriptive_stats(series) -> StatsRow:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Forecasts:
+    """K-day forecasts made at consecutive anchor days: row a of the
+    (anchors, K) float64 `values` is the forecast made at start + a, its
+    step s (from 0) for the day start + a + s. A gap between anchors or a
+    different K per anchor cannot be represented.
+
+    len() and iteration over (anchor, row) pairs serve only the benchmark
+    (perfbench/worker.py), which reads forecasts as such pairs; they go
+    with the benchmark's move to this type (ROADMAP item 2).
+    """
+
+    start: dt.date
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ConfigError(f"forecast values must be an (anchors, K >= 1) array, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return ((self.start + dt.timedelta(days=a), row) for a, row in enumerate(self.values))
+
+
 @dataclass
 class HorizonSeries:
     """Per-date spread of all K-step forecasts covering that date."""
@@ -140,29 +168,13 @@ class HorizonSeries:
     horizon: int
 
 
-def horizon_aggregate(forecasts: list[tuple[dt.date, np.ndarray]]) -> HorizonSeries:
-    """Collect overlapping K-day forecasts into per-date mean/min/max.
-
-    A forecast anchored at date a covers dates a .. a+K-1. Anchors must be
-    consecutive days and every forecast must have the same length.
-    """
-    if not forecasts:
+def horizon_aggregate(forecasts: Forecasts) -> HorizonSeries:
+    """Collect overlapping K-day forecasts into per-date mean/min/max: the
+    forecast anchored at day a covers days a .. a+K-1."""
+    F = forecasts.values  # (N, K): F[a, step]
+    n, k = F.shape
+    if n == 0:
         raise ConfigError("horizon_aggregate needs at least one forecast")
-    k = len(np.asarray(forecasts[0][1]).ravel())
-    if k < 1:
-        raise ConfigError("forecast vectors must be nonempty")
-    rows = []
-    prev: dt.date | None = None
-    for anchor, values in forecasts:
-        vec = np.asarray(values, dtype=np.float64).ravel()
-        if vec.size != k:
-            raise ConfigError(f"forecast at {anchor} has length {vec.size}, expected {k}")
-        if prev is not None and (anchor - prev).days != 1:
-            raise ConfigError(f"anchors must be consecutive; gap before {anchor}")
-        prev = anchor
-        rows.append(vec)
-    F = np.stack(rows)  # (N, K): F[a, step]
-    n = len(rows)
     # Date d is covered by anchor a = d-K+1+j at step K-1-j, j = 0..K-1, so
     # row d of V lists its values in anchor order: V[d, j] = F[d-K+1+j, K-1-j].
     j = np.arange(k)
@@ -180,7 +192,7 @@ def horizon_aggregate(forecasts: list[tuple[dt.date, np.ndarray]]) -> HorizonSer
     for d in np.flatnonzero(~full):
         mean[d] = np.mean(V[d, valid[d]])
     return HorizonSeries(
-        dates=[forecasts[0][0] + dt.timedelta(days=d) for d in range(n + k - 1)],
+        dates=[forecasts.start + dt.timedelta(days=d) for d in range(n + k - 1)],
         mean=mean,
         min=np.min(V, axis=1, where=valid, initial=np.inf),
         max=np.max(V, axis=1, where=valid, initial=-np.inf),
@@ -235,9 +247,13 @@ class EvalReport:
 
 
 def evaluate_series(actual, estimated, group: str = "all", scenario: str = "") -> EvalReport:
-    """Full comparison of an actual and an estimated daily series."""
+    """Full comparison of an actual and an estimated daily series. A series
+    holding a NaN or an infinity is a NumericalError, as a constant one is."""
     a = np.asarray(actual, dtype=np.float64)
     e = np.asarray(estimated, dtype=np.float64)
+    for name, x in (("actual", a), ("estimated", e)):
+        if not np.isfinite(x).all():
+            raise NumericalError(f"the {name} series holds a non-finite value")
     value, skipped = mae_with_skip_count(a, e)
     return EvalReport(
         scenario=scenario,

@@ -190,7 +190,7 @@ def per_date_values(forecasts) -> dict[dt.date, list[float]]:
     """Every forecast value covering each date, in anchor order: the value of
     step s of the forecast anchored at a covers a + s - 1."""
     per_date: dict[dt.date, list[float]] = {}
-    for anchor, vec in forecasts:
+    for a, vec in enumerate(forecasts.values):
         for step, value in enumerate(vec):
-            per_date.setdefault(anchor + dt.timedelta(days=step), []).append(float(value))
+            per_date.setdefault(forecasts.start + dt.timedelta(days=a + step), []).append(float(value))
     return dict(sorted(per_date.items()))

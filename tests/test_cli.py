@@ -27,6 +27,7 @@ from eadforecast.data import (
 )
 from eadforecast.errors import ConfigError, DataError
 from eadforecast.lstm import ModelSpec, forward_batch, init_params
+from eadforecast.metrics import Forecasts
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
 from eadforecast.training import fit_scaler
 
@@ -503,8 +504,8 @@ def per_anchor_forecast(model, scaler, days, cfg, start, end):
     out = []
     for idx in range(days.offset(start), days.offset(end) + 1):
         y, _ = forward_batch(model, scaler.transform_features(features[None, idx - cfg.lookback : idx]))
-        out.append((days.date(idx), scaler.invert_target(y[0])))
-    return out
+        out.append(scaler.invert_target(y[0]))
+    return Forecasts(start, np.stack(out))
 
 
 class TestRunForecast:
@@ -514,12 +515,11 @@ class TestRunForecast:
         # 74 anchors: two full chunks and a tail taken one anchor at a time.
         start, end = dt.date(2019, 1, 1), dt.date(2019, 3, 15)
         got = run_forecast(model, scaler, days, cfg, start, end)
-        assert len(got) > 2 * FORECAST_CHUNK and len(got) % FORECAST_CHUNK > 1
+        n = len(got.values)
+        assert n > 2 * FORECAST_CHUNK and n % FORECAST_CHUNK > 1
         want = per_anchor_forecast(model, scaler, days, cfg, start, end)
-        assert [d for d, _ in got] == [d for d, _ in want]
-        for (_, g), (_, w) in zip(got, want):
-            assert g.shape == (horizon,)
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+        assert got.start == want.start and got.values.shape == want.values.shape == (n, horizon)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
 
     def test_missing_day_inside_span_names_it(self, dataset, trained, tmp_path, capsys):
         # A day table has no gaps: a day missing from weather.csv inside the
@@ -544,7 +544,8 @@ class TestRunForecast:
         with pytest.raises(DataError, match=f"not enough history before {days.date(named)}:"):
             run_forecast(model, scaler, days, cfg, days.date(first), days.date(last))
         for edge in (7, 880):
-            assert len(run_forecast(model, scaler, days, cfg, days.date(edge), days.date(edge + 1))) == 2
+            got = run_forecast(model, scaler, days, cfg, days.date(edge), days.date(edge + 1))
+            assert got.start == days.date(edge) and len(got.values) == 2
 
     def test_forward_passes_run_on_one_blas_thread_and_count_is_restored(self, dataset, monkeypatch):
         api = lstm_mod._openblas_threads_api()
@@ -697,13 +698,13 @@ class TestWritePredictions:
         values[0, 0] = 100.0
         values[-1, -1] = 5e-324
         values[anchors // 2, k // 2] = -1.0 / 3.0
-        forecasts = [(first + dt.timedelta(days=n), values[n]) for n in range(anchors)]
-        write_predictions_csv(tmp_path / "new.csv", forecasts)
-        old_write_predictions_csv(tmp_path / "old.csv", forecasts)
+        write_predictions_csv(tmp_path / "new.csv", Forecasts(first, values))
+        old_write_predictions_csv(tmp_path / "old.csv", [(first + dt.timedelta(days=n), values[n])
+                                                         for n in range(anchors)])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_no_forecasts_writes_the_header(self, tmp_path):
-        write_predictions_csv(tmp_path / "p.csv", [])
+        write_predictions_csv(tmp_path / "p.csv", Forecasts(dt.date(2020, 1, 1), np.empty((0, 3))))
         assert (tmp_path / "p.csv").read_text() == "anchor_date,step,target_date,value\n"
 
 
@@ -810,6 +811,29 @@ class TestEvaluateCommand:
         cfg = base_config(dataset, tmp_path / "run")
         assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
                      "--out", str(tmp_path / "run")]) == 3
+
+    def test_predictions_without_rows_exit_2_naming_the_file(self, dataset, tmp_path, capsys):
+        # What the writer writes for a table of no anchors.
+        preds = tmp_path / "empty.csv"
+        write_predictions_csv(preds, Forecasts(dt.date(2019, 3, 1), np.empty((0, 3))))
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"{preds}: the file has no rows after its header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_predictions_numerical_failure(self, dataset, tmp_path, capsys, value):
+        # The reader takes any float; evaluate refuses to score a non-finite
+        # one before it writes anything.
+        lines = prediction_lines(dt.date(2019, 3, 1), 10, 3)
+        lines[13] = lines[13].rsplit(",", 1)[0] + "," + value
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(["anchor_date,step,target_date,value", *lines]) + "\n")
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "the estimated series holds a non-finite value" in capsys.readouterr().err
+        assert [f.name for f in (tmp_path / "run").iterdir()] == ["config.yaml"]
 
     @pytest.mark.parametrize("first,count,code,message", [
         ("2017-11-01", 30, 2, "predictions and dataset do not overlap in time"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eadforecast.errors import ConfigError, NumericalError
 from eadforecast.metrics import (
+    Forecasts,
     corr_coeff,
     descriptive_stats,
     evaluate_series,
@@ -133,21 +134,19 @@ def day(n):
 
 class TestHorizonAggregate:
     def test_k1_passthrough(self):
-        agg = horizon_aggregate([(day(0), np.array([10.0])), (day(1), np.array([12.0]))])
+        agg = horizon_aggregate(Forecasts(day(0), [[10.0], [12.0]]))
         assert np.array_equal(agg.mean, [10.0, 12.0])
         assert np.array_equal(agg.min, agg.max)
         assert np.array_equal(agg.count, [1, 1])
 
     def test_k2_middle_date(self):
         # anchors day0 (10,20) and day1 (30,40): day1 is covered by 20 and 30.
-        agg = horizon_aggregate([(day(0), np.array([10.0, 20.0])), (day(1), np.array([30.0, 40.0]))])
+        agg = horizon_aggregate(Forecasts(day(0), [[10.0, 20.0], [30.0, 40.0]]))
         i = agg.dates.index(day(1))
         assert agg.mean[i] == 25.0 and agg.min[i] == 20.0 and agg.max[i] == 30.0
 
     def test_first_date_covered_once(self):
-        agg = horizon_aggregate(
-            [(day(n), np.array([1.0, 2.0, 3.0])) for n in range(5)]
-        )
+        agg = horizon_aggregate(Forecasts(day(0), np.tile([1.0, 2.0, 3.0], (5, 1))))
         assert agg.dates[0] == day(0)
         assert agg.count[0] == 1
 
@@ -156,8 +155,7 @@ class TestHorizonAggregate:
         # min <= mean <= max everywhere.
         rng = np.random.default_rng(5)
         k = 4
-        forecasts = [(day(n), rng.uniform(0, 100, size=k)) for n in range(12)]
-        agg = horizon_aggregate(forecasts)
+        agg = horizon_aggregate(Forecasts(day(0), rng.uniform(0, 100, size=(12, k))))
         assert np.all(agg.min <= agg.mean) and np.all(agg.mean <= agg.max)
         assert np.all((agg.count >= 1) & (agg.count <= k))
         interior = [i for i, d in enumerate(agg.dates) if day(k - 1) <= d <= day(11)]
@@ -168,7 +166,7 @@ class TestHorizonAggregate:
         # Every value covering a date, in anchor order, reduced per date.
         per_date = per_date_values(forecasts)
         agg = horizon_aggregate(forecasts)
-        assert agg.dates == list(per_date) and agg.horizon == len(forecasts[0][1])
+        assert agg.dates == list(per_date) and agg.horizon == forecasts.values.shape[1]
         for got, reduce in ((agg.mean, np.mean), (agg.min, np.min), (agg.max, np.max), (agg.count, len)):
             want = np.array([reduce(values) for values in per_date.values()])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -178,8 +176,7 @@ class TestHorizonAggregate:
     def test_matches_per_date_loop(self, k, anchors):
         # Spans shorter than K are all ragged edge.
         rng = np.random.default_rng(1000 * k + anchors)
-        self.assert_matches_per_date_oracle(
-            [(day(n), rng.uniform(0, 300, size=k)) for n in range(anchors)])
+        self.assert_matches_per_date_oracle(Forecasts(day(0), rng.uniform(0, 300, size=(anchors, k))))
 
     @given(first=st.dates(dt.date(2000, 1, 1), dt.date(2099, 1, 1)), k=st.integers(1, 40),
            anchors=st.integers(1, 90), seed=st.integers(0, 2**32 - 1),
@@ -192,16 +189,16 @@ class TestHorizonAggregate:
             y = rng.integers(-2, 3, size=(anchors, k)) * 0.1
         else:
             y = rng.normal(size=(anchors, k)) * 10.0 ** rng.integers(-8, 8, size=(anchors, k))
-        self.assert_matches_per_date_oracle(
-            [(first + dt.timedelta(days=n), y[n]) for n in range(anchors)])
-
-    def test_gap_in_anchors_rejected(self):
-        with pytest.raises(ConfigError):
-            horizon_aggregate([(day(0), np.array([1.0])), (day(2), np.array([1.0]))])
+        self.assert_matches_per_date_oracle(Forecasts(first, y))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            horizon_aggregate([])
+            horizon_aggregate(Forecasts(day(0), np.empty((0, 3))))
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (3, 0), (2, 3, 1)])
+    def test_values_other_than_anchors_by_k_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            Forecasts(day(0), np.zeros(shape))
 
 
 class TestPolyfit3:
@@ -240,3 +237,12 @@ class TestEvaluateSeries:
         assert rep.cc == pytest.approx(1.0, abs=1e-12)
         assert rep.mae == 0.0
         assert rep.stats_real.mean == rep.stats_est.mean
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["actual", "estimated"])
+    def test_non_finite_value_is_numerical_error(self, which, bad):
+        series = {"actual": np.array([100.0, 110.0, 120.0, 125.0]),
+                  "estimated": np.array([101.0, 108.0, 119.0, 127.0])}
+        series[which][2] = bad
+        with pytest.raises(NumericalError, match=f"the {which} series holds a non-finite value"):
+            evaluate_series(series["actual"], series["estimated"])
