@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,10 +28,7 @@ FORMAT_VERSION = 1
 # Header entries load_checkpoint reads besides format_version and config_digest.
 HEADER_KEYS = ("arch", "scaler", "meta", "arrays", "payload_sha256")
 # The header's arch entry: every ModelSpec field, each of one JSON type.
-ARCH_TYPES = {
-    "input_dim": int, "hidden1": int, "hidden2": int, "fc1": int, "fc2": int,
-    "horizon": int, "head_activation": str, "lagged_m": bool,
-}
+ARCH_TYPES = typing.get_type_hints(ModelSpec)
 
 
 def config_digest(payload: dict) -> str:

@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import lstm as lstm_mod  # called through the module, so wrappers on it (perfbench) apply
 from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_table
 from .lstm import ModelSpec, init_params
 from .metrics import EvalReport, Forecasts, HorizonSeries, evaluate_series, horizon_aggregate, relative_errors
 from .training import TrainConfig, apply_scaler, fit_scaler, train
@@ -334,7 +334,7 @@ def _prediction_columns(first: dt.date, a0: int, a1: int, k: int) -> tuple[list,
     """The anchor, step and target columns of the lines of anchors a0..a1-1,
     anchor a being the day first + a: K lines per anchor, steps 1..K, the
     target anchor + step - 1. Each date is formatted once."""
-    iso = [(first + dt.timedelta(days=d)).isoformat() for d in range(a0, a1 + k - 1)]
+    iso = data_mod.iso_days(first + dt.timedelta(days=a0), a1 - a0 + k - 1)
     anchors = [*chain.from_iterable(map(repeat, iso[: a1 - a0], repeat(k)))]
     targets = [*chain.from_iterable(iso[a : a + k] for a in range(a1 - a0))]
     return anchors, [str(step) for step in range(1, k + 1)] * (a1 - a0), targets
@@ -362,9 +362,11 @@ def read_predictions_csv(path) -> Forecasts:
     and target date anchor + step - 1, K taken from the first anchor, and
     each anchor the day after the one before. The first line that departs
     from it, or has a value that is not a number, is a DataError that names
-    it; so is a file with no rows, or one that is not UTF-8 text. The file
-    is read in blocks of whole anchors, each checked against the columns
-    the writer joins (_prediction_columns).
+    it; so is a file with no rows, or one that is not UTF-8 text. A value
+    is a number as in the input files (data.cell_fault): a digit-group
+    underscore or a non-ASCII digit is refused. The file is read in blocks
+    of whole anchors, each checked against the columns the writer joins
+    (_prediction_columns).
     """
     path = Path(path)
     if not path.exists():
@@ -400,12 +402,15 @@ def _read_predictions(path: Path, fh) -> Forecasts:
         n = len(block)
         # The block's cells. Only the value cells may end in a newline, so
         # 4n cells whose other columns are the writer's are n lines of 4.
-        fields = ",".join(block).split(",")
+        text = ",".join(block)
+        fields = text.split(",")
         columns = _prediction_columns(first, row // k, (row + n + k - 1) // k, k)
         columns = [column[:n] for column in columns]
         if not (len(fields) == 4 * n and all(fields[i::4] == col for i, col in enumerate(columns))):
             _refuse_prediction_lines(path, block, row, first, k, columns)
         try:
+            if "_" in text or not text.isascii():
+                raise ValueError
             values.append(np.fromiter(map(float, fields[3::4]), np.float64, n))
         except ValueError:
             _refuse_prediction_lines(path, block, row, first, k, columns)
@@ -431,37 +436,25 @@ def _refuse_prediction_lines(path, lines: list[str], row: int, first: dt.date, k
                 f"{where}: row {','.join(fields[:3])} is out of written order; expected "
                 f"{','.join(want)} (anchors one day apart from {first}, steps 1..{k})"
             )
-        try:
-            float(fields[3])
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from None
+        if fault := data_mod.cell_fault(fields[3], float, "value"):
+            raise DataError(f"{where}: {fault}")
     raise AssertionError("a refused block has no bad line")
 
 
-def write_horizon_csv(path, agg) -> None:
-    lines = ["date,mean,min,max,count"]
-    for i, day in enumerate(agg.dates):
-        lines.append(
-            f"{day.isoformat()},{float(agg.mean[i])!r},{float(agg.min[i])!r},"
-            f"{float(agg.max[i])!r},{int(agg.count[i])}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_history_csv(path, history) -> None:
-    lines = ["epoch,loss"] + [f"{i + 1},{loss!r}" for i, loss in enumerate(history)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_horizon_csv(path, agg: HorizonSeries) -> None:
+    columns = (agg.mean.tolist(), agg.min.tolist(), agg.max.tolist(), agg.count.tolist())
+    write_table(path, ["date", "mean", "min", "max", "count"],
+                zip(data_mod.iso_days(agg.start, len(agg.mean)), *columns))
 
 
 @dataclass
 class Evaluation:
     """What run_evaluation scored: the per-date aggregate of the forecasts,
-    and the dates that have actuals (the first len(dates) of agg.dates) with
-    their actual and estimated (aggregate mean) counts."""
+    and the actual and estimated (aggregate mean) counts of its first days,
+    those that have actuals."""
 
     report: EvalReport
     agg: HorizonSeries
-    dates: list[dt.date]
     actual: np.ndarray
     estimate: np.ndarray
 
@@ -471,17 +464,16 @@ def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_di
     Dates after the table's last day are left out; dates before its first
     day are a DataError."""
     agg = horizon_aggregate(forecasts)
-    # agg.dates are consecutive: those with actuals are positions lo..hi-1.
-    first = days.offset(agg.dates[0])
-    lo, hi = max(-first, 0), min(len(days) - first, len(agg.dates))
+    # The aggregate's days with actuals are its entries lo..hi-1.
+    first = days.offset(agg.start)
+    lo, hi = max(-first, 0), min(len(days) - first, len(agg.mean))
     if lo >= hi:
         raise DataError("predictions and dataset do not overlap in time")
     if lo:
-        shown = ", ".join(d.isoformat() for d in agg.dates[: min(lo, 10)])
+        shown = ", ".join(data_mod.iso_days(agg.start, min(lo, 10)))
         raise DataError(f"dates in predictions have no matching actuals: {shown}")
 
     rows = slice(first, first + hi)
-    actual_dates = agg.dates[:hi]
     est = agg.mean[:hi]
     act = days.counts[group][rows]
     rep = evaluate_series(act, est, group=group, scenario=scenario)
@@ -490,7 +482,7 @@ def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_di
     report_mod.write_report_csv(out_dir / "report.csv", [rep])
     copy_reference_metrics(out_dir / "reference_metrics.csv")
     report_mod.render_line_chart(
-        out_dir / "timeline.svg", actual_dates,
+        out_dir / "timeline.svg", agg.start,
         {"actual": act, "estimated": est},
         f"Daily dispatch counts ({group}, {scenario})" if scenario else f"Daily dispatch counts ({group})",
     )
@@ -504,7 +496,7 @@ def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_di
         {"actual": act, "estimated": est},
         "Dispatch counts vs daily average humidity", "relative humidity (%)",
     )
-    return Evaluation(rep, agg, actual_dates, act, est)
+    return Evaluation(rep, agg, act, est)
 
 
 def copy_reference_metrics(dest: Path) -> None:
@@ -541,7 +533,7 @@ def cmd_train(args) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     model, scaler, history = run_training(cfg, days)
-    write_history_csv(out / "loss_history.csv", history)
+    write_table(out / "loss_history.csv", ["epoch", "loss"], enumerate(history, 1))
     meta = {name: getattr(cfg, name) for name in (*CHECKPOINT_SETTINGS, "seed", "loss", "init")}
     meta["train_span"] = [cfg.train_start.isoformat(), cfg.train_end.isoformat()]
     meta["run_digest"] = ckpt_io.config_digest(cfg.digest_payload())
@@ -597,6 +589,9 @@ def cmd_forecast(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
+    if unsafe := sorted(set(args.scenario or "") & set(',"\n\r<>&')):
+        raise ConfigError(f"--scenario may not hold {unsafe}: it is written unquoted into "
+                          "report.csv and as text into timeline.svg")
     cfg = build_run_config(args)
     cfg.validate(need_spans=False)
     days = load_records(cfg)
@@ -635,14 +630,10 @@ def cmd_ablate(args) -> None:
     results = run_ablation(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["variant,cc,mae,mae_skipped"]
-    box_lines = ["variant,min,q1,median,q3,max"]
-    for name, rep, errors in results:
-        lines.append(f"{name},{rep.cc!r},{rep.mae!r},{rep.mae_skipped}")
-        q = np.percentile(errors, [0, 25, 50, 75, 100])
-        box_lines.append(name + "," + ",".join(repr(float(v)) for v in q))
-    atomic_write_text(out / "ablation_report.csv", "\n".join(lines) + "\n")
-    atomic_write_text(out / "ablation_box.csv", "\n".join(box_lines) + "\n")
+    write_table(out / "ablation_report.csv", ["variant", "cc", "mae", "mae_skipped"],
+                ([name, rep.cc, rep.mae, rep.mae_skipped] for name, rep, _ in results))
+    write_table(out / "ablation_box.csv", ["variant", "min", "q1", "median", "q3", "max"],
+                ([name, *np.percentile(errors, [0, 25, 50, 75, 100])] for name, _, errors in results))
 
 
 def run_horizon_study(cfg: RunConfig, horizons):
@@ -668,16 +659,16 @@ def cmd_horizon(args) -> None:
     results = run_horizon_study(cfg, horizons)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["horizon,cc,mae"]
     for k, ev in results:
-        lines.append(f"{k},{ev.report.cc!r},{ev.report.mae!r}")
         write_horizon_csv(out / f"horizon_K{k}.csv", ev.agg)
+        n = len(ev.actual)
         report_mod.render_band_chart(
-            out / f"horizon_K{k}.svg", ev.dates, ev.actual,
-            ev.estimate, ev.agg.min[: len(ev.dates)], ev.agg.max[: len(ev.dates)],
+            out / f"horizon_K{k}.svg", ev.agg.start, ev.actual,
+            ev.estimate, ev.agg.min[:n], ev.agg.max[:n],
             f"{k}-day-ahead forecasts (mean with min/max band)",
         )
-    atomic_write_text(out / "horizon_report.csv", "\n".join(lines) + "\n")
+    write_table(out / "horizon_report.csv", ["horizon", "cc", "mae"],
+                ([k, ev.report.cc, ev.report.mae] for k, ev in results))
 
 
 # ---------------------------------------------------------------------------

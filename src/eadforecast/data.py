@@ -18,12 +18,13 @@ import datetime as dt
 import json
 import re
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_table
 
 GROUPS = ("all", "children", "adult", "elderly", "outdoor", "indoor")
 FEATURE_ORDER = ("temperature", "humidity", "day_label", "mobility")
@@ -110,7 +111,7 @@ MOBILITY_CSV = DatedCsv(("mobility_pct",), float, (
 ))
 
 
-def _cell_fault(cell: str, kind, what: str) -> str | None:
+def cell_fault(cell: str, kind, what: str) -> str | None:
     """What is wrong with a value cell of a DatedCsv kind in the column named
     what, or None. Python reads more numerals than a CSV file should hold:
     the digit-group underscores of 1_0 and non-ASCII digits such as
@@ -176,7 +177,7 @@ def read_dated_csv(path, spec: DatedCsv) -> tuple[np.ndarray, np.ndarray]:
         faulty = True
     if faulty:
         for i, cell in enumerate(cells):
-            if found := _cell_fault(cell, spec.kind, spec.label.format(spec.columns[i % cols])):
+            if found := cell_fault(cell, spec.kind, spec.label.format(spec.columns[i % cols])):
                 n, fault = i // cols, found
                 break
         values = list(map(spec.kind, cells[: n * cols]))
@@ -220,6 +221,11 @@ def load_holidays(path) -> set[dt.date]:
 def _day_range(start: dt.date, n: int) -> np.ndarray:
     """The n days from start as datetime64[D]."""
     return np.datetime64(start, "D") + np.arange(n)
+
+
+def iso_days(start: dt.date, n: int) -> list[str]:
+    """The n days from start as ISO text, YYYY-MM-DD."""
+    return np.datetime_as_string(_day_range(start, n)).tolist()
 
 
 def day_labels(start: dt.date, n: int, holidays) -> np.ndarray:
@@ -535,10 +541,9 @@ def write_dated_csv(path, spec: DatedCsv, start: dt.date, values: np.ndarray) ->
     file that read_dated_csv reads back bit for bit: a float cell as its
     repr, a count as its digits, and no row for a day with a NaN."""
     listed = ~np.isnan(values).any(axis=1)
-    iso = np.datetime_as_string(_day_range(start, len(values))[listed]).tolist()
     rows = (values[listed].astype(np.int64) if spec.kind is int else values[listed]).tolist()
-    lines = [",".join(spec.header), *(d + "," + ",".join(map(repr, row)) for d, row in zip(iso, rows))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    iso = compress(iso_days(start, len(values)), listed)
+    write_table(path, spec.header, ([d, *row] for d, row in zip(iso, rows)))
 
 
 def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:

@@ -1,4 +1,5 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes: temp file in the target directory, then rename; and
+the one CSV table writer built on them."""
 
 from __future__ import annotations
 
@@ -26,3 +27,17 @@ def atomic_write_bytes(path, payload: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _cell(value) -> str:
+    # float() first: under numpy 2, repr(np.float64(x)) is "np.float64(x)".
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_table(path, columns, rows) -> None:
+    """Write a CSV file of the header columns, then one line per row: a
+    float cell as the repr of the float, which reads back bit for bit, any
+    other cell as its str. Cells are not quoted, so none may hold a comma,
+    a quote or a line break."""
+    lines = [",".join(columns), *(",".join(map(_cell, row)) for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")

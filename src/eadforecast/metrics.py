@@ -158,14 +158,14 @@ class Forecasts:
 
 @dataclass
 class HorizonSeries:
-    """Per-date spread of all K-step forecasts covering that date."""
+    """Per-date spread of all K-step forecasts covering that date: entry d
+    of each array is for the day start + d."""
 
-    dates: list[dt.date]
+    start: dt.date
     mean: np.ndarray
     min: np.ndarray
     max: np.ndarray
     count: np.ndarray
-    horizon: int
 
 
 def horizon_aggregate(forecasts: Forecasts) -> HorizonSeries:
@@ -192,12 +192,11 @@ def horizon_aggregate(forecasts: Forecasts) -> HorizonSeries:
     for d in np.flatnonzero(~full):
         mean[d] = np.mean(V[d, valid[d]])
     return HorizonSeries(
-        dates=[forecasts.start + dt.timedelta(days=d) for d in range(n + k - 1)],
+        start=forecasts.start,
         mean=mean,
         min=np.min(V, axis=1, where=valid, initial=np.inf),
         max=np.max(V, axis=1, where=valid, initial=-np.inf),
         count=count,
-        horizon=k,
     )
 
 

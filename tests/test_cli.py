@@ -857,6 +857,20 @@ class TestEvaluateCommand:
             points = re.search(r'points="([^"]*)"', svg).group(1).split()
             assert len(points) == 15  # 2020-05-17 .. 2020-05-31
 
+    @pytest.mark.parametrize("scenario", ["a,b<c & d", 'say "x"', "two\nlines", "cr\r", "a>b"])
+    def test_scenario_that_report_or_svg_cannot_hold_exits_1(self, dataset, tmp_path, capsys, scenario):
+        # Unquoted in report.csv, a comma would add a field; in the
+        # timeline's title, < and & would break the SVG. Refused before
+        # anything is read or written.
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(["anchor_date,step,target_date,value",
+                                    *prediction_lines(dt.date(2019, 3, 1), 10, 1)]) + "\n")
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "run"), "--scenario", scenario]) == 1
+        assert "--scenario may not hold" in capsys.readouterr().err
+        assert [f.name for f in (tmp_path / "run").iterdir()] == ["config.yaml"]
+
     def test_disjoint_predictions_data_error(self, dataset, tmp_path):
         preds = tmp_path / "early.csv"
         preds.write_text(

@@ -1,9 +1,12 @@
-"""Atomic writes: content, no leftover temp files, permissions from the umask."""
+"""Atomic writes: content, no leftover temp files, permissions from the umask;
+and the CSV table writer's cells."""
 
 import os
 import stat
 
-from eadforecast.fileio import atomic_write_bytes
+import numpy as np
+
+from eadforecast.fileio import atomic_write_bytes, write_table
 
 
 def test_mode_follows_umask(tmp_path):
@@ -24,3 +27,11 @@ def test_overwrite_leaves_only_the_target(tmp_path):
     atomic_write_bytes(target, b"second")
     assert target.read_bytes() == b"second"
     assert [p.name for p in target.parent.iterdir()] == ["data.csv"]
+
+
+def test_table_cells(tmp_path):
+    # A float cell, numpy's included, is the repr of the float (numpy 2's
+    # repr of an np.float64 names its type); any other cell is its str.
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c", "d"], [[np.float64(0.1), 2.0, np.int64(3), "x"], (5, -0.0, 1e-300, "")])
+    assert path.read_text() == "a,b,c,d\n0.1,2.0,3,x\n5,-0.0,1e-300,\n"

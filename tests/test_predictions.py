@@ -176,3 +176,17 @@ def test_a_file_that_is_not_utf8_exits_2(small_dataset, workdir, where):
     path.write_bytes(text.replace(b"target", b"t\xe9rget") if where == "header" else text + b"\xe9\n")
     code, err = evaluate(small_dataset, path, workdir / "run")
     assert code == 2 and "not UTF-8" in err, err
+
+
+@pytest.mark.parametrize("value", ["1_000", "\u0661\u0662", "\uff15\uff10"])
+def test_a_value_python_reads_but_an_input_file_may_not_hold_exits_2(small_dataset, workdir, value):
+    # float() reads 1_000, Arabic-Indic 12 and full-width 50; the input
+    # files refuse them (data.cell_fault), and so does predictions.csv.
+    path = workdir / "numerals.csv"
+    write_predictions_csv(path, Forecasts(dt.date(2020, 1, 1), [[1.0, 2.0], [3.0, 4.0]]))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = evaluate(small_dataset, path, workdir / "run")
+    assert code == 2 and f"{path}:4: bad value {value!r}" in err, err
+    assert small_blocks(evaluate)(small_dataset, path, workdir / "run") == (code, err)
