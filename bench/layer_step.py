@@ -23,9 +23,10 @@ imports one side's package, trains the paper's network (lstm 50 -> lstm 30
   batch size, in MiB;
 - maxrss_mb: the worker's peak resident set (ru_maxrss), in MB.
 
-The layers are timed through wrappers on the module attributes that
-training calls, the boundaries perfbench/layers.py also times, so both
-sides are measured the same way whatever their internals. Repeats
+The layers are timed by the benchmark's own tracer (perfbench/tracer.py)
+on the targets perfbench/layers.py installs, as median self times of
+their spans, so both sides are measured the same way whatever their
+internals; the tracer is removed before the workspace is measured. Repeats
 alternate which side runs first; each value is the median over repeats,
 with the quartiles of the repeats.
 --repeats 0 skips this table.
@@ -64,6 +65,11 @@ STEPS = {8: 200, 64: 40, 256: 12}  # optimizer steps per timed epoch
 LAYERS = ("lstm1_fwd", "lstm2_fwd", "lstm1_bwd", "lstm2_bwd", "dense_fwd", "dense_bwd",
           "loss", "adam", "step")
 MEMORY = ("workspace_mib", "maxrss_mb")
+# The perfbench span (perfbench/layers.py TARGETS) each layer is timed by.
+SPAN_LAYERS = {"lstm.lstm1_fwd": "lstm1_fwd", "lstm.lstm2_fwd": "lstm2_fwd",
+               "lstm.lstm1_bwd": "lstm1_bwd", "lstm.lstm2_bwd": "lstm2_bwd",
+               "lstm.forward_batch": "dense_fwd", "lstm.backward_batch": "dense_bwd",
+               "losses.loss": "loss", "training.adam": "adam"}
 # metric -> True when higher is better
 E2E = {"setup_s": False, "wall_s": False, "train_windows_per_s": True,
        "forecast_anchors_per_s": True, "peak_rss_mb": False, "test_cc": True}
@@ -116,36 +122,19 @@ def measure(src: str, batch: int) -> dict:
     training.train(model, X, Y, config)
     step_ms = 1e3 * (time.perf_counter() - t0) / STEPS[batch]
 
-    times: dict[str, list[float]] = {name: [] for name in LAYERS}
-    stack: list[float] = []  # child time accumulated per open call
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import layers
+    from tracer import Tracer
 
-    def wrap(module, attr, names):
-        orig = getattr(module, attr)
-        calls = [0]
-
-        def timed(*args, **kwargs):
-            stack.append(0.0)
-            start = time.perf_counter()
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                child = stack.pop()
-                if stack:
-                    stack[-1] += elapsed
-                times[names[calls[0] % len(names)]].append(1e3 * (elapsed - child))
-                calls[0] += 1
-
-        setattr(module, attr, timed)
-
-    wrap(lstm, "_lstm_forward_batch", ("lstm1_fwd", "lstm2_fwd"))
-    wrap(lstm, "_lstm_backward_batch", ("lstm2_bwd", "lstm1_bwd"))
-    wrap(training, "forward_batch", ("dense_fwd",))
-    wrap(training, "backward_batch", ("dense_bwd",))
-    wrap(training, "batch_loss_and_grad", ("loss",))
-    wrap(training, "_adam_update_flat", ("adam",))
+    tracer = Tracer()
+    layers.install(tracer)
     training.train(model, X, Y, config)
-    out = {name: statistics.median(v) for name, v in times.items() if v}
+    tracer.unwrap_all()
+    times: dict[str, list[float]] = {}
+    for span, self_s in zip(tracer.spans, tracer.self_times()):
+        if span.name in SPAN_LAYERS:
+            times.setdefault(SPAN_LAYERS[span.name], []).append(1e3 * self_s)
+    out = {name: statistics.median(times[name]) for name in LAYERS if name in times}
     out["step"] = step_ms
 
     ws = lstm.Workspace(model, batch, X.shape[1])

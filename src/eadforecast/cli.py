@@ -462,7 +462,8 @@ class Evaluation:
 def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
     """Aggregate forecasts per date, compare with actuals, emit report + charts.
     Dates after the table's last day are left out; dates before its first
-    day are a DataError."""
+    day are a DataError. Every chart is drawn before the first file is
+    written, so a refused score or chart leaves no file behind."""
     agg = horizon_aggregate(forecasts)
     # The aggregate's days with actuals are its entries lo..hi-1.
     first = days.offset(agg.start)
@@ -477,35 +478,27 @@ def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_di
     est = agg.mean[:hi]
     act = days.counts[group][rows]
     rep = evaluate_series(act, est, group=group, scenario=scenario)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_mod.write_report_csv(out_dir / "report.csv", [rep])
-    copy_reference_metrics(out_dir / "reference_metrics.csv")
-    report_mod.render_line_chart(
-        out_dir / "timeline.svg", agg.start,
-        {"actual": act, "estimated": est},
-        f"Daily dispatch counts ({group}, {scenario})" if scenario else f"Daily dispatch counts ({group})",
-    )
-    report_mod.render_scatter_fit(
-        out_dir / "fit_temperature.svg", days.tmax[rows],
-        {"actual": act, "estimated": est},
-        "Dispatch counts vs daily maximum temperature", "max temperature (degC)",
-    )
-    report_mod.render_scatter_fit(
-        out_dir / "fit_humidity.svg", days.humidity[rows],
-        {"actual": act, "estimated": est},
-        "Dispatch counts vs daily average humidity", "relative humidity (%)",
-    )
+    series = {"actual": act, "estimated": est}
+    charts = {
+        "timeline.svg": report_mod.render_line_chart(
+            agg.start, series,
+            f"Daily dispatch counts ({group}, {scenario})" if scenario else f"Daily dispatch counts ({group})",
+        ),
+        "fit_temperature.svg": report_mod.render_scatter_fit(
+            days.tmax[rows], series,
+            "Dispatch counts vs daily maximum temperature", "max temperature (degC)",
+        ),
+        "fit_humidity.svg": report_mod.render_scatter_fit(
+            days.humidity[rows], series,
+            "Dispatch counts vs daily average humidity", "relative humidity (%)",
+        ),
+    }
+    report_mod.write_report_csv(out_dir / "report.csv", rep)
+    reference = importlib.resources.files("eadforecast").joinpath("reference_metrics.csv")
+    atomic_write_text(out_dir / "reference_metrics.csv", reference.read_text(encoding="utf-8"))
+    for name, svg in charts.items():
+        atomic_write_text(out_dir / name, svg)
     return Evaluation(rep, agg, act, est)
-
-
-def copy_reference_metrics(dest: Path) -> None:
-    text = (
-        importlib.resources.files("eadforecast")
-        .joinpath("reference_metrics.csv")
-        .read_text(encoding="utf-8")
-    )
-    atomic_write_text(dest, text)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +575,6 @@ def cmd_forecast(args) -> None:
     days = load_records(cfg)
     forecasts = run_forecast(ckpt.model, ckpt.scaler, days, cfg, start, end)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(out / "predictions.csv", forecasts)
     write_horizon_csv(out / "horizon.csv", horizon_aggregate(forecasts))
     log.info("wrote %s", out / "predictions.csv")
@@ -600,55 +592,48 @@ def cmd_evaluate(args) -> None:
     log.info("group=%s cc=%.4f mae=%.4f", rep.group, rep.cc, rep.mae)
 
 
-def run_variant(cfg: RunConfig, days, scenario: str, out_dir: Path) -> Evaluation:
-    """Train on cfg's train span, forecast its test span and evaluate the
-    forecasts into out_dir: the step each ablation variant and each horizon
-    of the horizon study runs."""
-    model, scaler, _ = run_training(cfg, days)
-    forecasts = run_forecast(model, scaler, days, cfg, cfg.test_start, cfg.test_end)
-    ev = run_evaluation(days, forecasts, cfg.group, scenario, out_dir)
-    log.info("%-16s cc=%.4f mae=%.4f", scenario, ev.report.cc, ev.report.mae)
-    return ev
-
-
-def run_ablation(cfg: RunConfig):
-    """Train one variant per excluded feature and score each on the test span."""
-    if set(cfg.features) != set(data_mod.FEATURE_ORDER):
-        raise ConfigError("ablation requires all four features to be available")
+def run_study(cfg: RunConfig, variants: list[tuple[RunConfig, Path]]) -> list[Evaluation]:
+    """Train each variant (its settings, its output directory) on its train
+    span, forecast its test span and evaluate the forecasts into its
+    directory, as the scenario named after the directory: the step of each
+    ablation variant and each horizon of the horizon study. Every variant
+    is checked before the first one trains, and cfg's dataset, loaded once,
+    serves them all."""
+    for vcfg, _ in variants:
+        vcfg.validate()
     days = load_records(cfg)
-    results = []
-    for name, excluded in ABLATION_VARIANTS:
-        vcfg = replace(cfg, features=tuple(f for f in cfg.features if f != excluded))
-        ev = run_variant(vcfg, days, name, Path(cfg.out) / "ablate" / name)
-        results.append((name, ev.report, relative_errors(ev.actual, ev.estimate)[0]))
-    return results
+    evaluations = []
+    for vcfg, out_dir in variants:
+        model, scaler, _ = run_training(vcfg, days)
+        forecasts = run_forecast(model, scaler, days, vcfg, vcfg.test_start, vcfg.test_end)
+        ev = run_evaluation(days, forecasts, vcfg.group, out_dir.name, out_dir)
+        log.info("%-16s cc=%.4f mae=%.4f", out_dir.name, ev.report.cc, ev.report.mae)
+        evaluations.append(ev)
+    return evaluations
 
 
 def cmd_ablate(args) -> None:
+    """Train one variant per excluded feature and score each on the test span."""
     cfg = build_run_config(args)
-    cfg.validate()
-    results = run_ablation(cfg)
+    if set(cfg.features) != set(data_mod.FEATURE_ORDER):
+        raise ConfigError("ablation requires all four features to be available")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    evaluations = run_study(cfg, [
+        (replace(cfg, features=tuple(f for f in cfg.features if f != excluded)), out / "ablate" / name)
+        for name, excluded in ABLATION_VARIANTS
+    ])
     write_table(out / "ablation_report.csv", ["variant", "cc", "mae", "mae_skipped"],
-                ([name, rep.cc, rep.mae, rep.mae_skipped] for name, rep, _ in results))
+                ([ev.report.scenario, ev.report.cc, ev.report.mae, ev.report.mae_skipped]
+                 for ev in evaluations))
     write_table(out / "ablation_box.csv", ["variant", "min", "q1", "median", "q3", "max"],
-                ([name, *np.percentile(errors, [0, 25, 50, 75, 100])] for name, _, errors in results))
-
-
-def run_horizon_study(cfg: RunConfig, horizons):
-    """Train and score one model per horizon K on the test span."""
-    days = load_records(cfg)
-    return [
-        (int(k), run_variant(replace(cfg, horizon=int(k)), days, f"horizon_{k}",
-                             Path(cfg.out) / f"horizon_{k}"))
-        for k in horizons
-    ]
+                ([ev.report.scenario, *np.percentile(relative_errors(ev.actual, ev.estimate)[0],
+                                                     [0, 25, 50, 75, 100])]
+                 for ev in evaluations))
 
 
 def cmd_horizon(args) -> None:
+    """Train and score one model per horizon K on the test span."""
     cfg = build_run_config(args)
-    cfg.validate()
     try:
         horizons = DEFAULT_HORIZONS if args.horizons is None else [
             int(v) for v in args.horizons.split(",")]
@@ -656,19 +641,17 @@ def cmd_horizon(args) -> None:
         raise ConfigError(f"--horizons takes integers such as 3,7,14; got {args.horizons!r}") from None
     if len(set(horizons)) < len(horizons):
         raise ConfigError(f"horizons repeat in {args.horizons!r}")
-    results = run_horizon_study(cfg, horizons)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for k, ev in results:
+    evaluations = run_study(cfg, [(replace(cfg, horizon=k), out / f"horizon_{k}") for k in horizons])
+    for k, ev in zip(horizons, evaluations):
         write_horizon_csv(out / f"horizon_K{k}.csv", ev.agg)
         n = len(ev.actual)
-        report_mod.render_band_chart(
-            out / f"horizon_K{k}.svg", ev.agg.start, ev.actual,
-            ev.estimate, ev.agg.min[:n], ev.agg.max[:n],
+        atomic_write_text(out / f"horizon_K{k}.svg", report_mod.render_band_chart(
+            ev.agg.start, ev.actual, ev.estimate, ev.agg.min[:n], ev.agg.max[:n],
             f"{k}-day-ahead forecasts (mean with min/max band)",
-        )
+        ))
     write_table(out / "horizon_report.csv", ["horizon", "cc", "mae"],
-                ([k, ev.report.cc, ev.report.mae] for k, ev in results))
+                ([k, ev.report.cc, ev.report.mae] for k, ev in zip(horizons, evaluations)))
 
 
 # ---------------------------------------------------------------------------

@@ -250,42 +250,35 @@ def month_end(month: str) -> dt.date:
     return dt.date(year, number + 1, 1) - dt.timedelta(days=1)
 
 
-def fill_mobility(days: Days, baseline_month: str | None = None) -> Days:
+def fill_mobility(days: Days, baseline_month: str) -> Days:
     """Complete the sparse mobility column.
 
-    Policy: every date up to the end of the baseline month that precedes the
-    first observation is at baseline (100.0); the stretch from the baseline
-    month's end to the first observation is linearly interpolated; interior
-    gaps interpolate between their observed neighbors; trailing gaps hold the
-    last observed value. Without a baseline month, leading gaps hold the
-    first observation backward. Observed days keep their values.
+    Policy: every date up to the end of the baseline month (YYYY-MM) that
+    precedes the first observation is at baseline (100.0); the stretch from
+    the baseline month's end to the first observation is linearly
+    interpolated; interior gaps interpolate between their observed
+    neighbors; trailing gaps hold the last observed value. Observed days
+    keep their values.
     """
     if not len(days):
         raise DataError("fill_mobility called with no days")
-    baseline_end: int | None = None  # the day offset of the baseline month's last day
-    if baseline_month is not None:
-        try:
-            baseline_end = days.offset(month_end(baseline_month))
-        except ValueError:
-            raise ConfigError(f"bad baseline month {baseline_month!r}; expected YYYY-MM") from None
+    try:
+        baseline_end = days.offset(month_end(baseline_month))  # the baseline month's last day
+    except ValueError:
+        raise ConfigError(f"bad baseline month {baseline_month!r}; expected YYYY-MM") from None
     gap = np.isnan(days.mobility)
     # The known points (day offset, value) the filled days are read from.
     at = np.flatnonzero(~gap)
     value = days.mobility[at]
-    if not at.size:
-        if baseline_end is None:
-            raise DataError("no mobility observations and no baseline month configured")
-        at, value = np.array([baseline_end]), np.array([100.0])
-    elif baseline_end is not None and at[0] > baseline_end:
+    if not at.size or at[0] > baseline_end:
         at, value = np.r_[baseline_end, at], np.r_[100.0, value]
 
     t = np.arange(len(days))
     j = np.searchsorted(at, t)  # at[j - 1] < t <= at[j]
     filled = np.full(len(days), value[-1])  # trailing hold
-    lead = j == 0
-    filled[lead] = value[0]
-    if baseline_end is not None:
-        filled[lead & (t <= baseline_end)] = 100.0
+    # Days up to the first known point: the baseline month's end, or an
+    # observation on or before it.
+    filled[j == 0] = 100.0
     mid = np.flatnonzero((j > 0) & (j < len(at)))
     t0, t1, v0, v1 = at[j[mid] - 1], at[j[mid]], value[j[mid] - 1], value[j[mid]]
     filled[mid] = v0 + (v1 - v0) * ((mid - t0) / (t1 - t0))
@@ -549,7 +542,6 @@ def write_dated_csv(path, spec: DatedCsv, start: dt.date, values: np.ndarray) ->
 def write_dataset(result: SynthResult, out_dir) -> dict[str, Path]:
     """Write weather/ead/mobility/holidays files plus the ground-truth JSON."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "weather": out / "weather.csv",
         "ead": out / "ead.csv",

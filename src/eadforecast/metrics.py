@@ -31,7 +31,9 @@ def corr_coeff(u, v) -> float:
     su, sv = a.sum(), b.sum()
     duu = n * (a @ a) - su * su
     dvv = n * (b @ b) - sv * sv
-    if duu <= 0.0 or dvv <= 0.0:
+    # Constancy is tested exactly: the rounding in duu of a constant
+    # non-integer series (0.1, ...) leaves it a tiny positive number.
+    if a.min() == a.max() or b.min() == b.max() or duu <= 0.0 or dvv <= 0.0:
         raise NumericalError("correlation undefined: an input series is constant")
     return float((n * (a @ b) - su * sv) / np.sqrt(duu * dvv))
 
@@ -90,8 +92,11 @@ def descriptive_stats(series) -> StatsRow:
     if x.ndim != 1 or x.size < 1:
         raise ConfigError(f"descriptive_stats needs a nonempty 1-d series, got shape {x.shape}")
     n = x.size
+    lo, hi = float(x.min()), float(x.max())
     mean = float(x.mean())
-    stdev = float(x.std(ddof=1)) if n > 1 else 0.0
+    # A constant series (lo == hi, tested exactly) has stdev 0 and no
+    # skewness or kurtosis, whatever the rounding of its mean leaves.
+    stdev = float(x.std(ddof=1)) if lo < hi else 0.0
     counter = Counter(np.rint(x).astype(np.int64).tolist())
     top = max(counter.values())
     mode = float(min(value for value, cnt in counter.items() if cnt == top))
@@ -115,9 +120,9 @@ def descriptive_stats(series) -> StatsRow:
         stdev=stdev,
         kurtosis=kurtosis,
         skewness=skewness,
-        range=float(x.max() - x.min()),
-        min=float(x.min()),
-        max=float(x.max()),
+        range=hi - lo,
+        min=lo,
+        max=hi,
         sum=float(x.sum()),
         n=n,
     )

@@ -2,8 +2,8 @@
 
 The report format pairs a descriptive-statistics row for the actual and the
 estimated series per (scenario, group), followed by CC and relative MAE.
-Charts are written as minimal hand-built SVG so identical inputs always
-produce identical bytes; each renderer adds its own marks to a `_Chart`.
+Each renderer returns a chart as minimal hand-built SVG text, so identical
+inputs always give identical bytes; it adds its own marks to a `_Chart`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .fileio import atomic_write_text, write_table
+from .fileio import write_table
 from .metrics import EvalReport, StatsRow, polyfit3, polyval
 
 STAT_COLUMNS = [
@@ -33,13 +33,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_report_csv(path, reports: list[EvalReport]) -> None:
+def write_report_csv(path, rep: EvalReport) -> None:
     rows = []
-    for rep in reports:
-        for series, stats, scores in (("Real", rep.stats_real, [None, None]),
-                                      ("Est", rep.stats_est, [rep.cc, rep.mae])):
-            cells = [getattr(stats, name) for name in _STAT_FIELDS] + scores
-            rows.append([rep.scenario, rep.group, series, *map(_fmt, cells)])
+    for series, stats, scores in (("Real", rep.stats_real, [None, None]),
+                                  ("Est", rep.stats_est, [rep.cc, rep.mae])):
+        cells = [getattr(stats, name) for name in _STAT_FIELDS] + scores
+        rows.append([rep.scenario, rep.group, series, *map(_fmt, cells)])
     write_table(path, REPORT_HEADER, rows)
 
 
@@ -113,11 +112,11 @@ class _Chart:
     def legend(self, idx: int, name: str, color: str) -> None:
         self.parts.append(f'<text x="{_W - _MR - 150}" y="{_MT + 16 * idx + 10}" fill="{color}">{name}</text>')
 
-    def write(self, path) -> None:
-        atomic_write_text(path, "\n".join(self.parts + ["</svg>"]) + "\n")
+    def text(self) -> str:
+        return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def render_line_chart(path, start: dt.date, series: dict[str, np.ndarray], title: str) -> None:
+def render_line_chart(start: dt.date, series: dict[str, np.ndarray], title: str) -> str:
     """One colored line per named series over the consecutive days from start."""
     x = start.toordinal() + np.arange(len(next(iter(series.values()))), dtype=np.float64)
     chart = _Chart(title, x, series.values(), days=True)
@@ -125,10 +124,10 @@ def render_line_chart(path, start: dt.date, series: dict[str, np.ndarray], title
         color = _COLORS[idx % len(_COLORS)]
         chart.line(x, values, color)
         chart.legend(idx, name, color)
-    chart.write(path)
+    return chart.text()
 
 
-def render_scatter_fit(path, x, series: dict[str, np.ndarray], title: str, xlabel: str) -> None:
+def render_scatter_fit(x, series: dict[str, np.ndarray], title: str, xlabel: str) -> str:
     """Scatter of each series against x, with its best-fitting cubic curve."""
     xv = np.asarray(x, dtype=np.float64)
     chart = _Chart(title, xv, series.values(), days=False)
@@ -145,13 +144,13 @@ def render_scatter_fit(path, x, series: dict[str, np.ndarray], title: str, xlabe
             )
         chart.line(grid, polyval(polyfit3(xv, yv), grid), color, width="2")
         chart.legend(idx, name, color)
-    chart.write(path)
+    return chart.text()
 
 
 def render_band_chart(
-    path, start: dt.date, actual: np.ndarray, mean: np.ndarray,
+    start: dt.date, actual: np.ndarray, mean: np.ndarray,
     low: np.ndarray, high: np.ndarray, title: str,
-) -> None:
+) -> str:
     """Actual line plus the min/max band and mean of overlapping forecasts,
     over the consecutive days from start."""
     x = start.toordinal() + np.arange(len(actual), dtype=np.float64)
@@ -164,4 +163,4 @@ def render_band_chart(
         chart.line(x, values, color)
     for idx, (name, _, color) in enumerate(entries):
         chart.legend(idx, name, color)
-    chart.write(path)
+    return chart.text()

@@ -167,17 +167,17 @@ def fill_mobility_by_days(days, baseline_month) -> list[float]:
     to the baseline month's end before the first observation are 100, a day
     between two known points (observations, and the baseline month's end at
     100 if it precedes the first observation) is on the line between them,
-    and the other leading and trailing days hold the nearest known value."""
+    and trailing days hold the last known value."""
     dates = [days.start + dt.timedelta(days=i) for i in range(len(days))]
     observed = days.mobility.tolist()
     known = [(d, m) for d, m in zip(dates, observed) if not math.isnan(m)]
-    baseline_end = None if baseline_month is None else month_end(baseline_month)
-    if baseline_end is not None and (not known or known[0][0] > baseline_end):
+    baseline_end = month_end(baseline_month)
+    if not known or known[0][0] > baseline_end:
         known.insert(0, (baseline_end, 100.0))
 
     def value_at(day: dt.date) -> float:
-        if day <= known[0][0]:
-            return 100.0 if baseline_end is not None and day <= baseline_end else known[0][1]
+        if day <= known[0][0]:  # the first known point is on or before baseline_end
+            return 100.0
         for (d0, v0), (d1, v1) in zip(known, known[1:]):
             if d0 < day <= d1:
                 return v0 + (v1 - v0) * ((day - d0).days / (d1 - d0).days)

@@ -17,6 +17,7 @@ import yaml
 
 import eadforecast
 from eadforecast import checkpoint as ckpt_io
+from eadforecast import cli as cli_mod
 from eadforecast import lstm as lstm_mod
 from eadforecast.cli import (
     FORECAST_CHUNK, RunConfig, build_parser, build_run_config, load_records, main, run_forecast,
@@ -29,7 +30,7 @@ from eadforecast.errors import ConfigError, DataError
 from eadforecast.lstm import ModelSpec, forward_batch, init_params
 from eadforecast.metrics import Forecasts
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
-from eadforecast.training import fit_scaler
+from eadforecast.training import fit_scaler, train
 
 
 @pytest.fixture(scope="module")
@@ -798,19 +799,35 @@ class TestEvaluateCommand:
         assert float(est[-2]) == pytest.approx(1.0, abs=1e-12)  # CC
         assert float(est[-1]) == 0.0  # MAE
 
-    def test_constant_predictions_numerical_failure(self, dataset, tmp_path):
+    # A constant that is not an integer leaves its series' variance a tiny
+    # positive number after rounding; it is constant all the same.
+    @pytest.mark.parametrize("rows,value", [(30, "100.0"), (60, "0.1")], ids=["integer", "non_integer"])
+    def test_constant_predictions_numerical_failure(self, dataset, tmp_path, rows, value):
         root, paths = dataset
         days = load_dataset(paths["weather"], paths["ead"],
                             mobility_path=paths["mobility"], holidays_path=paths["holidays"])
         lines = ["anchor_date,step,target_date,value"]
-        for i in range(30):
+        for i in range(rows):
             iso = days.date(i).isoformat()
-            lines.append(f"{iso},1,{iso},100.0")
+            lines.append(f"{iso},1,{iso},{value}")
         preds = tmp_path / "flat.csv"
         preds.write_text("\n".join(lines) + "\n")
         cfg = base_config(dataset, tmp_path / "run")
         assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
                      "--out", str(tmp_path / "run")]) == 3
+
+    def test_refused_cubic_fit_writes_nothing(self, dataset, tmp_path, capsys):
+        # Three days have at most three distinct temperatures, too few for
+        # the scatter's cubic fit; every chart is drawn before the first
+        # file is written, so the refusal leaves no --out directory.
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(["anchor_date,step,target_date,value",
+                                    *prediction_lines(dt.date(2020, 1, 1), 3, 1)]) + "\n")
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "ev")]) == 3
+        assert "cubic fit needs at least 4 distinct x values" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_predictions_without_rows_exit_2_naming_the_file(self, dataset, tmp_path, capsys):
         # What the writer writes for a table of no anchors.
@@ -919,6 +936,13 @@ class TestHorizonCommand:
             assert lo <= mid <= hi
             assert 1 <= int(row["count"]) <= 3
         assert (out / "horizon_K3.svg").exists()
+
+    def test_every_horizon_is_checked_before_training(self, dataset, tmp_path, monkeypatch):
+        trainings = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a: trainings.append(a) or train(*a))
+        cfg = base_config(dataset, tmp_path / "hz")
+        assert main(["horizon", "--config", str(cfg), "--horizons", "3,0", "--epochs", "1"]) == 1
+        assert trainings == [] and not (tmp_path / "hz" / "horizon_3").exists()
 
     @pytest.mark.parametrize("horizons", ["3,x", "3,,7", "3,3"])
     def test_malformed_horizons_exit_1(self, dataset, tmp_path, horizons):

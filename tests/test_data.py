@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eadforecast import data as data_mod
@@ -354,7 +354,7 @@ class TestDays:
 
 class TestFillMobility:
     def test_interior_gap_midpoint(self):
-        filled = fill_mobility(plain_days(dt.date(2020, 5, 1), [80.0, None, 60.0]))
+        filled = fill_mobility(plain_days(dt.date(2020, 5, 1), [80.0, None, 60.0]), "2020-01")
         assert filled.mobility[1] == 70.0
 
     def test_january_baseline_is_100(self):
@@ -373,18 +373,14 @@ class TestFillMobility:
         assert filled.mobility[10] == 100.0  # leading January day
 
     def test_trailing_hold(self):
-        filled = fill_mobility(plain_days(dt.date(2020, 5, 1), [70.0, None, None, None]))
+        filled = fill_mobility(plain_days(dt.date(2020, 5, 1), [70.0, None, None, None]), "2020-01")
         assert filled.mobility.tolist() == [70.0, 70.0, 70.0, 70.0]
-
-    def test_no_observations_no_baseline_rejected(self):
-        with pytest.raises(DataError):
-            fill_mobility(plain_days(dt.date(2020, 5, 1), [None, None, None]))
 
     def test_piecewise_linear_between_observations(self):
         # Second difference vanishes strictly between observation points.
         mobility = [None] * 30
         mobility[0], mobility[12], mobility[29] = 90.0, 54.0, 71.0
-        values = fill_mobility(plain_days(dt.date(2020, 2, 1), mobility)).mobility
+        values = fill_mobility(plain_days(dt.date(2020, 2, 1), mobility), "2020-01").mobility
         for seg in (values[0:13], values[12:30]):
             assert np.allclose(np.diff(seg, n=2), 0.0, atol=1e-9)
 
@@ -399,14 +395,12 @@ class TestFillMobility:
         dates = date_range(start, span)
         mobility = data.draw(st.lists(
             st.none() | st.floats(1.0, 250.0), min_size=span, max_size=span), "mobility")
-        month = data.draw(st.none() | st.sampled_from(["2019-09", "2019-12", "2020-01", "2020-03"]),
-                          "baseline month")
-        assume(month is not None or any(m is not None for m in mobility))
+        month = data.draw(st.sampled_from(["2019-09", "2019-12", "2020-01", "2020-03"]), "baseline month")
         filled = fill_mobility(plain_days(start, mobility), month).mobility.tolist()
         assert filled == fill_mobility_by_days(plain_days(start, mobility), month)
         known = {d: m for d, m in zip(dates, mobility) if m is not None}
-        baseline_end = None if month is None else month_end(month)
-        if baseline_end is not None and (not known or min(known) > baseline_end):
+        baseline_end = month_end(month)
+        if not known or min(known) > baseline_end:
             known[baseline_end] = 100.0
         known_days = sorted(known)
         for day, got, observed in zip(dates, filled, mobility):
@@ -414,7 +408,7 @@ class TestFillMobility:
             if observed is not None:
                 assert got == observed
                 continue
-            if baseline_end is not None and day <= baseline_end and day <= known_days[0]:
+            if day <= baseline_end and day <= known_days[0]:
                 assert got == 100.0
                 continue
             n = bisect.bisect(known_days, day)
@@ -426,7 +420,7 @@ class TestFillMobility:
 
     def test_returns_a_new_table_and_leaves_its_input(self):
         days = plain_days(dt.date(2020, 5, 1), [80.0, None, 60.0])
-        filled = fill_mobility(days)
+        filled = fill_mobility(days, "2020-01")
         assert filled.mobility.tolist() == [80.0, 70.0, 60.0]
         assert np.array_equal(days.mobility, [80.0, np.nan, 60.0], equal_nan=True)
         assert filled.start == days.start and filled.tmax is days.tmax

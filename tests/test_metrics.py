@@ -35,8 +35,12 @@ class TestCorrCoeff:
         assert corr_coeff([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
     def test_constant_input_rejected(self):
-        with pytest.raises(NumericalError):
-            corr_coeff([5, 5, 5], [1, 2, 3])
+        # Rounding leaves n*sum(v^2) - sum(v)^2 of sixty 0.1 a tiny positive
+        # number rather than 0; that series is constant all the same.
+        for u, v in [([5, 5, 5], [1, 2, 3]), (np.arange(60.0), np.full(60, 0.1)),
+                     (np.full(60, 0.1), np.arange(60.0))]:
+            with pytest.raises(NumericalError):
+                corr_coeff(u, v)
 
     def test_affine_invariance_sign(self):
         # cc(u, a*u + b) is exactly +-1 depending on the sign of a.
@@ -90,6 +94,11 @@ class TestDescriptiveStats:
     def test_constant_series(self):
         row = descriptive_stats([5.0, 5.0, 5.0, 5.0])
         assert row.mean == 5.0 and row.stdev == 0.0 and row.range == 0.0 and row.mode == 5.0
+        assert row.kurtosis is None and row.skewness is None
+        # The mean of thirty 0.1 is not exactly 0.1, so the deviations from
+        # it are not 0; the series is constant all the same.
+        row = descriptive_stats(np.full(30, 0.1))
+        assert row.stdev == 0.0 and row.std_error == 0.0 and row.range == 0.0
         assert row.kurtosis is None and row.skewness is None
 
     def test_hand_values(self):
