@@ -5,7 +5,7 @@
 CHECKOUT is the root of a checkout (it holds src/eadforecast). The runs
 use the dataset of `synth --seed 0 --start 2019-07-01 --end 2020-02-29`,
 train on 2019-07-01..2019-12-31 and test on 2020-01-01..2020-02-29 at
-batch 8 and seed 0:
+seed 0, and at batch 8 unless a run below names another:
 
 - data: the synthetic dataset itself;
 - train: `train`, `forecast` and `evaluate` at 2 epochs;
@@ -15,6 +15,10 @@ batch 8 and seed 0:
 - ablate: `ablate --epochs 1`;
 - horizon: `horizon --horizons 3,7 --epochs 1`;
 - lagged_xent: `train --eq5-lagged-m --loss xent` at 2 epochs;
+- wide and wide_lagged: `train --batch-size 256` at 2 epochs, the second
+  with `--eq5-lagged-m`. Each epoch is one batch of all 170 training
+  windows, large enough that lstm1's backward runs in blocks of one step,
+  and the lagged run reads i_{t+1} across those blocks;
 - config: `train --config config/config.yaml --epochs 1`, a run that
   reads a config file (CONFIG below: data paths relative to the file, the
   `squared_error` loss alias and the file-only settings `shuffle: false`
@@ -135,6 +139,8 @@ def runs(work: Path) -> list[list[str]]:
         cli("ablate", "ablate", "--epochs", "1"),
         cli("horizon", "horizon", "--horizons", "3,7", "--epochs", "1"),
         cli("train", "lagged_xent", "--epochs", "2", "--eq5-lagged-m", "--loss", "xent"),
+        cli("train", "wide", "--epochs", "2", "--batch-size", "256"),
+        cli("train", "wide_lagged", "--epochs", "2", "--batch-size", "256", "--eq5-lagged-m"),
         ["train", "--config", str(work / "config" / "config.yaml"), "--epochs", "1"],
         ["train", "--config", str(sparse / "config.yaml"), "--epochs", "1"],
         ["forecast", "--config", str(sparse / "config.yaml"),

@@ -266,12 +266,17 @@ def _slice_records(days: data_mod.Days, start: dt.date, end: dt.date) -> data_mo
     return days.between(start, end)
 
 
-def run_training(cfg: RunConfig, days) -> tuple[object, object, list[float]]:
-    """Fit the scaler on training windows only, then train the network."""
-    windows = data_mod.make_windows(
+def train_windows(cfg: RunConfig, days: data_mod.Days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """make_windows' windows of cfg's train span."""
+    return data_mod.make_windows(
         _slice_records(days, cfg.train_start, cfg.train_end),
         cfg.lookback, cfg.horizon, cfg.features, cfg.group,
     )
+
+
+def run_training(cfg: RunConfig, windows) -> tuple[object, object, list[float]]:
+    """Fit the scaler on the training windows (train_windows) only, then
+    train the network."""
     scaler = fit_scaler(windows)
     X, Y = apply_scaler(scaler, windows)
     spec = ModelSpec(
@@ -285,6 +290,22 @@ def run_training(cfg: RunConfig, days) -> tuple[object, object, list[float]]:
     return model, scaler, history
 
 
+def anchor_rows(days: data_mod.Days, lookback: int, start: dt.date, end: dt.date) -> tuple[int, int]:
+    """The day-table rows of the first and last anchor day from start to
+    end, each of which must have its lookback days before it in the table."""
+    if start > end:
+        raise ConfigError("forecast span is empty")
+    first, last = days.offset(start), days.offset(end)
+    if first < lookback or last >= len(days):
+        # The first anchor short of history, or the first past the last day.
+        day = days.date(first if first < lookback else max(first, len(days)))
+        raise DataError(
+            f"not enough history before {day.isoformat()}: "
+            f"need {lookback} prior days in the dataset"
+        )
+    return first, last
+
+
 def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.date) -> Forecasts:
     """The K-day predictions, on the count scale, made at each anchor day
     from start to end.
@@ -294,16 +315,7 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
     network FORECAST_CHUNK at a time on one BLAS thread, through one
     workspace.
     """
-    if start > end:
-        raise ConfigError("forecast span is empty")
-    first, last = days.offset(start), days.offset(end)
-    if first < cfg.lookback or last >= len(days):
-        # The first anchor short of history, or the first past the last day.
-        day = days.date(first if first < cfg.lookback else max(first, len(days)))
-        raise DataError(
-            f"not enough history before {day.isoformat()}: "
-            f"need {cfg.lookback} prior days in the dataset"
-        )
+    first, last = anchor_rows(days, cfg.lookback, start, end)
     # Scaled once and gathered by row, as training's apply_scaler does.
     features = scaler.transform_features(data_mod.feature_matrix(days, cfg.features))
     window_rows = data_mod.window_rows(np.arange(first, last + 1), cfg.lookback)
@@ -525,7 +537,7 @@ def cmd_train(args) -> None:
     days = load_records(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, scaler, history = run_training(cfg, days)
+    model, scaler, history = run_training(cfg, train_windows(cfg, days))
     write_table(out / "loss_history.csv", ["epoch", "loss"], enumerate(history, 1))
     meta = {name: getattr(cfg, name) for name in (*CHECKPOINT_SETTINGS, "seed", "loss", "init")}
     meta["train_span"] = [cfg.train_start.isoformat(), cfg.train_end.isoformat()]
@@ -596,15 +608,20 @@ def run_study(cfg: RunConfig, variants: list[tuple[RunConfig, Path]]) -> list[Ev
     """Train each variant (its settings, its output directory) on its train
     span, forecast its test span and evaluate the forecasts into its
     directory, as the scenario named after the directory: the step of each
-    ablation variant and each horizon of the horizon study. Every variant
-    is checked before the first one trains, and cfg's dataset, loaded once,
-    serves them all."""
+    ablation variant and each horizon of the horizon study. cfg's dataset,
+    loaded once, serves them all. Every variant's settings, training windows
+    and test anchors are checked before the first one trains, and each
+    trains on the windows built for that check."""
     for vcfg, _ in variants:
         vcfg.validate()
     days = load_records(cfg)
+    windows = []
+    for vcfg, _ in variants:
+        windows.append(train_windows(vcfg, days))
+        anchor_rows(days, vcfg.lookback, vcfg.test_start, vcfg.test_end)
     evaluations = []
-    for vcfg, out_dir in variants:
-        model, scaler, _ = run_training(vcfg, days)
+    for (vcfg, out_dir), train_set in zip(variants, windows):
+        model, scaler, _ = run_training(vcfg, train_set)
         forecasts = run_forecast(model, scaler, days, vcfg, vcfg.test_start, vcfg.test_end)
         ev = run_evaluation(days, forecasts, vcfg.group, out_dir.name, out_dir)
         log.info("%-16s cc=%.4f mae=%.4f", out_dir.name, ev.report.cc, ev.report.mae)

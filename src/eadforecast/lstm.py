@@ -52,16 +52,24 @@ Appleyard et al. 2016, arXiv:1604.01946):
   layer's weight gradient is one matmul over all steps at the end that
   reads a_t in place, written straight into its W in the flat gradient.
 - Buffers. `Workspace` holds every per-step array of one model at a largest
-  batch once (the column blocks also gate-major, for the weight gradient)
-  and the flat gradient; `train` and `run_forecast` make one and reuse it,
-  so no step allocates. A forward pass copies each LSTM layer's W into its
-  buffer with the i/o/f rows halved; nothing else copies weights. The
-  forward cache is the workspace and, per LSTM layer, its input x, its
+  batch once and the flat gradient; `train` and `run_forecast` make one and
+  reuse it, so no step allocates. A forward pass copies each LSTM layer's W
+  into its buffer with the i/o/f rows halved; nothing else copies weights.
+  The forward cache is the workspace and, per LSTM layer, its input x, its
   outputs s and its buffers; the gates, c and tanh(c) stay in the buffers,
   and the forward and backward passes both cut their (T, rows, B) views of
-  a call with `_LayerBuffers.views`. The dense layers' z and outputs are
-  read back from their buffers at the batch's size. The returned outputs
-  are a view of the workspace too.
+  a call with `_LayerBuffers.views`. The arrays only a layer's backward
+  pass uses (a_t, the factors, the column blocks gate-major for the weight
+  gradient, ...) are views of one scratch of the workspace, allocated on
+  the first backward pass and sized for the larger layer: lstm2's backward
+  ends before lstm1's starts (memory sharing by liveness, Chen et al. 2016,
+  arXiv:1604.06174). lstm2's input gradient, which lstm1's backward reads,
+  is the only backward array of its own; lstm1 returns none, and the state
+  gradient it passes from step to step takes two step slots of the
+  scratch. No backward pass writes the forward cache, so a cache can be
+  backpropagated again. The dense layers' z and outputs are read back from
+  their buffers at the batch's size. The returned outputs are a view of
+  the workspace too.
 """
 
 from __future__ import annotations
@@ -156,6 +164,15 @@ class DenseLayerParams:
     activation: str = "rectifier"
 
 
+def _split(flat: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive views of flat, one per shape, from its start."""
+    out, end = [], 0
+    for shape in shapes:
+        start, end = end, end + math.prod(shape)
+        out.append(flat[start:end].reshape(shape))
+    return out
+
+
 class ForecastModel:
     """A ModelSpec and one flat parameter vector, theta.
 
@@ -176,17 +193,13 @@ class ForecastModel:
         self.theta = np.zeros(spec.size) if theta is None else theta
         if self.theta.shape != (spec.size,):
             raise ConfigError(f"parameter vector has shape {self.theta.shape}, expected ({spec.size},)")
-        end = 0
-
-        def take(*shape: int) -> np.ndarray:
-            nonlocal end
-            start, end = end, end + math.prod(shape)
-            return self.theta[start:end].reshape(shape)
-
-        for name, I, H in spec.lstm_layers():
-            setattr(self, name, LstmCellParams(take(4 * H, I + H + 1), I))
-        for name, I, O, activation in spec.dense_layers():
-            setattr(self, name, DenseLayerParams(take(O, I), take(O), activation))
+        lstm_shapes = [(4 * H, I + H + 1) for _, I, H in spec.lstm_layers()]
+        dense_shapes = [shape for _, I, O, _ in spec.dense_layers() for shape in ((O, I), (O,))]
+        arrays = iter(_split(self.theta, *lstm_shapes, *dense_shapes))
+        for name, I, _ in spec.lstm_layers():
+            setattr(self, name, LstmCellParams(next(arrays), I))
+        for name, _, _, activation in spec.dense_layers():
+            setattr(self, name, DenseLayerParams(next(arrays), next(arrays), activation))
 
     @property
     def input_dim(self) -> int:
@@ -256,6 +269,24 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
+class _Scratch:
+    """One flat array, allocated on first use and as large as the largest
+    size reserved, for the backward arrays of LSTM layers whose backward
+    passes never overlap. It holds no reference to the layers that share it,
+    so dropping a workspace frees it at once."""
+
+    def __init__(self):
+        self.size, self.array = 0, None
+
+    def reserve(self, size: int) -> None:
+        self.size = max(self.size, size)
+
+    def take(self) -> np.ndarray:
+        if self.array is None:
+            self.array = np.empty(self.size)
+        return self.array
+
+
 class _LayerBuffers:
     """Work arrays of one LSTM layer for up to `batch` windows of `steps` steps.
 
@@ -265,10 +296,13 @@ class _LayerBuffers:
     are flat and viewed per call as (T, rows, B) (`views`), so a smaller
     batch gets contiguous views of the same memory; only dpre and xs_rows,
     which the weight-gradient matmul reads, are gate-major, (rows, T, B).
-    The backward arrays are allocated on the first backward pass.
+    The backward arrays (`backward_shapes`) are views of `scratch`, which
+    layers whose backward passes never overlap share; the input gradient of
+    a layer whose backward returns it is `dx`. Both are allocated on the
+    first backward pass that uses them.
     """
 
-    def __init__(self, hidden: int, inp: int, batch: int, steps: int):
+    def __init__(self, hidden: int, inp: int, batch: int, steps: int, scratch: _Scratch):
         h4, k = 4 * hidden, inp + hidden + 1
         self.hidden, self.inp, self.batch, self.steps = hidden, inp, batch, steps
         # The layer's W with the i/o/f rows halved (load); step t multiplies
@@ -278,6 +312,10 @@ class _LayerBuffers:
         self.gates = np.empty(steps * h4 * batch)
         self.c, self.tanh_c = np.empty((2, steps * hidden * batch))
         self.cand = np.empty(hidden * batch)
+        # Steps per block of backward factors.
+        self.block = max(1, min(steps, BACKWARD_BLOCK_BYTES // (8 * h4 * batch)))
+        self.scratch = scratch
+        scratch.reserve(sum(math.prod(shape) for shape in self.backward_shapes(steps, batch)))
 
     def load(self, p: LstmCellParams) -> None:
         """Copy p.W into W, halving the i/o/f rows: sigmoid(z) is computed as
@@ -293,25 +331,22 @@ class _LayerBuffers:
         return (_view(self.xs, T + 1, k, B), _view(self.gates, T, 4 * H, B),
                 _view(self.c, T, H, B), _view(self.tanh_c, T, H, B))
 
-    @functools.cached_property
-    def block(self) -> int:
-        """Steps per block of backward factors."""
-        step_bytes = 8 * 4 * self.hidden * self.batch
-        return max(1, min(self.steps, BACKWARD_BLOCK_BYTES // step_bytes))
+    def backward_shapes(self, T: int, B: int) -> tuple[tuple[int, ...], ...]:
+        """The shapes of the backward arrays of a call at T steps and B
+        windows, in their order in the scratch: WT, [Wx | Ws] transposed;
+        dpre, d loss / d pre-activations, gate-major; one block of factors
+        and of P; the state ds, dc, the other step's dc and dc_next; xs_rows,
+        xs[:T] copied gate-major; and two step slots of d loss / d
+        [x_t; s_{t-1}], for a call that returns no dx."""
+        H, I = self.hidden, self.inp
+        h4, k = 4 * H, I + H + 1
+        return ((I + H, h4), (h4, T, B), (self.block, h4, B), (self.block, H, B), (4, H, B),
+                (k, T, B), (2, I + H, B))
 
     @functools.cached_property
-    def backward(self) -> dict:
-        H, I, B, T = self.hidden, self.inp, self.batch, self.steps
-        h4, k = 4 * H, I + H + 1
-        return {
-            "WT": np.empty((I + H, h4)),  # [Wx | Ws] transposed
-            "dpre": np.empty(h4 * T * B),  # gate-major: d loss / d pre-activations
-            "dxs": np.empty(T * (I + H) * B),  # per step: d loss / d [x_t; s_{t-1}]
-            "factors": np.empty(self.block * h4 * B),
-            "p": np.empty(self.block * H * B),
-            "state": np.empty((4, H * B)),  # ds, dc, the other step's dc, dc_next
-            "xs_rows": np.empty(T * k * B),  # xs[:T] copied gate-major
-        }
+    def dx(self) -> np.ndarray:
+        """Per step, d loss / d [x_t; s_{t-1}], for a backward that returns dx."""
+        return np.empty(self.steps * (self.inp + self.hidden) * self.batch)
 
 
 def _lstm_forward_batch(p: LstmCellParams, x: np.ndarray, lagged_m: bool, buf: _LayerBuffers) -> dict:
@@ -421,30 +456,28 @@ def _lstm_backward_batch(
     H = p.hidden_size
     h4, k = 4 * H, I + H + 1
     xs, G, C, TC = buf.views(T, B)
-    arrays = buf.backward
-    WT = arrays["WT"]
+    WT, dpre, factors, p_block, state, rows_x, dx_slots = _split(
+        buf.scratch.take(), *buf.backward_shapes(T, B))  # a_t is the column block dpre[:, t]
     np.copyto(WT, p.W[:, : I + H].T)
     dsT = ds_ext.transpose(0, 2, 1)
-    dpre = _view(arrays["dpre"], h4, T, B)  # a_t is the column block dpre[:, t]
-    dxs = _view(arrays["dxs"], T, I + H, B)
-    ds, dc, dc_other, dc_next = (_view(a, H, B) for a in arrays["state"])
+    # Step t reads only the ds rows of step t+1, so without dx two slots do.
+    dxs = _view(buf.dx, T, I + H, B) if need_dx else dx_slots
+    n = len(dxs)
+    ds, dc, dc_other, dc_next = state
     dc_next.fill(0.0)
     dc_other.fill(0.0)
     lo = 0 if need_dx else I  # dx rows of dxs are computed only when needed
     block = buf.block
     for t1 in range(T, 0, -block):
         t0 = max(t1 - block, 0)
-        F, P = _backward_factors(
-            G, C, TC, t0, t1, lagged_m,
-            _view(arrays["factors"], block, h4, B), _view(arrays["p"], block, H, B),
-        )
+        F, P = _backward_factors(G, C, TC, t0, t1, lagged_m, factors, p_block)
         F4 = F.reshape(t1 - t0, 4, H, B)
         for t in range(t1 - 1, t0 - 1, -1):
             j = t - t0
             if t == T - 1:
                 np.copyto(ds, dsT[t])
             else:
-                np.add(dsT[t], dxs[t + 1, I:], out=ds)
+                np.add(dsT[t], dxs[(t + 1) % n, I:], out=ds)
             np.multiply(ds, P[j], out=dc)
             dc += dc_next
             da = F[j]  # the step's factors become a_t in place
@@ -455,12 +488,11 @@ def _lstm_backward_batch(
             if lagged_m:
                 dc, dc_other = dc_other, dc
             if t or need_dx:
-                np.matmul(WT[lo:], da, out=dxs[t, lo:])
+                np.matmul(WT[lo:], da, out=dxs[t % n, lo:])
         np.copyto(dpre[:, t0:t1], F.transpose(1, 0, 2))
 
     # d loss / d [Wx | Ws | b] = sum over steps of a_t [x_t; s_{t-1}; 1]^T:
     # one matmul with the (step, window) pairs as columns, dpre read in place.
-    rows_x = _view(arrays["xs_rows"], k, T, B)
     np.copyto(rows_x, xs[:T].transpose(1, 0, 2))
     np.matmul(dpre.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=grad.W)
     return dxs[:, :I].transpose(0, 2, 1) if need_dx else None
@@ -541,8 +573,11 @@ class Workspace:
 
     def __init__(self, model: ForecastModel, batch: int, steps: int):
         self.model, self.batch, self.steps = model, batch, steps
-        self.lstm1 = _LayerBuffers(model.lstm1.hidden_size, model.lstm1.input_size, batch, steps)
-        self.lstm2 = _LayerBuffers(model.lstm2.hidden_size, model.lstm2.input_size, batch, steps)
+        # lstm2's backward ends before lstm1's starts, so one scratch serves both.
+        scratch = _Scratch()
+        self.lstm1, self.lstm2 = (
+            _LayerBuffers(layer.hidden_size, layer.input_size, batch, steps, scratch)
+            for layer in (model.lstm1, model.lstm2))
         self.fc1, self.fc2, self.head = (
             _DenseBuffers(layer, batch) for layer in (model.fc1, model.fc2, model.head))
 

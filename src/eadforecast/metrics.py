@@ -142,7 +142,7 @@ class Forecasts:
 
     len() and iteration over (anchor, row) pairs serve only the benchmark
     (perfbench/worker.py), which reads forecasts as such pairs; they go
-    with the benchmark's move to this type (ROADMAP item 2).
+    with the benchmark's move to this type (ROADMAP item 4).
     """
 
     start: dt.date

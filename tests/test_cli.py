@@ -920,6 +920,17 @@ class TestAblateCommand:
                      "--scenario", "all_features"]) == 0
         assert (direct / "report.csv").read_bytes() == (out / "ablate" / "all_features" / "report.csv").read_bytes()
 
+    def test_test_span_past_the_data_is_refused_before_training(self, dataset, tmp_path, monkeypatch,
+                                                                 capsys):
+        # The dataset ends on 2020-05-31, so no variant can forecast 2020-06.
+        trainings = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a: trainings.append(a) or train(*a))
+        cfg = base_config(dataset, tmp_path / "ab")
+        assert main(["ablate", "--config", str(cfg), "--test-end", "2020-06-15",
+                     "--epochs", "1"]) == 2
+        assert "not enough history before 2020-06-01" in capsys.readouterr().err
+        assert trainings == [] and not (tmp_path / "ab" / "ablate").exists()
+
 
 class TestHorizonCommand:
     def test_per_k_outputs_and_band_ordering(self, dataset, tmp_path):
@@ -942,6 +953,16 @@ class TestHorizonCommand:
         monkeypatch.setattr(cli_mod, "train", lambda *a: trainings.append(a) or train(*a))
         cfg = base_config(dataset, tmp_path / "hz")
         assert main(["horizon", "--config", str(cfg), "--horizons", "3,0", "--epochs", "1"]) == 1
+        assert trainings == [] and not (tmp_path / "hz" / "horizon_3").exists()
+
+    def test_a_horizon_longer_than_the_train_span_is_refused_before_training(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        # The train span has 730 days, fewer than lookback 7 + horizon 800.
+        trainings = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a: trainings.append(a) or train(*a))
+        cfg = base_config(dataset, tmp_path / "hz")
+        assert main(["horizon", "--config", str(cfg), "--horizons", "3,800", "--epochs", "1"]) == 2
+        assert "span of 730 days is too short for lookback 7 + horizon 800" in capsys.readouterr().err
         assert trainings == [] and not (tmp_path / "hz" / "horizon_3").exists()
 
     @pytest.mark.parametrize("horizons", ["3,x", "3,,7", "3,3"])

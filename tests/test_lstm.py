@@ -21,6 +21,7 @@ from eadforecast.lstm import (
     ModelSpec,
     Workspace,
     _LayerBuffers,
+    _Scratch,
     _lstm_forward_batch,
     backward_batch,
     forward_batch,
@@ -66,7 +67,8 @@ def batch_forward(p, x, lagged=False) -> dict:
     """The engine's layer over x (T, B, I) in fresh buffers, as the arrays
     of tests.oracles.layer_arrays."""
     T, B, I = x.shape
-    return layer_arrays(_lstm_forward_batch(p, x, lagged, _LayerBuffers(p.hidden_size, I, B, T)))
+    buf = _LayerBuffers(p.hidden_size, I, B, T, _Scratch())
+    return layer_arrays(_lstm_forward_batch(p, x, lagged, buf))
 
 
 def layer_forward(p, seq, lagged=False) -> dict:
@@ -450,6 +452,21 @@ class TestNetworkBackward:
             assert not np.isnan(ws.grad).any()
             assert np.array_equal(ws.grad, loss_and_grads(model, X, Y)[1].theta)
 
+    @pytest.mark.parametrize("lagged", [False, True])
+    @pytest.mark.parametrize("batch", [8, 256])
+    def test_a_second_backward_of_one_cache_gives_the_same_bits(self, lagged, batch):
+        # The two LSTM layers' backward passes share one scratch; neither may
+        # write the forward cache, the gradient into lstm2's outputs or
+        # lstm2's input gradient, which a backward pass reads. At 256 lstm1's
+        # factors come in blocks of one step.
+        rng = np.random.default_rng(97 + lagged)
+        model = random_model(rng, ModelSpec(input_dim=4, lagged_m=lagged))
+        X, Y = rng.normal(size=(batch, 14, 4)), rng.normal(size=(batch, 1))
+        y, cache = forward_batch(model, X, Workspace(model, batch, 14))
+        dY = batch_loss_and_grad(y, Y)[1]
+        first = backward_batch(model, cache, dY).theta.copy()
+        assert np.array_equal(backward_batch(model, cache, dY).theta, first)
+
     def test_workspace_refuses_a_larger_batch(self):
         model = init_params(TINY)
         with pytest.raises(ConfigError, match="workspace"):
@@ -475,20 +492,24 @@ class TestNetworkBackward:
 def engine_bytes(spec: ModelSpec, B: int, T: int) -> int:
     """Bytes of the arrays forward_batch and backward_batch need for B
     windows of T steps, from the spec's shapes. Per LSTM layer: the column
-    blocks [x_t; s_{t-1}; 1] of every step and the state after the last, and
-    their gate-major copy for the weight gradient; the gates and their
-    gradients; c and tanh(c); the input gradients; one block of backward
-    factors. Then the dense layers' buffers, the flat gradient and the
-    gradient into lstm2's outputs."""
-    floats = bools = 0
+    blocks [x_t; s_{t-1}; 1] of every step and the state after the last; the
+    gates; c and tanh(c). The backward scratch the two layers share, counted
+    once as the larger layer's: the column blocks gate-major for the weight
+    gradient, the gates' gradients, one block of backward factors and two
+    steps of the input gradient. lstm2's input gradient at every step, which
+    lstm1's backward reads. Then the dense layers' buffers, the flat
+    gradient and the gradient into lstm2's outputs."""
+    floats = bools = scratch = 0
     for _, I, H in spec.lstm_layers():
         block = max(1, min(T, lstm.BACKWARD_BLOCK_BYTES // (8 * 4 * H * B)))
         floats += (I + H + 1) * (T + 1) * B  # xs
-        floats += (I + H + 1) * T * B  # xs_rows
-        floats += 2 * 4 * H * T * B  # gates, dpre
+        floats += 4 * H * T * B  # gates
         floats += 2 * H * T * B  # c, tanh(c)
-        floats += (I + H) * T * B  # dxs
-        floats += block * 5 * H * B  # factors (4H rows) and P (H rows)
+        scratch = max(scratch, (I + H + 1) * T * B  # xs_rows
+                      + 4 * H * T * B  # dpre
+                      + block * 5 * H * B  # factors (4H rows) and P (H rows)
+                      + 2 * (I + H) * B)  # two steps of dxs
+    floats += scratch + (spec.hidden1 + spec.hidden2) * T * B  # lstm2's dxs
     for _, I, O, _ in spec.dense_layers():
         floats += 3 * O * B + I * B  # z, output, dz; dx
         bools += O * B  # z > 0
@@ -499,7 +520,8 @@ def engine_bytes(spec: ModelSpec, B: int, T: int) -> int:
 class TestWorkspaceMemory:
     def test_one_step_peak_stays_within_the_arrays_it_needs(self):
         # A fresh workspace's forward and backward at B=64 hold the gradients
-        # w.r.t. the gates once: the weight gradient reads them in place.
+        # w.r.t. the gates once: the weight gradient reads them in place. The
+        # two LSTM layers' backward arrays are one scratch.
         spec, B, T = ModelSpec(input_dim=4), 64, 14
         model = random_model(np.random.default_rng(3), spec)
         X, dY = np.random.default_rng(4).normal(size=(B, T, 4)), np.ones((B, 1))
