@@ -84,8 +84,8 @@ PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 def workspace_bytes(ws) -> int:
     """Bytes of the distinct base arrays reachable from the workspace's
-    attributes (its buffers, their dicts and cached properties), the model
-    it was made for excluded."""
+    attributes (its buffers and backward arrays, through their attributes,
+    dicts, tuples and lists), the model it was made for excluded."""
     import numpy as np
 
     bases: dict[int, np.ndarray] = {}
@@ -96,7 +96,9 @@ def workspace_bytes(ws) -> int:
                 obj = obj.base
             bases[id(obj)] = obj
         elif isinstance(obj, dict):
-            for value in obj.values():
+            walk(list(obj.values()))
+        elif isinstance(obj, (tuple, list)):
+            for value in obj:
                 walk(value)
         elif hasattr(obj, "__dict__") and not isinstance(obj, type):
             walk(vars(obj))

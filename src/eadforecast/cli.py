@@ -173,6 +173,8 @@ class RunConfig:
             raise ConfigError(f"unknown group {self.group!r}; valid: {list(data_mod.GROUPS)}")
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError("lookback and horizon must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def mask(self) -> tuple[str, ...]:
         """cfg.features, for the benchmark (perfbench/worker.py), which passes
@@ -318,7 +320,7 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
     first, last = anchor_rows(days, cfg.lookback, start, end)
     # Scaled once and gathered by row, as training's apply_scaler does.
     features = scaler.transform_features(data_mod.feature_matrix(days, cfg.features))
-    window_rows = data_mod.window_rows(np.arange(first, last + 1), cfg.lookback)
+    rows = data_mod.window_rows(first, last + 1, cfg.lookback)
     n = last - first + 1
     y = np.empty((n, model.horizon))
     # Full chunks, then the tail one anchor at a time, so that whatever the
@@ -328,7 +330,7 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
     ws = lstm_mod.Workspace(model, FORECAST_CHUNK, cfg.lookback)
     with lstm_mod.single_blas_thread():
         for lo, hi in zip(starts, [*starts[1:], n]):
-            y[lo:hi], _ = lstm_mod.forward_batch(model, features[window_rows[lo:hi]], ws)
+            y[lo:hi], _ = lstm_mod.forward_batch(model, features[rows[lo:hi]], ws)
     return Forecasts(start, scaler.invert_target(y))
 
 

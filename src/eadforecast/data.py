@@ -302,10 +302,12 @@ def feature_matrix(days: Days, features) -> np.ndarray:
     return np.column_stack([getattr(days, _FEATURE_COLUMNS[name]) for name in features])
 
 
-def window_rows(anchor_rows, L: int) -> np.ndarray:
-    """(N, L) indices of the L days before each anchor row: indexing a
-    (days, F) feature matrix with them gathers the (N, L, F) windows."""
-    return np.asarray(anchor_rows)[:, None] + np.arange(-L, 0)
+def window_rows(start: int, stop: int, L: int) -> np.ndarray:
+    """(N, L) indices of the L days before each anchor row start..stop-1:
+    indexing a (days, F) feature matrix with them gathers the (N, L, F)
+    windows. The rows overlap, so they are a read-only strided view of one
+    arange of N + L - 1 indices."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(start - L, stop - 1), L)
 
 
 def make_windows(
@@ -323,7 +325,7 @@ def make_windows(
     if n < L + K:
         raise DataError(f"span of {n} days is too short for lookback {L} + horizon {K}")
     targets = np.lib.stride_tricks.sliding_window_view(days.counts[group][L:], K)
-    return feature_matrix(days, features), window_rows(np.arange(L, n - K + 1), L), targets
+    return feature_matrix(days, features), window_rows(L, n - K + 1, L), targets
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +387,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.start >= self.end:
             raise ConfigError("synthetic span must have start < end")
-        if self.base_rate <= 0:
-            raise ConfigError("base_rate must be positive")
+        if not (np.isfinite(self.base_rate) and self.base_rate > 0):
+            raise ConfigError(f"base_rate must be a finite number > 0, got {self.base_rate!r}")
 
 
 # Fixed civic holiday calendar (month, day), applied every year.
@@ -420,6 +422,8 @@ def _dispatch_factors(tmax, humidity, day_label, mobility):
 def synth_generate(config: SynthConfig, seed: int = 0) -> SynthResult:
     """Generate a complete daily dataset plus its ground-truth intensity."""
     config.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n = (config.end - config.start).days + 1
     dates = _day_range(config.start, n)
     doy = (dates - dates.astype("datetime64[Y]")).astype(np.float64) + 1.0

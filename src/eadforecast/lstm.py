@@ -52,24 +52,22 @@ Appleyard et al. 2016, arXiv:1604.01946):
   layer's weight gradient is one matmul over all steps at the end that
   reads a_t in place, written straight into its W in the flat gradient.
 - Buffers. `Workspace` holds every per-step array of one model at a largest
-  batch once and the flat gradient; `train` and `run_forecast` make one and
-  reuse it, so no step allocates. A forward pass copies each LSTM layer's W
-  into its buffer with the i/o/f rows halved; nothing else copies weights.
-  The forward cache is the workspace and, per LSTM layer, its input x, its
-  outputs s and its buffers; the gates, c and tanh(c) stay in the buffers,
-  and the forward and backward passes both cut their (T, rows, B) views of
-  a call with `_LayerBuffers.views`. The arrays only a layer's backward
-  pass uses (a_t, the factors, the column blocks gate-major for the weight
-  gradient, ...) are views of one scratch of the workspace, allocated on
-  the first backward pass and sized for the larger layer: lstm2's backward
-  ends before lstm1's starts (memory sharing by liveness, Chen et al. 2016,
-  arXiv:1604.06174). lstm2's input gradient, which lstm1's backward reads,
-  is the only backward array of its own; lstm1 returns none, and the state
-  gradient it passes from step to step takes two step slots of the
-  scratch. No backward pass writes the forward cache, so a cache can be
-  backpropagated again. The dense layers' z and outputs are read back from
-  their buffers at the batch's size. The returned outputs are a view of
-  the workspace too.
+  batch once; `train` and `run_forecast` make one and reuse it, so no step
+  allocates. A forward pass copies each LSTM layer's W into its buffer with
+  the i/o/f rows halved; nothing else copies weights. The forward cache is
+  the workspace and, per LSTM layer, its input x, its outputs s and its
+  buffers; the gates, c and tanh(c) stay in the buffers, and the forward
+  and backward passes both cut their (T, rows, B) views of a call with
+  `_LayerBuffers.views`. The arrays only the backward pass uses, the flat
+  gradient `ws.backward.grad` among them, are made with `ws.backward` on
+  the first backward pass, so a forecast makes none. Both LSTM layers'
+  backward arrays but lstm2's input gradient (a_t, the factors, ...) are
+  views of one scratch sized for the larger layer: lstm2's backward ends
+  before lstm1's starts (memory sharing by liveness, Chen et al. 2016,
+  arXiv:1604.06174). No backward pass writes the forward cache, so a cache
+  can be backpropagated again. The dense layers' z and outputs are read
+  back from their buffers at the batch's size. The returned outputs are a
+  view of the workspace too.
 """
 
 from __future__ import annotations
@@ -269,24 +267,6 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-class _Scratch:
-    """One flat array, allocated on first use and as large as the largest
-    size reserved, for the backward arrays of LSTM layers whose backward
-    passes never overlap. It holds no reference to the layers that share it,
-    so dropping a workspace frees it at once."""
-
-    def __init__(self):
-        self.size, self.array = 0, None
-
-    def reserve(self, size: int) -> None:
-        self.size = max(self.size, size)
-
-    def take(self) -> np.ndarray:
-        if self.array is None:
-            self.array = np.empty(self.size)
-        return self.array
-
-
 class _LayerBuffers:
     """Work arrays of one LSTM layer for up to `batch` windows of `steps` steps.
 
@@ -296,15 +276,11 @@ class _LayerBuffers:
     are flat and viewed per call as (T, rows, B) (`views`), so a smaller
     batch gets contiguous views of the same memory; only dpre and xs_rows,
     which the weight-gradient matmul reads, are gate-major, (rows, T, B).
-    The backward arrays (`backward_shapes`) are views of `scratch`, which
-    layers whose backward passes never overlap share; the input gradient of
-    a layer whose backward returns it is `dx`. Both are allocated on the
-    first backward pass that uses them.
     """
 
-    def __init__(self, hidden: int, inp: int, batch: int, steps: int, scratch: _Scratch):
+    def __init__(self, hidden: int, inp: int, batch: int, steps: int):
         h4, k = 4 * hidden, inp + hidden + 1
-        self.hidden, self.inp, self.batch, self.steps = hidden, inp, batch, steps
+        self.hidden, self.inp = hidden, inp
         # The layer's W with the i/o/f rows halved (load); step t multiplies
         # the column block xs[t] = [x_t; s_{t-1}; 1].
         self.W = np.empty((h4, k))
@@ -314,8 +290,6 @@ class _LayerBuffers:
         self.cand = np.empty(hidden * batch)
         # Steps per block of backward factors.
         self.block = max(1, min(steps, BACKWARD_BLOCK_BYTES // (8 * h4 * batch)))
-        self.scratch = scratch
-        scratch.reserve(sum(math.prod(shape) for shape in self.backward_shapes(steps, batch)))
 
     def load(self, p: LstmCellParams) -> None:
         """Copy p.W into W, halving the i/o/f rows: sigmoid(z) is computed as
@@ -342,11 +316,6 @@ class _LayerBuffers:
         h4, k = 4 * H, I + H + 1
         return ((I + H, h4), (h4, T, B), (self.block, h4, B), (self.block, H, B), (4, H, B),
                 (k, T, B), (2, I + H, B))
-
-    @functools.cached_property
-    def dx(self) -> np.ndarray:
-        """Per step, d loss / d [x_t; s_{t-1}], for a backward that returns dx."""
-        return np.empty(self.steps * (self.inp + self.hidden) * self.batch)
 
 
 def _lstm_forward_batch(p: LstmCellParams, x: np.ndarray, lagged_m: bool, buf: _LayerBuffers) -> dict:
@@ -440,14 +409,16 @@ def _backward_factors(G, C, TC, t0: int, t1: int, lagged_m: bool, F: np.ndarray,
 
 def _lstm_backward_batch(
     p: LstmCellParams, cache: dict, ds_ext: np.ndarray, lagged_m: bool, grad: LstmCellParams,
-    need_dx: bool = True,
+    scratch: np.ndarray, dx: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Backward through one layer.
 
     ds_ext: (T, B, H) gradient flowing into each step's output s_t from the
-    layer's consumer. Writes the weight gradient into grad.W and returns
-    dL/dx as a (T, B, I) view, or None without need_dx. The step loop runs
-    over blocks of steps, last block first, each after its cache-only
+    layer's consumer. Writes the weight gradient into grad.W. With dx, a
+    flat array of T (I+H) B doubles at least, returns dL/dx as a (T, B, I)
+    view of it; without, returns None. The other backward arrays are views
+    of the flat scratch (`_LayerBuffers.backward_shapes`). The step loop
+    runs over blocks of steps, last block first, each after its cache-only
     factors (_backward_factors); the weight gradients are one matmul over
     the whole sequence at the end.
     """
@@ -457,16 +428,16 @@ def _lstm_backward_batch(
     h4, k = 4 * H, I + H + 1
     xs, G, C, TC = buf.views(T, B)
     WT, dpre, factors, p_block, state, rows_x, dx_slots = _split(
-        buf.scratch.take(), *buf.backward_shapes(T, B))  # a_t is the column block dpre[:, t]
+        scratch, *buf.backward_shapes(T, B))  # a_t is the column block dpre[:, t]
     np.copyto(WT, p.W[:, : I + H].T)
     dsT = ds_ext.transpose(0, 2, 1)
     # Step t reads only the ds rows of step t+1, so without dx two slots do.
-    dxs = _view(buf.dx, T, I + H, B) if need_dx else dx_slots
+    dxs = dx_slots if dx is None else _view(dx, T, I + H, B)
     n = len(dxs)
     ds, dc, dc_other, dc_next = state
     dc_next.fill(0.0)
     dc_other.fill(0.0)
-    lo = 0 if need_dx else I  # dx rows of dxs are computed only when needed
+    lo = I if dx is None else 0  # dx rows of dxs are computed only when needed
     block = buf.block
     for t1 in range(T, 0, -block):
         t0 = max(t1 - block, 0)
@@ -487,7 +458,7 @@ def _lstm_backward_batch(
             np.multiply(dc, G[t, 2 * H : 3 * H], out=dc_next)
             if lagged_m:
                 dc, dc_other = dc_other, dc
-            if t or need_dx:
+            if t or dx is not None:
                 np.matmul(WT[lo:], da, out=dxs[t % n, lo:])
         np.copyto(dpre[:, t0:t1], F.transpose(1, 0, 2))
 
@@ -495,17 +466,15 @@ def _lstm_backward_batch(
     # one matmul with the (step, window) pairs as columns, dpre read in place.
     np.copyto(rows_x, xs[:T].transpose(1, 0, 2))
     np.matmul(dpre.reshape(h4, T * B), rows_x.reshape(k, T * B).T, out=grad.W)
-    return dxs[:, :I].transpose(0, 2, 1) if need_dx else None
+    return None if dx is None else dxs[:, :I].transpose(0, 2, 1)
 
 
 class _DenseBuffers:
     """Work arrays of one dense layer for up to `batch` rows, flat and viewed
-    per call as (B, width) like _LayerBuffers'. The backward arrays are
-    allocated on the first backward pass."""
+    per call as (B, width) like _LayerBuffers'."""
 
     def __init__(self, layer: DenseLayerParams, batch: int):
-        self.batch, self.activation = batch, layer.activation
-        self.out, self.inp = layer.W.shape
+        self.activation, self.out = layer.activation, layer.W.shape[0]
         self.z, self.r = np.empty((2, batch * self.out))  # pre-activation, output
 
     def views(self, B: int) -> tuple[np.ndarray, np.ndarray]:
@@ -513,14 +482,6 @@ class _DenseBuffers:
         an identity layer is z."""
         z = _view(self.z, B, self.out)
         return z, z if self.activation == "identity" else _view(self.r, B, self.out)
-
-    @functools.cached_property
-    def backward(self) -> dict:
-        return {
-            "active": np.empty(self.batch * self.out, dtype=bool),  # z > 0 (rectifier)
-            "dz": np.empty(self.batch * self.out),
-            "dx": np.empty(self.batch * self.inp),
-        }
 
 
 def _dense_forward(layer: DenseLayerParams, h: np.ndarray, buf: _DenseBuffers) -> np.ndarray:
@@ -543,21 +504,43 @@ def _dense_forward(layer: DenseLayerParams, h: np.ndarray, buf: _DenseBuffers) -
 
 def _dense_backward(
     layer: DenseLayerParams, h_in: np.ndarray, z: np.ndarray, out: np.ndarray, dout: np.ndarray,
-    grad: DenseLayerParams, buf: _DenseBuffers,
+    grad: DenseLayerParams, active: np.ndarray, dz: np.ndarray, dx: np.ndarray,
 ) -> np.ndarray:
-    """Writes dW and db into grad; returns the gradient w.r.t. h_in, in buf."""
-    B, work = z.shape[0], buf.backward
+    """Writes dW and db into grad; returns the gradient w.r.t. h_in, a view
+    of dx. active (bool), dz and dx are flat work arrays, of z's size (z > 0
+    and d loss / dz) and of h_in's."""
+    (B, O), I = z.shape, h_in.shape[1]
     if layer.activation == "rectifier":
-        active = np.greater(z, 0.0, out=_view(work["active"], B, buf.out))
-        dz = np.multiply(dout, active, out=_view(work["dz"], B, buf.out))
+        active = np.greater(z, 0.0, out=_view(active, B, O))
+        dz = np.multiply(dout, active, out=_view(dz, B, O))
     elif layer.activation == "sigmoid":
-        dz = np.multiply(dout, out, out=_view(work["dz"], B, buf.out))
+        dz = np.multiply(dout, out, out=_view(dz, B, O))
         dz *= 1.0 - out
     else:
         dz = dout
     np.matmul(dz.T, h_in, out=grad.W)
     np.sum(dz, axis=0, out=grad.b)
-    return np.matmul(dz, layer.W, out=_view(work["dx"], B, buf.inp))
+    return np.matmul(dz, layer.W, out=_view(dx, B, I))
+
+
+class _BackwardArrays:
+    """The arrays only backward_batch uses: the flat gradient `grad`, in
+    theta's layout, and `grads`, the model over it; `ds2` and `dx2`, the
+    gradients into lstm2's outputs and inputs; per dense layer its (active,
+    dz, dx); and one `scratch` for both LSTM layers' other backward arrays,
+    sized for the larger (lstm2's backward ends before lstm1's starts). It
+    keeps no reference to the workspace, so dropping a workspace frees both."""
+
+    def __init__(self, ws: Workspace):
+        spec, B, T = ws.model.spec, ws.batch, ws.steps
+        self.grad = np.empty(spec.size)
+        self.grads = ForecastModel(spec, self.grad)
+        self.dense = tuple((np.empty(B * O, dtype=bool), np.empty(B * O), np.empty(B * I))
+                           for _, I, O, _ in spec.dense_layers())
+        self.ds2 = np.empty(T * spec.hidden2 * B)
+        self.scratch = np.empty(max(sum(math.prod(shape) for shape in buf.backward_shapes(T, B))
+                                    for buf in (ws.lstm1, ws.lstm2)))
+        self.dx2 = np.empty(T * (spec.hidden1 + spec.hidden2) * B)
 
 
 class Workspace:
@@ -567,32 +550,24 @@ class Workspace:
 
     The outputs and the cache forward_batch returns live here, so they are
     valid until the next forward_batch with the same workspace.
-    backward_batch writes the gradient into `grad`, one flat vector in the
-    layout of the model's theta, and returns `grads`, the model over it.
+    backward_batch writes the gradient into `backward.grad`, one flat vector
+    in the layout of the model's theta, and returns `backward.grads`, the
+    model over it.
     """
 
     def __init__(self, model: ForecastModel, batch: int, steps: int):
         self.model, self.batch, self.steps = model, batch, steps
-        # lstm2's backward ends before lstm1's starts, so one scratch serves both.
-        scratch = _Scratch()
         self.lstm1, self.lstm2 = (
-            _LayerBuffers(layer.hidden_size, layer.input_size, batch, steps, scratch)
+            _LayerBuffers(layer.hidden_size, layer.input_size, batch, steps)
             for layer in (model.lstm1, model.lstm2))
         self.fc1, self.fc2, self.head = (
             _DenseBuffers(layer, batch) for layer in (model.fc1, model.fc2, model.head))
 
     @functools.cached_property
-    def grad(self) -> np.ndarray:
-        return np.empty(self.model.theta.size)
-
-    @functools.cached_property
-    def grads(self) -> ForecastModel:
-        return ForecastModel(self.model.spec, self.grad)
-
-    @functools.cached_property
-    def ds2(self) -> np.ndarray:
-        """The gradient into lstm2's outputs, feature-major like its buffers."""
-        return np.empty(self.steps * self.lstm2.hidden * self.batch)
+    def backward(self) -> _BackwardArrays:
+        """The arrays only backward_batch uses, made on the first backward
+        pass, so that a forecast makes none."""
+        return _BackwardArrays(self)
 
 
 def forward_batch(
@@ -630,23 +605,26 @@ def backward_batch(
 ) -> ForecastModel:
     """Backward pass: dY is the gradient of the scalar loss w.r.t. the batch
     outputs (B, K). Returns the summed parameter gradients as the cache's
-    workspace's `grads`, the model over its flat `grad`."""
+    workspace's `backward.grads`, the model over its flat `backward.grad`."""
     if cache is None:
         raise ConfigError("backward_batch needs the cache from forward_batch")
     ws, c1, c2 = cache
-    g = ws.grads
+    work = ws.backward
+    g = work.grads
     T, B, _ = c2["x"].shape
     h = c2["s"][-1]
     (z1, r1), (z2, r2), (z3, y) = ws.fc1.views(B), ws.fc2.views(B), ws.head.views(B)
-    dr2 = _dense_backward(model.head, r2, z3, y, dY, g.head, ws.head)
-    dr1 = _dense_backward(model.fc2, r1, z2, r2, dr2, g.fc2, ws.fc2)
-    dh = _dense_backward(model.fc1, h, z1, r1, dr1, g.fc1, ws.fc1)
+    fc1, fc2, head = work.dense
+    dr2 = _dense_backward(model.head, r2, z3, y, dY, g.head, *head)
+    dr1 = _dense_backward(model.fc2, r1, z2, r2, dr2, g.fc2, *fc2)
+    dh = _dense_backward(model.fc1, h, z1, r1, dr1, g.fc1, *fc1)
 
-    ds2 = _view(ws.ds2, T, model.lstm2.hidden_size, B)
+    ds2 = _view(work.ds2, T, model.lstm2.hidden_size, B)
     ds2[:-1] = 0.0
     ds2[-1] = dh.T
-    dx2 = _lstm_backward_batch(model.lstm2, c2, ds2.transpose(0, 2, 1), model.lagged_m, g.lstm2)
-    _lstm_backward_batch(model.lstm1, c1, dx2, model.lagged_m, g.lstm1, need_dx=False)
+    dx2 = _lstm_backward_batch(model.lstm2, c2, ds2.transpose(0, 2, 1), model.lagged_m, g.lstm2,
+                               work.scratch, work.dx2)
+    _lstm_backward_batch(model.lstm1, c1, dx2, model.lagged_m, g.lstm1, work.scratch)
     return g
 
 

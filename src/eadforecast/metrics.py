@@ -140,8 +140,9 @@ class Forecasts:
     step s (from 0) for the day start + a + s. A gap between anchors or a
     different K per anchor cannot be represented.
 
-    len() and iteration over (anchor, row) pairs serve only the benchmark
-    (perfbench/worker.py), which reads forecasts as such pairs; they go
+    len() and iteration over (anchor, row) pairs serve only the benchmark:
+    perfbench/worker.py reads forecasts as such pairs, and
+    perfbench/layers.py counts run_forecast's anchors with len(). They go
     with the benchmark's move to this type (ROADMAP item 4).
     """
 

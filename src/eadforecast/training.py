@@ -180,7 +180,7 @@ def train(
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     # The in-place Adam update of theta is the only parameter write per
-    # batch; backward_batch writes the gradient into ws.grad, in theta's layout.
+    # batch; backward_batch writes the gradient into ws.backward.grad, in theta's layout.
     model = ForecastModel(model.spec, model.theta.copy())
     theta = model.theta
     state = AdamState.zeros(theta.size, alpha=config.lr)
@@ -199,7 +199,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
             backward_batch(model, cache, dY)
-            _adam_update_flat(theta, ws.grad, state)
+            _adam_update_flat(theta, ws.backward.grad, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
         if (epoch + 1) % log_every == 0:

@@ -30,7 +30,7 @@ from eadforecast.errors import ConfigError, DataError
 from eadforecast.lstm import ModelSpec, forward_batch, init_params
 from eadforecast.metrics import Forecasts
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
-from eadforecast.training import fit_scaler, train
+from eadforecast.training import TrainConfig, fit_scaler, train
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,15 @@ class TestSynthCommand:
                      "--start", "2019-01-01", "--end", "2019-12-31"]) == 0
         rows = (tmp_path / "weather.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 365
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--base-rate", "nan"], ["--base-rate", "inf"]],
+                             ids=["negative_seed", "nan_rate", "inf_rate"])
+    def test_bad_seed_or_rate_exits_1_and_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--start", "2019-01-01", "--end", "2019-03-31",
+                     *flags]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -163,6 +172,23 @@ class TestTrainCommand:
 
     def test_bad_flag_usage_exits_1(self):
         assert main(["train", "--loss", "huber"]) == 1
+
+    @pytest.mark.parametrize("command,source", [
+        ("train", "flag"), ("train", "file"), ("ablate", "flag"), ("horizon", "file"),
+    ])
+    def test_negative_seed_exits_1_before_reading_data(self, dataset, tmp_path, monkeypatch, capsys,
+                                                        command, source):
+        reads = []
+        monkeypatch.setattr(cli_mod, "load_records", lambda *a: reads.append(a))
+        if source == "flag":
+            cfg, argv = base_config(dataset, tmp_path / "run"), ["--seed", "-1"]
+        else:
+            cfg = base_config(dataset, tmp_path / "run",
+                              training={"epochs": 1, "batch_size": 8, "seed": -1})
+            argv = []
+        assert main([command, "--config", str(cfg), "--epochs", "1", *argv]) == 1
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert reads == []
 
     @pytest.mark.parametrize("extra,key", [
         ({"trainig": {"epochs": 1}}, "trainig"),
@@ -547,6 +573,28 @@ class TestRunForecast:
         for edge in (7, 880):
             got = run_forecast(model, scaler, days, cfg, days.date(edge), days.date(edge + 1))
             assert got.start == days.date(edge) and len(got.values) == 2
+
+    def test_only_training_builds_the_backward_arrays(self, dataset, monkeypatch):
+        # A forecast allocates no backward memory: run_forecast never builds
+        # a workspace's backward arrays, and each train call builds one.
+        built = []
+
+        class Counted(lstm_mod._BackwardArrays):
+            def __init__(self, ws):
+                built.append(ws.batch)
+                super().__init__(ws)
+
+        monkeypatch.setattr(lstm_mod, "_BackwardArrays", Counted)
+        model, scaler, days, cfg = forecast_setup(dataset, 3)
+        run_forecast(model, scaler, days, cfg, days.date(30), days.date(100))
+        assert built == []
+        rng = np.random.default_rng(0)
+        X, Y = rng.uniform(size=(20, 7, 4)), rng.uniform(size=(20, 3))
+        for calls in (1, 2):
+            model, _ = train(model, X, Y, TrainConfig(epochs=2, batch_size=8))
+            assert built == [8] * calls
+        run_forecast(model, scaler, days, cfg, days.date(30), days.date(100))
+        assert built == [8, 8]
 
     def test_forward_passes_run_on_one_blas_thread_and_count_is_restored(self, dataset, monkeypatch):
         api = lstm_mod._openblas_threads_api()

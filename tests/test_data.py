@@ -566,6 +566,15 @@ class TestMakeWindows:
         with pytest.raises(DataError):
             make_windows(self.table(5), 7, 1, FEATURE_ORDER)
 
+    def test_rows_are_one_read_only_arange(self):
+        # Row a holds days a..a+L-1; the overlapping rows are strided views
+        # of N + L - 1 indices, not N * L of their own.
+        _, rows, _ = make_windows(self.table(2101), 14, 1, FEATURE_ORDER)
+        assert np.array_equal(rows, np.arange(2087)[:, None] + np.arange(14))
+        lo, hi = np.lib.array_utils.byte_bounds(rows)
+        assert hi - lo == 8 * (2087 + 14 - 1)
+        assert not rows.flags.writeable
+
     def test_targets_follow_inputs(self):
         days = self.table(12)
         days = replace(days, counts={**days.counts, "all": np.arange(12.0)})

@@ -21,7 +21,6 @@ from eadforecast.lstm import (
     ModelSpec,
     Workspace,
     _LayerBuffers,
-    _Scratch,
     _lstm_forward_batch,
     backward_batch,
     forward_batch,
@@ -67,7 +66,7 @@ def batch_forward(p, x, lagged=False) -> dict:
     """The engine's layer over x (T, B, I) in fresh buffers, as the arrays
     of tests.oracles.layer_arrays."""
     T, B, I = x.shape
-    buf = _LayerBuffers(p.hidden_size, I, B, T, _Scratch())
+    buf = _LayerBuffers(p.hidden_size, I, B, T)
     return layer_arrays(_lstm_forward_batch(p, x, lagged, buf))
 
 
@@ -446,11 +445,11 @@ class TestNetworkBackward:
         for batch in (4, 3, 4):
             X, Y = rng.normal(size=(batch, 6, 3)), rng.normal(size=(batch, 2))
             y, cache = forward_batch(model, X, ws)
-            ws.grad.fill(np.nan)
+            ws.backward.grad.fill(np.nan)
             grads = backward_batch(model, cache, batch_loss_and_grad(y, Y)[1])
-            assert grads is ws.grads and grads.theta is ws.grad
-            assert not np.isnan(ws.grad).any()
-            assert np.array_equal(ws.grad, loss_and_grads(model, X, Y)[1].theta)
+            assert grads is ws.backward.grads and grads.theta is ws.backward.grad
+            assert not np.isnan(ws.backward.grad).any()
+            assert np.array_equal(ws.backward.grad, loss_and_grads(model, X, Y)[1].theta)
 
     @pytest.mark.parametrize("lagged", [False, True])
     @pytest.mark.parametrize("batch", [8, 256])
@@ -552,7 +551,7 @@ class TestWeightGradient:
         y, cache = forward_batch(model, X, ws)
         grads = backward_batch(model, cache, batch_loss_and_grad(y, Y)[1])
         T, H2 = 14, model.lstm2.hidden_size
-        ds_ext = ws.ds2[: T * H2 * batch].reshape(T, H2, batch).transpose(0, 2, 1)
+        ds_ext = ws.backward.ds2[: T * H2 * batch].reshape(T, H2, batch).transpose(0, 2, 1)
         _, c1, c2 = cache
         for name, layer, need_dx in (("lstm2", c2, True), ("lstm1", c1, False)):
             a, dx = lstm_backward_by_steps(

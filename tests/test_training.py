@@ -172,7 +172,7 @@ class TestScaler:
     def test_bounds_come_from_the_rows_the_windows_cover(self):
         # Rows 0 and 4 belong to no window: their extremes leave the bounds.
         features = np.array([[-100.0], [1.0], [3.0], [2.0], [100.0]])
-        scaler = fit_scaler((features, window_rows(np.array([3, 4]), 2), np.array([[1.0], [2.0]])))
+        scaler = fit_scaler((features, window_rows(3, 5, 2), np.array([[1.0], [2.0]])))
         assert (scaler.feature_min[0], scaler.feature_max[0]) == (1.0, 3.0)
 
 
@@ -182,7 +182,7 @@ def linear_task_windows(n=200, seed=0):
     # of the window.
     rng = np.random.default_rng(seed)
     x = np.cumsum(rng.normal(0, 0.3, size=n + 8)) + 10.0
-    return x[:, None], window_rows(np.arange(8, n + 8), 8), 0.8 * x[7 : n + 7, None] + 0.1
+    return x[:, None], window_rows(8, n + 8, 8), 0.8 * x[7 : n + 7, None] + 0.1
 
 
 class TestTrainLoop:
