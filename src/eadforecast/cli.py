@@ -27,7 +27,8 @@ from . import lstm as lstm_mod  # called through the module, so wrappers on it (
 from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import atomic_write_text, write_table
-from .lstm import ModelSpec, init_params
+from .losses import LOSS_KINDS
+from .lstm import INIT_SCHEMES, ModelSpec, init_params
 from .metrics import EvalReport, Forecasts, HorizonSeries, evaluate_series, horizon_aggregate, relative_errors
 from .training import TrainConfig, apply_scaler, fit_scaler, train
 
@@ -44,15 +45,17 @@ DEFAULT_HORIZONS = (3, 7, 14, 28)
 # The RunConfig settings train records in a checkpoint's meta and forecast
 # takes from it; the horizon comes from the model itself.
 CHECKPOINT_SETTINGS = ("features", "lookback", "group", "baseline_month")
-# Anchors per forward pass in run_forecast. A chunk bounds the memory the
-# forward pass keeps for its backward cache (all 2,319 anchors of the default
-# dataset at once hold ~160 MB) and fixes the matrix shapes BLAS sees. The
-# passes run on one pinned BLAS thread (lstm.single_blas_thread), so no chunk
-# size splits a product over two threads, a forecast's speed does not hinge
-# on a second free CPU, and predictions.csv is the same under any installed
-# thread count. On the default dataset, 32 anchors ran ~2x the anchors/s of 6
-# at the same peak RSS (57.0 vs 56.8 MB in a forecast+evaluate process); 64
-# were ~10% faster again but peaked at 59.6 MB.
+# Anchors per forward pass in run_forecast. A forecast makes no backward
+# arrays; a chunk bounds the workspace's per-step forward buffers ([x; s; 1],
+# gates, c and tanh(c) of all 14 steps of both layers, and the dense outputs:
+# ~77 KB per anchor by their shapes, ~180 MB for all 2,319 anchors of the
+# default dataset) and fixes the matrix shapes BLAS sees. The passes run on
+# one pinned BLAS thread (lstm.single_blas_thread), so no chunk size splits a
+# product over two threads, a forecast's speed does not hinge on a second
+# free CPU, and predictions.csv is the same under any installed thread count.
+# On the default dataset, 32 anchors ran ~2x the anchors/s of 6 at the same
+# peak RSS (57.0 vs 56.8 MB in a forecast+evaluate process); 64 were ~10%
+# faster again but peaked at 59.6 MB.
 FORECAST_CHUNK = 32
 
 
@@ -65,54 +68,56 @@ def _coerce_date(value, label: str) -> dt.date:
         raise ConfigError(f"bad date for {label}: {value!r}") from None
 
 
-def _of_type(what: str, *kinds):
-    """The check of a config-file value of one of these YAML types; type()
-    rather than isinstance, because a YAML true is a bool and bool is a
-    subclass of int."""
-    def check(value, key):
+def _of_type(what: str, *kinds, ok=None, rule: str = ""):
+    """The check of a value of one of these types (type() rather than
+    isinstance, because a YAML true is a bool and bool is a subclass of int)
+    for which ok, if given, holds: a value `rule` describes."""
+    def check(value, name):
         if type(value) not in kinds:
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
         return value
     return check
 
 
-_INT, _BOOL, _STR = _of_type("an integer", int), _of_type("true or false", bool), _of_type("a string", str)
+def _one_of(choices):
+    return _of_type("a string", str, ok=choices.__contains__, rule=f"one of {list(choices)}")
 
 
-def _as_path(value, key) -> Path:
+_BOOL = _of_type("true or false", bool)
+_COUNT = _of_type("an integer", int, ok=lambda v: v >= 1, rule=">= 1")
+
+
+def _as_path(value, name) -> Path:
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a path, got {value!r}")
+        raise ConfigError(f"{name} must be a path, got {value!r}")
     return Path(value)
 
 
-def _as_features(value, key) -> tuple[str, ...]:
+def _as_features(value, name) -> tuple[str, ...]:
     """A feature list in the canonical order (data.FEATURE_ORDER), so that two
     orders of the same names make the same run; unknown, repeated or no names
     are refused."""
     if not (isinstance(value, list) and all(isinstance(f, str) for f in value)):
-        raise ConfigError(f"{key} must be a list of names, got {value!r}")
+        raise ConfigError(f"{name} must be a list of names, got {value!r}")
     return data_mod.feature_names(value)
-
-
-def _split_features(text: str, name) -> tuple[str, ...]:
-    return _as_features([f.strip() for f in text.split(",") if f.strip()], name)
 
 
 LOSS_ALIASES = {"squared_error": "mse", "cross_entropy": "xent", "normalized_cross_entropy": "xent"}
 
 
-def _as_loss(value, key) -> str:
-    value = _STR(value, key)
+def _as_loss(value, name) -> str:
+    value = _one_of((*LOSS_KINDS, *LOSS_ALIASES))(value, name)
     return LOSS_ALIASES.get(value, value)
 
 
-def _setting(value, key: str, check, *, parse=None, flag: bool = True, **kwargs):
+def _setting(value, key: str, check, *, flag: bool = True, **kwargs):
     """A RunConfig field: its default value, its config-file key (dotted for
-    an entry of a section), check(file_value, key) -> the field's value, and
-    unless flag is False the add_argument keywords of its flag (see
-    _flag_dest; parse(text, name) converts a flag argparse leaves as text)."""
-    return field(default=value, metadata={
-        "key": key, "check": check, "parse": parse, "flag": kwargs if flag else None})
+    an entry of a section), check(value, name) -> the field's value, which
+    judges it from the file, the flag (after the flag's type) or a checkpoint,
+    and unless flag is False its flag's add_argument keywords (see _flag_dest)."""
+    return field(default=value, metadata={"key": key, "check": check, "flag": kwargs if flag else None})
 
 
 def _flag_dest(f) -> str:
@@ -126,34 +131,38 @@ class RunConfig:
     """A run's settings (see _setting), in the order of their flags in
     --help. The config file, the flags and the run digest read this table."""
 
-    weather: Path = _setting(None, "data.weather", _as_path, type=Path)
-    ead: Path = _setting(None, "data.ead", _as_path, type=Path)
-    mobility: Path = _setting(None, "data.mobility", _as_path, type=Path)
-    holidays: Path = _setting(None, "data.holidays", _as_path, type=Path)
-    train_start: dt.date = _setting(None, "train.start", _coerce_date, parse=_coerce_date)
-    train_end: dt.date = _setting(None, "train.end", _coerce_date, parse=_coerce_date)
-    test_start: dt.date = _setting(None, "test.start", _coerce_date, parse=_coerce_date)
-    test_end: dt.date = _setting(None, "test.end", _coerce_date, parse=_coerce_date)
-    seed: int = _setting(0, "training.seed", _INT, type=int)
-    out: Path = _setting(Path("out"), "out", _as_path, type=Path)
-    group: str = _setting("all", "group", _STR, choices=data_mod.GROUPS)
-    lookback: int = _setting(14, "lookback", _INT, type=int)
-    horizon: int = _setting(1, "horizon", _INT, type=int)
-    features: tuple[str, ...] = _setting(data_mod.FEATURE_ORDER, "features", _as_features,
-                                         parse=_split_features, help="comma-separated feature list")
-    loss: str = _setting("mse", "training.loss", _as_loss, choices=("mse", "xent"))
-    init: str = _setting("uniform", "init", _STR, choices=("zeros", "uniform"))
-    epochs: int = _setting(500, "training.epochs", _INT, type=int)
-    batch_size: int = _setting(8, "training.batch_size", _INT, type=int)
-    lr: float = _setting(1e-3, "training.lr", _of_type("a number", int, float), type=float)
+    weather: Path = _setting(None, "data.weather", _as_path)
+    ead: Path = _setting(None, "data.ead", _as_path)
+    mobility: Path = _setting(None, "data.mobility", _as_path)
+    holidays: Path = _setting(None, "data.holidays", _as_path)
+    train_start: dt.date = _setting(None, "train.start", _coerce_date)
+    train_end: dt.date = _setting(None, "train.end", _coerce_date)
+    test_start: dt.date = _setting(None, "test.start", _coerce_date)
+    test_end: dt.date = _setting(None, "test.end", _coerce_date)
+    seed: int = _setting(0, "training.seed", _of_type("an integer", int, ok=lambda v: v >= 0, rule=">= 0"),
+                         type=int)
+    out: Path = _setting(Path("out"), "out", _as_path)
+    group: str = _setting("all", "group", _one_of(data_mod.GROUPS), help=", ".join(data_mod.GROUPS))
+    lookback: int = _setting(14, "lookback", _COUNT, type=int)
+    horizon: int = _setting(1, "horizon", _COUNT, type=int)
+    features: tuple[str, ...] = _setting(
+        data_mod.FEATURE_ORDER, "features", _as_features, help="comma-separated feature list",
+        type=lambda text: [f.strip() for f in text.split(",") if f.strip()])
+    loss: str = _setting("mse", "training.loss", _as_loss, help=", ".join([*LOSS_KINDS, *LOSS_ALIASES]))
+    init: str = _setting("uniform", "init", _one_of(INIT_SCHEMES), help=" or ".join(INIT_SCHEMES))
+    epochs: int = _setting(500, "training.epochs", _COUNT, type=int)
+    batch_size: int = _setting(8, "training.batch_size", _COUNT, type=int)
+    lr: float = _setting(1e-3, "training.lr", _of_type("a number", int, float, rule="a finite number > 0",
+                                                       ok=lambda v: 0 < v <= sys.float_info.max), type=float)
     # default=None: an absent flag must not override a config file's true.
     lagged_m: bool = _setting(False, "eq5_lagged_m", _BOOL, action="store_true", default=None,
                               help="use the lagged candidate-vector cell update variant")
     shuffle: bool = _setting(True, "training.shuffle", _BOOL, flag=False)
-    baseline_month: str = _setting("2020-01", "baseline_month",
-                                   _of_type("a YYYY-MM string", str), flag=False)
+    baseline_month: str = _setting("2020-01", "baseline_month", _of_type(
+        "a string", str, ok=data_mod.MONTH.fullmatch, rule="a YYYY-MM month"), flag=False)
 
     def validate(self, need_spans: bool = True) -> None:
+        """The checks that span settings or read the file system."""
         for name in ("weather", "ead", "holidays"):
             path = getattr(self, name)
             if path is None:
@@ -169,12 +178,6 @@ class RunConfig:
                     raise ConfigError(f"missing required span field: {name}")
             if not (self.train_start <= self.train_end < self.test_start <= self.test_end):
                 raise ConfigError("train span must precede and not overlap the test span")
-        if self.group not in data_mod.GROUPS:
-            raise ConfigError(f"unknown group {self.group!r}; valid: {list(data_mod.GROUPS)}")
-        if self.lookback < 1 or self.horizon < 1:
-            raise ConfigError("lookback and horizon must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def mask(self) -> tuple[str, ...]:
         """cfg.features, for the benchmark (perfbench/worker.py), which passes
@@ -196,6 +199,9 @@ class RunConfig:
             elif f.metadata["check"] is not _as_path:
                 payload[f.name] = value
         return payload
+
+
+_CHECKS = {f.name: f.metadata["check"] for f in fields(RunConfig)}  # check(value, name) by field
 
 
 def load_config_file(path) -> dict:
@@ -236,13 +242,13 @@ def build_run_config(args, cfg: RunConfig | None = None) -> RunConfig:
     config = getattr(args, "config", None)
     values = load_config_file(config) if config else {}
     for f in fields(RunConfig):
-        key, flag = f.metadata["key"], f.metadata["flag"]
+        key, flag, check = f.metadata["key"], f.metadata["flag"], f.metadata["check"]
         if key in values:
-            value = f.metadata["check"](values[key], key)
+            value = check(values[key], f.name)
             setattr(cfg, f.name, Path(config).parent / value if isinstance(value, Path) else value)
         value = None if flag is None else getattr(args, _flag_dest(f), None)
         if value is not None:
-            setattr(cfg, f.name, f.metadata["parse"](value, f.name) if f.metadata["parse"] else value)
+            setattr(cfg, f.name, check(value, f.name))
     return cfg
 
 
@@ -538,7 +544,6 @@ def cmd_train(args) -> None:
     cfg.validate()
     days = load_records(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     model, scaler, history = run_training(cfg, train_windows(cfg, days))
     write_table(out / "loss_history.csv", ["epoch", "loss"], enumerate(history, 1))
     meta = {name: getattr(cfg, name) for name in (*CHECKPOINT_SETTINGS, "seed", "loss", "init")}
@@ -550,23 +555,16 @@ def cmd_train(args) -> None:
 
 def checkpoint_settings(ckpt, path) -> dict:
     """The settings ckpt fixes, by RunConfig field: those of
-    CHECKPOINT_SETTINGS its meta records (group "all" when it records none)
-    and the model's horizon. A meta that does not record them as train
-    writes them is a DataError."""
-    fixed = {"group": "all", **{k: ckpt.meta[k] for k in CHECKPOINT_SETTINGS if k in ckpt.meta}}
+    CHECKPOINT_SETTINGS its meta records (group "all" when it records none),
+    each judged by its field's check, and the model's horizon. A meta that
+    does not record them as train writes them is a DataError."""
+    meta = {"group": "all", **ckpt.meta}
     try:
-        fixed["features"] = _as_features(fixed.get("features"), "features")
-        if "baseline_month" in fixed:
-            data_mod.month_end(_STR(fixed["baseline_month"], "baseline_month"))
-        valid = (len(fixed["features"]) == ckpt.model.input_dim
-                 and type(fixed.get("lookback")) is int and fixed["lookback"] >= 1
-                 and fixed["group"] in data_mod.GROUPS)
-    except (ConfigError, ValueError):
-        valid = False
-    if not valid:
-        raise DataError(f"{path}: the checkpoint meta must record its features (one "
-                        "known name per input) and lookback (an integer >= 1); a group must be "
-                        "a known one and a baseline month a YYYY-MM string")
+        fixed = {name: _CHECKS[name](meta[name], name) for name in CHECKPOINT_SETTINGS if name in meta}
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint meta: {exc}") from None
+    if "lookback" not in fixed or len(fixed.get("features", ())) != ckpt.model.input_dim:
+        raise DataError(f"{path}: the checkpoint meta must record its lookback and one feature per input")
     return {**fixed, "horizon": ckpt.model.horizon}
 
 
@@ -655,7 +653,7 @@ def cmd_horizon(args) -> None:
     cfg = build_run_config(args)
     try:
         horizons = DEFAULT_HORIZONS if args.horizons is None else [
-            int(v) for v in args.horizons.split(",")]
+            _CHECKS["horizon"](int(v), "horizon") for v in args.horizons.split(",")]
     except ValueError:
         raise ConfigError(f"--horizons takes integers such as 3,7,14; got {args.horizons!r}") from None
     if len(set(horizons)) < len(horizons):

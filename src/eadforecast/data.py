@@ -28,6 +28,7 @@ from .fileio import atomic_write_text, write_table
 
 GROUPS = ("all", "children", "adult", "elderly", "outdoor", "indoor")
 FEATURE_ORDER = ("temperature", "humidity", "day_label", "mobility")
+MONTH = re.compile(r"(?!0000)[0-9]{4}-(0[1-9]|1[0-2])")  # a YYYY-MM month (two-digit month 01-12)
 # Feature name -> the Days column it reads.
 _FEATURE_COLUMNS = {"temperature": "tmax", "humidity": "humidity", "day_label": "day_label",
                    "mobility": "mobility"}
@@ -242,7 +243,7 @@ def day_labels(start: dt.date, n: int, holidays) -> np.ndarray:
 def month_end(month: str) -> dt.date:
     """The last day of a YYYY-MM month (two-digit month 01-12); ValueError
     if month is not one."""
-    if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", month):
+    if not MONTH.fullmatch(month):
         raise ValueError(f"not a YYYY-MM month: {month!r}")
     year, number = int(month[:4]), int(month[5:])
     if number == 12:

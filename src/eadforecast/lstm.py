@@ -83,6 +83,7 @@ import numpy as np
 from .errors import ConfigError
 
 ACTIVATIONS = ("rectifier", "identity", "sigmoid")
+INIT_SCHEMES = ("zeros", "uniform")  # init_params' schemes
 _GATE_ORDER = ("i", "o", "f", "m")
 
 
@@ -239,8 +240,8 @@ def init_params(spec: ModelSpec, scheme: str = "uniform", seed: int = 0) -> Fore
     in the canonical order, with zero biases, deterministically from the
     seed.
     """
-    if scheme not in ("zeros", "uniform"):
-        raise ConfigError(f"unknown init scheme {scheme!r}; expected 'zeros' or 'uniform'")
+    if scheme not in INIT_SCHEMES:
+        raise ConfigError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
     model = ForecastModel(spec)
     if scheme == "uniform":
         rng = np.random.default_rng(seed)

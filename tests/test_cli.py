@@ -24,10 +24,11 @@ from eadforecast.cli import (
     write_predictions_csv,
 )
 from eadforecast.data import (
-    SynthConfig, feature_matrix, load_dataset, make_windows, synth_generate, write_dataset,
+    GROUPS, SynthConfig, feature_matrix, load_dataset, make_windows, synth_generate, write_dataset,
 )
 from eadforecast.errors import ConfigError, DataError
-from eadforecast.lstm import ModelSpec, forward_batch, init_params
+from eadforecast.losses import LOSS_KINDS
+from eadforecast.lstm import INIT_SCHEMES, ModelSpec, forward_batch, init_params
 from eadforecast.metrics import Forecasts
 from eadforecast.report import REPORT_HEADER, STAT_COLUMNS
 from eadforecast.training import TrainConfig, fit_scaler, train
@@ -170,25 +171,61 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 1
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
-    def test_bad_flag_usage_exits_1(self):
-        assert main(["train", "--loss", "huber"]) == 1
+    @pytest.mark.parametrize("flag,value,valid", [
+        ("--loss", "huber", (*LOSS_KINDS, *cli_mod.LOSS_ALIASES)),
+        ("--group", "foo", GROUPS),
+        ("--init", "foo", INIT_SCHEMES),
+    ], ids=["loss", "group", "init"])
+    def test_bad_flag_usage_exits_1(self, capsys, flag, value, valid):
+        assert main(["train", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in valid), err
 
-    @pytest.mark.parametrize("command,source", [
-        ("train", "flag"), ("train", "file"), ("ablate", "flag"), ("horizon", "file"),
+    def test_loss_alias_flag_trains_like_its_loss(self, dataset, tmp_path):
+        cfg = base_config(dataset, tmp_path / "run", training={"epochs": 1, "batch_size": 8, "seed": 0})
+        runs = []
+        for loss in ("squared_error", "mse"):
+            assert main(["train", "--config", str(cfg), "--loss", loss, "--out", str(tmp_path / loss)]) == 0
+            runs.append([(tmp_path / loss / name).read_bytes()
+                         for name in ("checkpoint.bin", "loss_history.csv")])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command,flags,extra,message", [
+        pytest.param("train", ["--seed", "-1"], {}, "seed must be >= 0, got -1", id="train-flag"),
+        pytest.param("train", [], {"training": {"epochs": 1, "batch_size": 8, "seed": -1}},
+                     "seed must be >= 0, got -1", id="train-file"),
+        pytest.param("ablate", ["--seed", "-1"], {}, "seed must be >= 0, got -1", id="ablate-flag"),
+        pytest.param("horizon", [], {"training": {"epochs": 1, "batch_size": 8, "seed": -1}},
+                     "seed must be >= 0, got -1", id="horizon-file"),
+        pytest.param("train", ["--epochs", "0"], {}, "epochs must be >= 1, got 0", id="epochs_0"),
+        pytest.param("train", ["--batch-size", "0"], {}, "batch_size must be >= 1, got 0",
+                     id="batch_size_0"),
+        pytest.param("train", ["--lookback", "0"], {}, "lookback must be >= 1, got 0", id="lookback_0"),
+        pytest.param("train", ["--lr", "nan"], {}, "lr must be a finite number > 0, got nan",
+                     id="lr_nan"),
+        pytest.param("train", [], {"training": {"epochs": 1, "batch_size": 8, "seed": 0, "loss": "foo"}},
+                     "loss must be one of ['mse', 'xent', ", id="file_loss"),
+        pytest.param("train", [], {"init": "foo"}, "init must be one of ['zeros', 'uniform'], got 'foo'",
+                     id="file_init"),
+        pytest.param("ablate", [], {"baseline_month": "2020-13"},
+                     "baseline_month must be a YYYY-MM month, got '2020-13'", id="ablate-baseline_month"),
+        # A month forecast would refuse in the checkpoint, refused also where
+        # the mobility fill does not read it.
+        pytest.param("train", [], {"baseline_month": "2020-13",
+                                   "features": ["temperature", "humidity", "day_label"]},
+                     "baseline_month must be a YYYY-MM month, got '2020-13'",
+                     id="baseline_month_without_mobility"),
     ])
     def test_negative_seed_exits_1_before_reading_data(self, dataset, tmp_path, monkeypatch, capsys,
-                                                        command, source):
+                                                        command, flags, extra, message):
+        # Every setting is judged before any data is read, and nothing is written.
         reads = []
         monkeypatch.setattr(cli_mod, "load_records", lambda *a: reads.append(a))
-        if source == "flag":
-            cfg, argv = base_config(dataset, tmp_path / "run"), ["--seed", "-1"]
-        else:
-            cfg = base_config(dataset, tmp_path / "run",
-                              training={"epochs": 1, "batch_size": 8, "seed": -1})
-            argv = []
-        assert main([command, "--config", str(cfg), "--epochs", "1", *argv]) == 1
-        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        cfg, out = base_config(dataset, tmp_path / "run", **extra), tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--epochs", "1", *flags, "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
         assert reads == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra,key", [
         ({"trainig": {"epochs": 1}}, "trainig"),
