@@ -44,11 +44,12 @@ text:
     python bench/pinned_outputs.py . > change.txt
     diff parent.txt change.txt
 
-`tests/data/pinned_sha256.txt` is this output for the current checkout
-under `OPENBLAS_NUM_THREADS=2`, and `tests/test_pinned_outputs.py`
-requires it; a change that moves bytes on purpose regenerates it with
+`tests/data/pinned_sha256.txt` is this output for the current checkout,
+the same under any `OPENBLAS_NUM_THREADS` (the CLI runs every command on
+one BLAS thread), and `tests/test_pinned_outputs.py` requires it under 1
+and 2 threads; a change that moves bytes on purpose regenerates it with
 
-    OPENBLAS_NUM_THREADS=2 python bench/pinned_outputs.py . > tests/data/pinned_sha256.txt
+    python bench/pinned_outputs.py . > tests/data/pinned_sha256.txt
 
 The run directory is a temporary one, removed at the end, unless --keep
 names a directory (it must not exist yet). A run that exits non-zero stops

@@ -80,7 +80,7 @@ def load_checkpoint(path) -> Checkpoint:
     def corrupt(what: str) -> DataError:
         return DataError(f"{path}: corrupt checkpoint header: {what}")
 
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
     blob = path.read_bytes()
     if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:

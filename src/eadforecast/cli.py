@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: synth, train, forecast, evaluate, ablate, horizon. Every
-command is deterministic given (config, seed); reruns produce byte-identical
-outputs. Configuration comes from an optional YAML file plus flag overrides
+command is deterministic given (config, seed) and runs on one BLAS thread;
+reruns produce byte-identical outputs under any BLAS thread count.
+Configuration comes from an optional YAML file plus flag overrides
 (flags win). Exit codes: 0 success, 1 usage/config error, 2 data error,
 3 numerical failure.
 """
@@ -49,18 +50,16 @@ CHECKPOINT_SETTINGS = ("features", "lookback", "group", "baseline_month")
 # arrays; a chunk bounds the workspace's per-step forward buffers ([x; s; 1],
 # gates, c and tanh(c) of all 14 steps of both layers, and the dense outputs:
 # ~77 KB per anchor by their shapes, ~180 MB for all 2,319 anchors of the
-# default dataset) and fixes the matrix shapes BLAS sees. The passes run on
-# one pinned BLAS thread (lstm.single_blas_thread), so no chunk size splits a
-# product over two threads, a forecast's speed does not hinge on a second
-# free CPU, and predictions.csv is the same under any installed thread count.
-# On the default dataset, 32 anchors ran ~2x the anchors/s of 6 at the same
-# peak RSS (57.0 vs 56.8 MB in a forecast+evaluate process); 64 were ~10%
-# faster again but peaked at 59.6 MB.
+# default dataset) and fixes the matrix shapes BLAS sees. On the default
+# dataset, 32 anchors ran ~2x the anchors/s of 6 at the same peak RSS (57.0
+# vs 56.8 MB in a forecast+evaluate process); 64 were ~10% faster again but
+# peaked at 59.6 MB.
 FORECAST_CHUNK = 32
 
 
 def _coerce_date(value, label: str) -> dt.date:
-    if value is None or isinstance(value, dt.date):
+    # type(), not isinstance: a YAML timestamp is a datetime, a date subclass.
+    if value is None or type(value) is dt.date:
         return value
     try:
         return dt.date.fromisoformat(str(value))
@@ -93,6 +92,16 @@ def _as_path(value, name) -> Path:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a path, got {value!r}")
     return Path(value)
+
+
+def _check_out_dir(out) -> None:
+    """Refuse an output directory that cannot be made, because its nearest
+    existing ancestor (or itself) is not a directory."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"out {out} cannot be a directory: {path} is not one")
+            return
 
 
 def _as_features(value, name) -> tuple[str, ...]:
@@ -167,11 +176,12 @@ class RunConfig:
             path = getattr(self, name)
             if path is None:
                 raise ConfigError(f"missing required data path: {name}")
-            if not Path(path).exists():
+            if not Path(path).is_file():
                 raise ConfigError(f"{name} file does not exist: {path}")
         if "mobility" in self.features:
-            if self.mobility is None or not Path(self.mobility).exists():
+            if self.mobility is None or not Path(self.mobility).is_file():
                 raise ConfigError("mobility feature enabled but mobility file is missing")
+        _check_out_dir(self.out)
         if need_spans:
             for name in ("train_start", "train_end", "test_start", "test_end"):
                 if getattr(self, name) is None:
@@ -209,7 +219,7 @@ def load_config_file(path) -> dict:
     section. A key that is no setting's, or a section that is not a mapping,
     is refused."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = yaml.safe_load(path.read_text())
@@ -320,8 +330,7 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
 
     An anchor is the first predicted day; its window covers the L preceding
     days, which must all be in the day table. Anchors go through the
-    network FORECAST_CHUNK at a time on one BLAS thread, through one
-    workspace.
+    network FORECAST_CHUNK at a time, through one workspace.
     """
     first, last = anchor_rows(days, cfg.lookback, start, end)
     # Scaled once and gathered by row, as training's apply_scaler does.
@@ -334,9 +343,8 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
     n_full = n - n % FORECAST_CHUNK
     starts = [*range(0, n_full, FORECAST_CHUNK), *range(n_full, n)]
     ws = lstm_mod.Workspace(model, FORECAST_CHUNK, cfg.lookback)
-    with lstm_mod.single_blas_thread():
-        for lo, hi in zip(starts, [*starts[1:], n]):
-            y[lo:hi], _ = lstm_mod.forward_batch(model, features[rows[lo:hi]], ws)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        y[lo:hi], _ = lstm_mod.forward_batch(model, features[rows[lo:hi]], ws)
     return Forecasts(start, scaler.invert_target(y))
 
 
@@ -389,7 +397,7 @@ def read_predictions_csv(path) -> Forecasts:
     (_prediction_columns).
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"predictions file not found: {path}")
     try:
         with path.open(encoding="utf-8") as fh:  # universal newlines: a CRLF file reads as LF
@@ -534,8 +542,10 @@ def cmd_synth(args) -> None:
         cfg = replace(cfg, end=_coerce_date(args.end, "end"))
     if args.base_rate is not None:
         cfg = replace(cfg, base_rate=args.base_rate)
+    out = args.out or Path("out")
+    _check_out_dir(out)
     result = data_mod.synth_generate(cfg, seed=args.seed if args.seed is not None else 0)
-    paths = data_mod.write_dataset(result, args.out or "out")
+    paths = data_mod.write_dataset(result, out)
     log.info("wrote synthetic dataset: %s", ", ".join(str(p) for p in paths.values()))
 
 
@@ -739,7 +749,10 @@ def main(argv=None) -> int:
             format="%(levelname)s %(message)s",
             stream=sys.stderr,
         )
-        args.func(args)
+        # Every command runs on one BLAS thread, so that no output depends on
+        # the installed thread count.
+        with lstm_mod.single_blas_thread():
+            args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -132,7 +132,7 @@ def cell_fault(cell: str, kind, what: str) -> str | None:
 
 def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
     """The rows after the first, which must be header."""
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"input file not found: {path}")
     try:
         with path.open(newline="") as fh:
@@ -201,7 +201,7 @@ def read_dated_csv(path, spec: DatedCsv) -> tuple[np.ndarray, np.ndarray]:
 def load_holidays(path) -> set[dt.date]:
     """One ISO date per line; '#' starts a comment."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"holiday file not found: {path}")
     try:
         text = path.read_text()

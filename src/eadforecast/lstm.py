@@ -19,7 +19,9 @@ feeds the dense stack. One batched engine (`forward_batch` /
 `backward_batch`) serves training and forecasting; a single window is a
 batch of one. The test suite pins it against a straight-line transcription
 of the gate equations and against central finite differences.
-`single_blas_thread` runs a block, such as a forecast, on one BLAS thread.
+`single_blas_thread` runs a block on one BLAS thread. The CLI runs every
+command in it (`cli.main`); code that calls `train` or `run_forecast` as a
+library function keeps whatever thread count it has set.
 
 How the engine computes it (the fused-gate, loop-hoisted layout of
 Appleyard et al. 2016, arXiv:1604.01946):

@@ -19,6 +19,7 @@ import eadforecast
 from eadforecast import checkpoint as ckpt_io
 from eadforecast import cli as cli_mod
 from eadforecast import lstm as lstm_mod
+from eadforecast import training as training_mod
 from eadforecast.cli import (
     FORECAST_CHUNK, RunConfig, build_parser, build_run_config, load_records, main, run_forecast,
     write_predictions_csv,
@@ -215,6 +216,14 @@ class TestTrainCommand:
                                    "features": ["temperature", "humidity", "day_label"]},
                      "baseline_month must be a YYYY-MM month, got '2020-13'",
                      id="baseline_month_without_mobility"),
+        # A YAML timestamp is a datetime, which is a date too; neither span
+        # field takes one.
+        pytest.param("train", [], {"train": {"start": dt.datetime(2018, 1, 1), "end": "2019-12-31"}},
+                     "bad date for train_start: datetime.datetime(2018, 1, 1, 0, 0)",
+                     id="train_start_timestamp"),
+        pytest.param("train", [], {"test": {"start": "2020-01-01", "end": dt.datetime(2020, 3, 31, 10)}},
+                     "bad date for test_end: datetime.datetime(2020, 3, 31, 10, 0)",
+                     id="test_end_timestamp"),
     ])
     def test_negative_seed_exits_1_before_reading_data(self, dataset, tmp_path, monkeypatch, capsys,
                                                         command, flags, extra, message):
@@ -633,43 +642,52 @@ class TestRunForecast:
         run_forecast(model, scaler, days, cfg, days.date(30), days.date(100))
         assert built == [8, 8]
 
-    def test_forward_passes_run_on_one_blas_thread_and_count_is_restored(self, dataset, monkeypatch):
+    def test_forward_passes_run_on_one_blas_thread_and_count_is_restored(
+            self, trained, tmp_path, monkeypatch):
         api = lstm_mod._openblas_threads_api()
         if api is None:
             pytest.skip("numpy's bundled OpenBLAS thread-count functions are absent")
         get, set_ = api
-        model, scaler, days, cfg = forecast_setup(dataset, 3)
-        seen = []
-        forward_batch = lstm_mod.forward_batch
-
-        def recording(*args):
-            seen.append(get())
-            return forward_batch(*args)
-
-        monkeypatch.setattr(lstm_mod, "forward_batch", recording)
+        cfg, out = trained
+        seen = []  # (engine call, thread count)
+        for module, name in ((lstm_mod, "forward_batch"), (training_mod, "forward_batch"),
+                             (training_mod, "backward_batch")):
+            def recording(*args, call=getattr(module, name), name=name):
+                seen.append((name, get()))
+                return call(*args)
+            monkeypatch.setattr(module, name, recording)
         installed = get()
         try:
             set_(2)
-            before = get()
-            run_forecast(model, scaler, days, cfg, days.date(30), days.date(100))
-            assert seen and set(seen) == {1}
-            assert get() == before
-            with pytest.raises(DataError):  # a span past the last day
-                run_forecast(model, scaler, days, cfg, days.date(len(days) - 20), days.date(len(days)))
-            assert get() == before
-            # An error inside the pinned block: the model expects 3 features, not 4.
-            narrow = init_params(ModelSpec(input_dim=3, horizon=3))
-            with pytest.raises(ConfigError):
-                run_forecast(narrow, scaler, days, cfg, days.date(30), days.date(100))
-            assert get() == before
+            run = ["--config", str(cfg), "--epochs", "1", "--out", str(tmp_path)]
+            assert main(["train", *run]) == 0
+            assert main(["forecast", *run, "--checkpoint", str(tmp_path / "checkpoint.bin")]) == 0
+            assert {name for name, _ in seen} == {"forward_batch", "backward_batch"}
+            assert {threads for _, threads in seen} == {1}
+            assert get() == 2
+            # A refusal raised inside the command, on its one thread.
+            for error, code in ((ConfigError, 1), (DataError, 2)):
+                def refuse(cfg, error=error):
+                    seen.append(("load_records", get()))
+                    raise error("refused")
+                monkeypatch.setattr(cli_mod, "load_records", refuse)
+                assert main(["train", *run]) == code
+                assert seen[-1] == ("load_records", 1) and get() == 2
         finally:
             set_(installed)
 
     def test_predictions_identical_across_blas_threads(self, dataset, tmp_path):
-        outputs = [
-            (forecast_subprocess(dataset, tmp_path, threads)[0] / "predictions.csv").read_bytes()
-            for threads in ("1", "2")
-        ]
+        # A training at batch 256, whose products OpenBLAS would split over
+        # two threads, and a forecast.
+        cfg = base_config(dataset, tmp_path / "train")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"train{threads}"
+            proc = cli_subprocess(["train", "--config", str(cfg), "--epochs", "2", "--batch-size", "256",
+                                   "--out", str(out)], threads)
+            assert proc.returncode == 0, proc.stderr
+            forecast = forecast_subprocess(dataset, tmp_path, threads)[0]
+            outputs.append([(out / "checkpoint.bin").read_bytes(), (forecast / "predictions.csv").read_bytes()])
         assert outputs[0] == outputs[1]
 
     def test_forecast_uses_one_cpu_under_two_blas_threads(self, dataset, tmp_path):
@@ -736,6 +754,17 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def cli_subprocess(argv, threads=None, code="from eadforecast.cli import cli_entry; cli_entry()"):
+    """Run code (by default the CLI) with argv in a fresh process of this
+    checkout, under OPENBLAS_NUM_THREADS=threads if given."""
+    src = str(Path(eadforecast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
 def forecast_subprocess(dataset, tmp_path, threads):
     """Forecast 875 anchors with an untrained K=28 model in a fresh process
     under OPENBLAS_NUM_THREADS=threads; returns the output directory and
@@ -747,15 +776,11 @@ def forecast_subprocess(dataset, tmp_path, threads):
         "lookback": 7, "group": "all",
     })
     cfg = base_config(dataset, tmp_path / "run", horizon=28)
-    src = str(Path(eadforecast.__file__).resolve().parents[1])
     out = tmp_path / f"threads{threads}"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", TIMED_FORECAST, "forecast", "--config", str(cfg),
-         "--checkpoint", str(ckpt), "--start", days.date(7).isoformat(),
+    proc = cli_subprocess(
+        ["forecast", "--config", str(cfg), "--checkpoint", str(ckpt), "--start", days.date(7).isoformat(),
          "--end", days.date(len(days) - 1).isoformat(), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        threads, code=TIMED_FORECAST,
     )
     assert proc.returncode == 0, proc.stderr
     return out, json.loads(proc.stdout)
@@ -1072,6 +1097,38 @@ class TestUsageErrors:
                 "horizon": ["--config", str(cfg), "--epochs", "1", "--out", str(tmp_path)]}[command]
         assert main([command, *argv, f"{flag}="]) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,code", [
+        ("--weather", 1), ("--ead", 1), ("--mobility", 1), ("--holidays", 1), ("--config", 1),
+        ("--checkpoint", 2), ("--predictions", 2),
+    ])
+    def test_a_directory_as_an_input_file_exits_without_a_traceback(self, trained, tmp_path, flag, code):
+        cfg, out = trained
+        command = {"--checkpoint": "forecast", "--predictions": "evaluate"}.get(flag, "train")
+        required = {"forecast": ["--checkpoint", str(out / "checkpoint.bin")],
+                    "evaluate": ["--predictions", str(out / "predictions.csv")]}.get(command, [])
+        proc = cli_subprocess([command, "--config", str(cfg), *required, "--epochs", "1",
+                               "--out", str(tmp_path / "out"), flag, str(tmp_path)])
+        assert proc.returncode == code, proc.stderr
+        assert ("config error:" if code == 1 else "data error:") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "horizon", "synth"])
+    def test_an_out_that_cannot_be_a_directory_exits_1_before_reading_data(
+            self, dataset, tmp_path, monkeypatch, capsys, command, below):
+        reads = []
+        monkeypatch.setattr(cli_mod, "load_records", lambda *a: reads.append(a))
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "run" if below else taken
+        if command == "synth":
+            argv = ["--start", "2019-01-01", "--end", "2019-03-31"]
+        else:
+            argv = ["--config", str(base_config(dataset, tmp_path / "cfg")), "--epochs", "1"]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert f"config error: out {out} cannot be a directory: {taken} is not one" in capsys.readouterr().err
+        assert reads == [] and taken.read_text() == "a file\n"
 
     def test_unknown_command(self):
         assert main(["transmogrify"]) == 1

@@ -22,14 +22,17 @@ sys.path.insert(0, str(ROOT / "bench"))
 from pinned_outputs import environment_key  # noqa: E402
 
 
-def test_pinned_runs_write_the_pinned_bytes():
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pinned_runs_write_the_pinned_bytes(threads):
+    # The CLI runs every command on one BLAS thread, so the installed
+    # thread count changes no byte.
     want = PINNED.read_text().splitlines()
     key = environment_key()
     if want[: len(key)] != key:
         pytest.skip(f"the pinned sha256 are for {want[:len(key)]}; this build is {key}")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "pinned_outputs.py"), str(ROOT)],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="2"),
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
