@@ -32,6 +32,10 @@ seed 0, and at batch 8 unless a run below names another:
   first observation, the 4-5 days between observations on the line
   between them, and 2020-02-12..29 at the last observation. The synthetic
   `mobility.csv` lists every day, so no other run fills one.
+- k28: `train --horizon 28 --epochs 1`, then a `forecast` of every anchor
+  the dataset has history for (2019-07-15..2020-02-29: 230 anchors, 6,440
+  lines, so `predictions.csv` spans several of the writer's and the
+  reader's blocks) and its `evaluate`.
 
 The output starts with the environment key, two `# ` lines naming the
 numpy version and the configuration string of numpy's bundled OpenBLAS
@@ -127,7 +131,7 @@ def runs(work: Path) -> list[list[str]]:
     def cli(command: str, out: str, *extra: str) -> list[str]:
         return [command, *paths, *SPANS, *COMMON, "--out", str(work / out), *extra]
 
-    train, sparse = work / "train", work / "sparse"
+    train, sparse, k28 = work / "train", work / "sparse", work / "k28"
     return [
         ["synth", "--seed", "0", "--start", "2019-07-01", "--end", "2020-02-29",
          "--out", str(data)],
@@ -148,6 +152,10 @@ def runs(work: Path) -> list[list[str]]:
          "--checkpoint", str(sparse / "checkpoint.bin")],
         ["evaluate", "--config", str(sparse / "config.yaml"),
          "--predictions", str(sparse / "predictions.csv")],
+        cli("train", "k28", "--horizon", "28", "--epochs", "1"),
+        cli("forecast", "k28", "--checkpoint", str(k28 / "checkpoint.bin"),
+            "--start", "2019-07-15", "--end", "2020-02-29"),
+        cli("evaluate", "k28", "--predictions", str(k28 / "predictions.csv")),
     ]
 
 

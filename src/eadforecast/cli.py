@@ -27,7 +27,7 @@ from . import data as data_mod
 from . import lstm as lstm_mod  # called through the module, so wrappers on it (perfbench) apply
 from . import report as report_mod
 from .errors import ConfigError, DataError, NumericalError
-from .fileio import atomic_write_text, write_table
+from .fileio import atomic_write_chunks, atomic_write_text, write_table
 from .losses import LOSS_KINDS
 from .lstm import INIT_SCHEMES, ModelSpec, init_params
 from .metrics import EvalReport, Forecasts, HorizonSeries, evaluate_series, horizon_aggregate, relative_errors
@@ -350,12 +350,15 @@ def run_forecast(model, scaler, days, cfg: RunConfig, start: dt.date, end: dt.da
 
 PREDICTIONS_HEADER = "anchor_date,step,target_date,value"
 # Lines of predictions.csv per block, rounded down to whole anchors (one at
-# least), that write_predictions_csv formats and read_predictions_csv checks
-# at a time. Blocks keep the per-line temporaries small beside the file's
-# text: writing 2,319 anchors at K=28 (the default dataset's forecast_k28
-# span) peaked at 13.7 MB of Python allocations (tracemalloc) when formatted
-# whole and at 9.2 MB in blocks.
-PREDICTIONS_BLOCK = 1 << 13
+# least), that write_predictions_csv formats and streams and
+# read_predictions_csv checks at a time. For 2,319 anchors at K=28 (the
+# default dataset's forecast_k28 span), Python allocations (tracemalloc)
+# peak at 0.24 MB writing and 1.23 MB reading with 1,024-line blocks,
+# against 1.87 and 5.97 MB with 8,192 (9.23 MB writing when the whole text
+# was joined before the write). Smaller blocks barely lower the reader's
+# peak, which is then its values, and cost time: 256-line blocks wrote
+# ~12% slower than 1,024.
+PREDICTIONS_BLOCK = 1 << 10
 
 
 def _prediction_columns(first: dt.date, a0: int, a1: int, k: int) -> tuple[list, list, list]:
@@ -370,17 +373,20 @@ def _prediction_columns(first: dt.date, a0: int, a1: int, k: int) -> tuple[list,
 
 def write_predictions_csv(path, forecasts: Forecasts) -> None:
     """One line per anchor and step, `anchor_date,step,target_date,value`,
-    the value as repr(float)."""
+    the value as repr(float), streamed to the file a block at a time."""
     n, k = forecasts.values.shape
     size = max(1, PREDICTIONS_BLOCK // k)  # anchors per block
     comma, newline = repeat(","), repeat("\n")
-    blocks = [PREDICTIONS_HEADER + "\n"]
-    for a0 in range(0, n, size):
-        anchors, steps, targets = _prediction_columns(forecasts.start, a0, min(a0 + size, n), k)
-        values = [*map(repr, forecasts.values[a0 : a0 + size].ravel().tolist())]
-        lines = zip(anchors, comma, steps, comma, targets, comma, values, newline)
-        blocks.append("".join(chain.from_iterable(lines)))
-    atomic_write_text(path, "".join(blocks))
+
+    def blocks():
+        yield (PREDICTIONS_HEADER + "\n").encode()
+        for a0 in range(0, n, size):
+            anchors, steps, targets = _prediction_columns(forecasts.start, a0, min(a0 + size, n), k)
+            values = [*map(repr, forecasts.values[a0 : a0 + size].ravel().tolist())]
+            lines = zip(anchors, comma, steps, comma, targets, comma, values, newline)
+            yield "".join(chain.from_iterable(lines)).encode()
+
+    atomic_write_chunks(path, blocks())
 
 
 def read_predictions_csv(path) -> Forecasts:
@@ -487,23 +493,29 @@ class Evaluation:
     estimate: np.ndarray
 
 
-def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
-    """Aggregate forecasts per date, compare with actuals, emit report + charts.
-    Dates after the table's last day are left out; dates before its first
-    day are a DataError. Every chart is drawn before the first file is
-    written, so a refused score or chart leaves no file behind."""
-    agg = horizon_aggregate(forecasts)
-    # The aggregate's days with actuals are its entries lo..hi-1.
-    first = days.offset(agg.start)
-    lo, hi = max(-first, 0), min(len(days) - first, len(agg.mean))
+def scored_rows(days, start: dt.date, n: int) -> slice:
+    """The day-table rows that evaluation scores for a per-date series of n
+    days from start: its first days, those that have actuals. Days after
+    the table's last day are left out; a day before its first day, or no
+    day in it, is a DataError."""
+    first = days.offset(start)
+    lo, hi = max(-first, 0), min(len(days) - first, n)
     if lo >= hi:
         raise DataError("predictions and dataset do not overlap in time")
     if lo:
-        shown = ", ".join(data_mod.iso_days(agg.start, min(lo, 10)))
+        shown = ", ".join(data_mod.iso_days(start, min(lo, 10)))
         raise DataError(f"dates in predictions have no matching actuals: {shown}")
+    return slice(first, first + hi)
 
-    rows = slice(first, first + hi)
-    est = agg.mean[:hi]
+
+def run_evaluation(days, forecasts: Forecasts, group: str, scenario: str, out_dir: Path) -> Evaluation:
+    """Aggregate forecasts per date, compare the dates scored_rows selects
+    with actuals, emit report + charts. Every chart is drawn before the
+    first file is written, so a refused score or chart leaves no file
+    behind."""
+    agg = horizon_aggregate(forecasts)
+    rows = scored_rows(days, agg.start, len(agg.mean))
+    est = agg.mean[: rows.stop - rows.start]
     act = days.counts[group][rows]
     rep = evaluate_series(act, est, group=group, scenario=scenario)
     series = {"actual": act, "estimated": est}
@@ -621,14 +633,27 @@ def run_study(cfg: RunConfig, variants: list[tuple[RunConfig, Path]]) -> list[Ev
     ablation variant and each horizon of the horizon study. cfg's dataset,
     loaded once, serves them all. Every variant's settings, training windows
     and test anchors are checked before the first one trains, and each
-    trains on the windows built for that check."""
+    trains on the windows built for that check. A variant whose scored days
+    (scored_rows of its forecasts' dates) run_evaluation could not score or
+    chart, because their actual counts are constant or they hold fewer than
+    4 distinct temperatures or humidities for the cubic fits, is a
+    DataError."""
     for vcfg, _ in variants:
         vcfg.validate()
     days = load_records(cfg)
     windows = []
-    for vcfg, _ in variants:
+    for vcfg, out_dir in variants:
         windows.append(train_windows(vcfg, days))
-        anchor_rows(days, vcfg.lookback, vcfg.test_start, vcfg.test_end)
+        first, last = anchor_rows(days, vcfg.lookback, vcfg.test_start, vcfg.test_end)
+        rows = scored_rows(days, vcfg.test_start, last - first + vcfg.horizon)
+        actual = days.counts[vcfg.group][rows]
+        if actual.min() == actual.max() or min(np.unique(days.tmax[rows]).size,
+                                               np.unique(days.humidity[rows]).size) < 4:
+            raise DataError(
+                f"{out_dir.name}: {rows.stop - rows.start} scored test day(s) cannot be scored; "
+                "scoring needs actual counts that are not all equal and at least 4 distinct "
+                "temperatures and humidities"
+            )
     evaluations = []
     for (vcfg, out_dir), train_set in zip(variants, windows):
         model, scaler, _ = run_training(vcfg, train_set)

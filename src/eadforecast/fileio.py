@@ -8,7 +8,11 @@ import secrets
 from pathlib import Path
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
+def atomic_write_chunks(path, chunks) -> None:
+    """Write the byte chunks of an iterable, in order, as the file path: into
+    a new temp file beside it, renamed onto path once the last chunk is
+    written. If anything raises, even the iterable, the temp file is removed
+    and path is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
@@ -17,12 +21,16 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    atomic_write_chunks(path, (payload,))
 
 
 def atomic_write_text(path, text: str) -> None:

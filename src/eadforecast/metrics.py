@@ -25,8 +25,10 @@ def corr_coeff(u, v) -> float:
     """Pearson correlation coefficient between two equal-length series."""
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ConfigError(f"corr_coeff needs two equal 1-d series of length >= 2, got {a.shape} and {b.shape}")
+    if a.shape != b.shape or a.ndim != 1:
+        raise ConfigError(f"corr_coeff needs two equal 1-d series, got {a.shape} and {b.shape}")
+    if a.size < 2:
+        raise NumericalError(f"correlation undefined: {a.size} value(s), fewer than two")
     n = a.size
     su, sv = a.sum(), b.sum()
     duu = n * (a @ a) - su * su

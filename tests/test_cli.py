@@ -939,6 +939,18 @@ class TestEvaluateCommand:
         assert "cubic fit needs at least 4 distinct x values" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    def test_one_day_exits_3_and_writes_nothing(self, dataset, tmp_path, capsys):
+        # No correlation of one day's counts: a numerical failure, as for a
+        # constant series, found before any file is written.
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(["anchor_date,step,target_date,value",
+                                    *prediction_lines(dt.date(2020, 1, 1), 1, 1)]) + "\n")
+        cfg = base_config(dataset, tmp_path / "run")
+        assert main(["evaluate", "--config", str(cfg), "--predictions", str(preds),
+                     "--out", str(tmp_path / "ev")]) == 3
+        assert "correlation undefined" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
     def test_predictions_without_rows_exit_2_naming_the_file(self, dataset, tmp_path, capsys):
         # What the writer writes for a table of no anchors.
         preds = tmp_path / "empty.csv"
@@ -1041,6 +1053,17 @@ class TestAblateCommand:
         assert "not enough history before 2020-06-01" in capsys.readouterr().err
         assert trainings == [] and not (tmp_path / "ab" / "ablate").exists()
 
+    def test_a_test_span_that_cannot_be_scored_is_refused_before_training(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        # One test day: its actual count is constant.
+        trainings = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a: trainings.append(a) or train(*a))
+        cfg = base_config(dataset, tmp_path / "ab")
+        assert main(["ablate", "--config", str(cfg), "--test-start", "2020-03-31", "--test-end", "2020-03-31",
+                     "--epochs", "1"]) == 2
+        assert "all_features: 1 scored test day(s) cannot be scored" in capsys.readouterr().err
+        assert trainings == [] and not (tmp_path / "ab" / "ablate").exists()
+
 
 class TestHorizonCommand:
     def test_per_k_outputs_and_band_ordering(self, dataset, tmp_path):
@@ -1073,6 +1096,19 @@ class TestHorizonCommand:
         cfg = base_config(dataset, tmp_path / "hz")
         assert main(["horizon", "--config", str(cfg), "--horizons", "3,800", "--epochs", "1"]) == 2
         assert "span of 730 days is too short for lookback 7 + horizon 800" in capsys.readouterr().err
+        assert trainings == [] and not (tmp_path / "hz" / "horizon_3").exists()
+
+    def test_a_test_span_that_cannot_be_scored_is_refused_before_training(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        # Three anchors on the dataset's last three days: their K=3 forecasts
+        # cover five dates, of which only those three have actuals, too few
+        # distinct temperatures for the charts' cubic fit.
+        trainings = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a: trainings.append(a) or train(*a))
+        cfg = base_config(dataset, tmp_path / "hz")
+        assert main(["horizon", "--config", str(cfg), "--horizons", "3", "--test-start", "2020-05-29",
+                     "--test-end", "2020-05-31", "--epochs", "1"]) == 2
+        assert "horizon_3: 3 scored test day(s) cannot be scored" in capsys.readouterr().err
         assert trainings == [] and not (tmp_path / "hz" / "horizon_3").exists()
 
     @pytest.mark.parametrize("horizons", ["3,x", "3,,7", "3,3"])

@@ -1,12 +1,13 @@
-"""Atomic writes: content, no leftover temp files, permissions from the umask;
-and the CSV table writer's cells."""
+"""Atomic writes: content, no leftover temp files, permissions from the umask,
+the previous file kept when a write fails; and the CSV table writer's cells."""
 
 import os
 import stat
 
 import numpy as np
+import pytest
 
-from eadforecast.fileio import atomic_write_bytes, write_table
+from eadforecast.fileio import atomic_write_bytes, atomic_write_chunks, write_table
 
 
 def test_mode_follows_umask(tmp_path):
@@ -27,6 +28,22 @@ def test_overwrite_leaves_only_the_target(tmp_path):
     atomic_write_bytes(target, b"second")
     assert target.read_bytes() == b"second"
     assert [p.name for p in target.parent.iterdir()] == ["data.csv"]
+
+
+def test_a_failed_write_keeps_the_previous_file(tmp_path):
+    # The chunk iterable raises after its first chunk has been written to
+    # the temp file: the target keeps its bytes, and no .data.csv.* is left.
+    target = tmp_path / "data.csv"
+    atomic_write_bytes(target, b"previous")
+
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic_write_chunks(target, chunks())
+    assert target.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_table_cells(tmp_path):

@@ -36,9 +36,10 @@ class TestCorrCoeff:
 
     def test_constant_input_rejected(self):
         # Rounding leaves n*sum(v^2) - sum(v)^2 of sixty 0.1 a tiny positive
-        # number rather than 0; that series is constant all the same.
+        # number rather than 0; that series is constant all the same. So are
+        # a series of one value and the empty series.
         for u, v in [([5, 5, 5], [1, 2, 3]), (np.arange(60.0), np.full(60, 0.1)),
-                     (np.full(60, 0.1), np.arange(60.0))]:
+                     (np.full(60, 0.1), np.arange(60.0)), ([5], [1]), ([], [])]:
             with pytest.raises(NumericalError):
                 corr_coeff(u, v)
 

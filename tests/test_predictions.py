@@ -2,12 +2,14 @@
 through the reader (CRLF copies included), and the refusal, naming a line,
 of a file edited out of written order; each property also with blocks
 of one or two anchors, so that a file spans several blocks and a refused
-line lies past the first."""
+line lies past the first. Neither the writer nor the reader holds the
+whole file's text."""
 
 import contextlib
 import datetime as dt
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +192,22 @@ def test_a_value_python_reads_but_an_input_file_may_not_hold_exits_2(small_datas
     code, err = evaluate(small_dataset, path, workdir / "run")
     assert code == 2 and f"{path}:4: bad value {value!r}" in err, err
     assert small_blocks(evaluate)(small_dataset, path, workdir / "run") == (code, err)
+
+
+def test_the_default_forecast_is_written_and_read_in_little_memory(workdir):
+    # The default dataset's 2,319 anchors at K=28 (65k lines, 2.8 MB of
+    # text): the writer streams its blocks into the file and the reader
+    # checks one block at a time, so neither peak is near the text's size.
+    # The values alone take 0.52 MB, which the reader returns.
+    fc = Forecasts(dt.date(2014, 4, 15), np.random.default_rng(0).normal(200.0, 80.0, size=(2319, 28)))
+    path = workdir / "k28.csv"
+    peaks = []
+    for step in (lambda: write_predictions_csv(path, fc), lambda: read_predictions_csv(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert path.stat().st_size > 2 << 20
+    assert peaks[0] < 1 << 20 and peaks[1] < 2 << 20, peaks
